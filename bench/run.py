@@ -1,9 +1,9 @@
-"""kisnap benchmark driver.
+"""kisnap benchmark: one workload, one seed, one line of JSON.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root. A closed loop with one run in flight: the
-driver starts one repetition of the workload at a time, each in a fresh
+parent starts one repetition of the workload at a time, each in a fresh
 interpreter (kisnap's replay cache is process-global, so a second
 repetition in one process would measure only cache hits; every CLI
 invocation pays the cold cache). Repetitions repeat until --seconds have
