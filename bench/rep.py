@@ -4,10 +4,11 @@
 
 Run from the repository root; kisnap is imported from ./src. Prints one
 JSON object: the monotonic clock reading when the first instance was ready
-(the parent subtracts its spawn time to get setup_s), and unless
---setup-only the timed wall seconds, run count, failures, per-run latencies,
-peak RSS, the outputs for the pinned-output gate and, with --trace, the
-per-layer metrics.
+(the parent subtracts its spawn time to get the set-up time) and the speed
+gauge read just after, and unless --setup-only the timed wall seconds, run
+count, failures, the gauge-scaled times of the segments the run marks cut
+the timed part into, peak RSS, the outputs for the pinned-output gate and,
+with --trace, the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import sys
 import time
 
@@ -41,7 +43,7 @@ def main() -> int:
         return 2
 
     from tracer import Tracer
-    from workloads import WORKLOADS, Meter, digest
+    from workloads import WORKLOADS, Meter, digest, gauge
 
     setup, run = WORKLOADS[args.workload]
     tracer = None
@@ -50,19 +52,20 @@ def main() -> int:
         tracer.install()
     first = setup(kisnap, args.seed)
     ready = time.monotonic()
-    out = {"ready": ready}
+    out = {"ready": ready, "gauge_s": statistics.median(gauge() for _ in range(5))}
     if not args.setup_only:
         meter = Meter(tracer)
-        t0 = time.perf_counter()
+        t0 = meter.clock()
         res = run(kisnap, args.seed, first, meter)
-        out["wall_s"] = time.perf_counter() - t0
+        t1 = meter.clock()
+        out["wall_s"] = t1 - t0
         out.update(
             runs=res.runs,
             failed=res.failed,
             problems=res.problems,
             outputs=res.outputs,
             digest=digest(res.outputs),
-            latency_ms=meter.latency_ms,
+            segments=meter.scaled_segments(t0, t1),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         )
         if tracer is not None:

@@ -6,8 +6,12 @@ Run from the repository root. A closed loop with one run in flight: the
 parent starts one repetition of the workload at a time, each in a fresh
 interpreter (kisnap's replay cache is process-global, so a second
 repetition in one process would measure only cache hits; every CLI
-invocation pays the cold cache). Repetitions repeat until --seconds have
-passed; each does the same work on the inputs the seed generates.
+invocation pays the cold cache). Repetitions repeat, at least two, while
+the next one should end within --seconds; each does the same work on the
+inputs the seed generates. End-to-end times are gauge-scaled (see
+workloads.GAUGE_S): each timed segment is scaled by how fast the host ran
+a fixed piece of pure-Python work at that moment, then the median of each
+segment over the repetitions is taken.
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json; --trace 1
 alternates untraced and traced repetitions and reports the per-layer
@@ -26,6 +30,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+from workloads import GAUGE_S
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -52,7 +58,7 @@ def spawn(workload: str, seed: int, *flags: str) -> dict:
             f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    out["setup_s"] = out["ready"] - spawned
+    out["setup_s"] = (out["ready"] - spawned) * GAUGE_S / out["gauge_s"]
     return out
 
 
@@ -67,6 +73,14 @@ def mismatches(got: dict, pinned: dict) -> list[str]:
             if a != b:
                 bad.append(f"{key}[{i}]: pinned {a}, got {b}")
     return bad
+
+
+def segment_times(reps: list[dict]) -> list[float]:
+    """The median over the repetitions of each segment's gauge-scaled time.
+    Every repetition of a run does the same work in the same cache state,
+    so segment j is the same work in each."""
+    columns = zip(*(r["segments"] for r in reps))
+    return [statistics.median(column) for column in columns]
 
 
 def percentile(values: list[float], p: int) -> float:
@@ -95,10 +109,14 @@ def main() -> int:
         setups = [spawn(w, seed, "--setup-only")["setup_s"] for _ in range(SETUP_PROBES)]
         plain, traced = [], []
         started = time.monotonic()
-        while not plain or time.monotonic() - started < args.seconds:
+        longest = 0.0
+        # at least two repetitions; another only if it should end in time
+        while len(plain) < 2 or time.monotonic() - started + longest <= args.seconds:
+            begun = time.monotonic()
             plain.append(spawn(w, seed))
             if args.trace:
                 traced.append(spawn(w, seed, "--trace"))
+            longest = max(longest, time.monotonic() - begun)
     except RepFailed as exc:
         print(f"repetition failed: {exc}", file=sys.stderr)
         return 1
@@ -110,6 +128,9 @@ def main() -> int:
     if len({r["digest"] for r in reps}) != 1:
         failed += 1
         problems.append("outputs differ between repetitions (or traced vs untraced)")
+    if len({len(r["segments"]) for r in reps}) != 1:
+        failed += 1
+        problems.append("repetitions made different numbers of runs")
     if seed == pins["seed"]:
         bad = mismatches(plain[0]["outputs"], pins[w])
         failed += len(bad)
@@ -133,21 +154,24 @@ def main() -> int:
             for m in entries
         }
         values["trace.overhead_s"] = statistics.median(
-            r["wall_s"] for r in traced
-        ) - statistics.median(r["wall_s"] for r in plain)
+            sum(r["segments"]) for r in traced
+        ) - statistics.median(sum(r["segments"]) for r in plain)
     else:
         entries = spec["end_to_end"]
-        latency = [x for r in plain for x in r["latency_ms"]]
+        segments = segment_times(plain)
+        latency = [x * 1e3 for x in segments[1::2]]
         values = {
             "setup_s": statistics.median(setups + [r["setup_s"] for r in plain]),
-            "wall_s": statistics.median(r["wall_s"] for r in plain),
-            "runs_per_s": statistics.median(r["runs"] / r["wall_s"] for r in plain),
+            "wall_s": sum(segments),
+            "runs_per_s": plain[0]["runs"] / sum(segments),
             "run_p50_ms": percentile(latency, 50),
             "run_p99_ms": percentile(latency, 99),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in plain),
         }
-        print(f"latency samples {len(latency)}, setup samples "
-              f"{len(setups) + len(plain)}")
+        print(f"raw wall seconds of the repetitions: median "
+              f"{statistics.median(r['wall_s'] for r in plain):.4g}, fastest "
+              f"{min(r['wall_s'] for r in plain):.4g}; {len(segments)} segments, "
+              f"{len(latency)} runs, {len(setups) + len(plain)} set-ups")
     metrics = {}
     for m in entries:
         metrics[m["name"]] = {"value": values[m["name"]], "unit": m["unit"]}

@@ -9,9 +9,11 @@ the seeded workloads, process proposals for the exhaustive one.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -22,25 +24,76 @@ MATRIX_TRIALS = 20  # per cell; 55 cells
 EXPLORE_N = 4
 EXPLORE_CELLS = ((1, 1), (1, 2), (1, 3), (2, 2))
 REPLAY_NTK = (7, 3, 3)
-REPLAY_RUNS = 300
+REPLAY_RUNS = 500
+
+
+# The shared host this benchmark was defined on runs the same code at
+# speeds up to 1.7x apart, switching every few seconds in a mix that changes
+# from minute to minute, so raw times of one commit spread by more than
+# any useful bound. A fixed piece of pure-Python work, read between runs,
+# slows by the same factor as kisnap (the ratio of the two stayed within 3 %
+# while each alone moved by 50 %), so each timed segment is scaled by
+# GAUGE_S over the gauge's reading at that moment.
+GAUGE_LOOPS = 3000
+GAUGE_S = 0.00033  # the gauge's time on that host when nothing contended
+GAUGE_EVERY_S = 0.02  # of timed work between readings
+GAUGE_SPAN = 2  # readings each side of a segment in its median
+
+
+def gauge() -> float:
+    """Seconds the host takes now for a fixed piece of pure-Python work."""
+    started = time.perf_counter()
+    counts: dict[int, int] = {}
+    for i in range(GAUGE_LOOPS):
+        counts[i % 97] = counts.get(i % 97, 0) + i
+    return time.perf_counter() - started
 
 
 class Meter:
-    """Per-run latency from one pair of clock reads per run. With a tracer,
-    the end of a run also folds that run's spans."""
+    """One clock read when a run starts and one when it ends; nothing else
+    is timed inside the work. Between runs, every GAUGE_EVERY_S of timed
+    work, it reads the gauge; its clock leaves the gauge's time out. With a
+    tracer, the end of a run also folds that run's spans."""
 
     def __init__(self, tracer=None):
-        self.latency_ms: list[float] = []
+        self.marks: list[float] = []
+        self.gauges: list[tuple[float, float]] = []  # (clock, gauge seconds)
         self.tracer = tracer
-        self.started = 0.0
+        self.paused = 0.0
+
+    def clock(self) -> float:
+        return time.perf_counter() - self.paused
 
     def start(self) -> None:
-        self.started = time.perf_counter()
+        self.marks.append(self.clock())
 
     def stop(self) -> None:
-        self.latency_ms.append((time.perf_counter() - self.started) * 1e3)
+        now = self.clock()
+        self.marks.append(now)
         if self.tracer is not None:
             self.tracer.end_run()
+        if not self.gauges or now - self.gauges[-1][0] >= GAUGE_EVERY_S:
+            self.read_gauge()
+
+    def read_gauge(self) -> None:
+        paused = time.perf_counter()
+        self.gauges.append((self.clock(), gauge()))
+        self.paused += time.perf_counter() - paused
+
+    def scaled_segments(self, begin: float, end: float) -> list[float]:
+        """The timed part from `begin` to `end` cut at the run marks into
+        segments (gap, run, gap, run, ..., gap), each scaled by GAUGE_S over
+        the median of the gauge readings nearest it."""
+        self.read_gauge()
+        at = [t for t, _ in self.gauges]
+        readings = [g for _, g in self.gauges]
+        cuts = [begin, *self.marks, end]
+        out = []
+        for a, b in zip(cuts, cuts[1:]):
+            i = bisect.bisect_left(at, a)
+            near = readings[max(0, i - GAUGE_SPAN) : i + GAUGE_SPAN + 1]
+            out.append((b - a) * GAUGE_S / statistics.median(near))
+        return out
 
 
 @dataclass
@@ -88,7 +141,7 @@ def matrix_run(kisnap, seed: int, instance, meter: Meter) -> Result:
         )
     except (kisnap.SimError, kisnap.ObjectError, RuntimeError) as exc:
         # an illegal action or a trial at the step bound ends the sweep
-        res.runs = len(meter.latency_ms)
+        res.runs = len(meter.marks) // 2
         res.fail(f"run_matrix raised {exc!r}")
         return res
     res.runs = sum(c.trials for c in report.cells)
@@ -151,6 +204,7 @@ def explore_run(kisnap, seed: int, first, meter: Meter) -> Result:
             )
             meter.stop()
             meter.start()
+        meter.marks.pop()  # the walk past the last leaf starts no run
         worst = max(len(d) for d, _ in outcomes)
         bound = kisnap.xsa_bound(EXPLORE_N, t, k)
         if worst != bound:
