@@ -52,7 +52,6 @@ from .primitives import (
     Announce,
     ConsProposeStep,
     KisInvokeStep,
-    ReadStep,
     ScanStep,
     WaitAnyStep,
     WriteStep,

@@ -18,7 +18,7 @@ bit-identical trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
@@ -29,7 +29,6 @@ from .primitives import (
     Announce,
     ConsProposeStep,
     KisInvokeStep,
-    ReadStep,
     ScanStep,
     WaitAnyStep,
     WriteStep,
@@ -102,9 +101,12 @@ class Instance:
 
 # ── Program state via generator replay ───────────────────────────────────────
 #
-# A process's program state is (ref, result history). The generator is
-# rebuilt on demand by replaying the history; results are memoized globally,
-# so sibling branches of an exhaustive search share the work.
+# A process's program state is (ref, ctx, result history). The generator is
+# rebuilt by replaying the history only when the process advances (a step
+# result arrives); results are memoized globally, so sibling branches of an
+# exhaustive search share the work. The replay's outcome, the process's next
+# step, is stored in its `Proc`, so enabled-action scans never replay or
+# consult the cache.
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +148,27 @@ def _peek_cached(ref: ProgramRef, ctx: Ctx, history: tuple) -> Peek:
 
 @dataclass(frozen=True, slots=True)
 class Proc:
+    """One process: its program, context and step-result history, plus the
+    next step that replaying the history found.
+
+    `step` is None once the program returned (`finished`, with `result`) and
+    while the process is parked on the k-IS object `waiting`; a crash leaves
+    the `Proc` as it was and is recorded in `World.crashed`.
+    """
+
     ref: ProgramRef
-    history: tuple = ()
-    waiting: str | None = None  # k-IS object this process is parked on
+    ctx: Ctx
+    history: tuple
+    step: object | None
+    waiting: str | None = None
     finished: bool = False
     result: object = None
+
+
+def _proc_at(ref: ProgramRef, ctx: Ctx, history: tuple) -> tuple[Proc, Peek]:
+    """Replay `history`; returns the resulting process and the replay."""
+    pk = _peek_cached(ref, ctx, history)
+    return Proc(ref, ctx, history, pk.step, None, pk.done, pk.value), pk
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,17 +182,6 @@ class World:
     cons: dict  # obj -> ConsState
     crashed: frozenset[int]
     crashes_left: int
-
-    def proc(self, pid: int) -> Proc:
-        return self.procs[pid - 1]
-
-    def alive(self, pid: int) -> bool:
-        return pid not in self.crashed
-
-
-def peek_of(world: World, pid: int) -> Peek:
-    p = world.proc(pid)
-    return _peek_cached(p.ref, Ctx(world.n, world.t, world.k, pid), p.history)
 
 
 def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
@@ -194,41 +201,34 @@ def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
 
 def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     """Build the start state; returns it with the programs' initial events."""
-    regs = {arr: (BOTTOM,) * instance.n for arr in instance.arrays}
+    n, t, k = instance.n, instance.t, instance.k
+    regs = {arr: (BOTTOM,) * n for arr in instance.arrays}
     kis = {o: KisState(n_obj, k_obj) for o, n_obj, k_obj in instance.kis_objects}
     cons = {o: ConsState() for o in instance.cons_objects}
     procs = []
     events: list[Event] = []
-    for pid in range(1, instance.n + 1):
-        ref = instance.programs[pid]
-        pk = _peek_cached(ref, Ctx(instance.n, instance.t, instance.k, pid), ())
+    for pid in range(1, n + 1):
+        proc, pk = _proc_at(instance.programs[pid], Ctx(n, t, k, pid), ())
         events.extend(_announce_events(pk.announces, pid))
-        procs.append(
-            Proc(ref, (), None, pk.done, pk.value if pk.done else None)
-        )
-    world = World(
-        n=instance.n,
-        t=instance.t,
-        k=instance.k,
-        procs=tuple(procs),
-        regs=regs,
-        kis=kis,
-        cons=cons,
-        crashed=frozenset(),
-        crashes_left=instance.t,
-    )
+        procs.append(proc)
+    world = World(n, t, k, tuple(procs), regs, kis, cons, frozenset(), t)
     return world, events
 
 
 # ── Enabled actions ──────────────────────────────────────────────────────────
 
 
+def _check_pid(world: World, pid: int) -> None:
+    if not 1 <= pid <= world.n:
+        raise SimError(f"no process {pid!r} among pids 1..{world.n}")
+
+
 def current_step(world: World, pid: int):
     """The step `pid` would execute next, or None if it has none."""
-    p = world.proc(pid)
-    if p.finished or p.waiting is not None or pid in world.crashed:
+    _check_pid(world, pid)
+    if pid in world.crashed:
         return None
-    return peek_of(world, pid).step
+    return world.procs[pid - 1].step
 
 
 def _cell(world: World, arr: str, cell: int):
@@ -238,25 +238,27 @@ def _cell(world: World, arr: str, cell: int):
         raise SimError(f"unknown register array {arr!r}") from None
 
 
-def step_guard_ok(world: World, pid: int, step) -> bool:
+def step_guard_ok(world: World, step) -> bool:
     if isinstance(step, ScanStep):
         cells = world.regs.get(step.array)
         if cells is None:
             raise SimError(f"unknown register array {step.array!r}")
-        filled = sum(1 for c in cells if c is not BOTTOM)
-        return filled >= step.min_filled
+        return len(cells) - cells.count(BOTTOM) >= step.min_filled
     if isinstance(step, WaitAnyStep):
         return any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
     return True
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
-    out = []
-    for pid in range(1, world.n + 1):
-        step = current_step(world, pid)
-        if step is not None and step_guard_ok(world, pid, step):
-            out.append(("step", pid))
-    return out
+    """("step", pid) for every process with a guard-enabled step, by pid."""
+    crashed = world.crashed
+    return [
+        ("step", pid)
+        for pid, p in enumerate(world.procs, 1)
+        if p.step is not None
+        and pid not in crashed
+        and step_guard_ok(world, p.step)
+    ]
 
 
 def commit_candidates(world: World) -> list[tuple[str, tuple[int, ...], int]]:
@@ -284,30 +286,22 @@ def enabled_commit_actions(world: World) -> list[tuple]:
 def crash_candidates(world: World) -> list[int]:
     if world.crashes_left <= 0:
         return []
+    crashed = world.crashed
     return [
         pid
-        for pid in range(1, world.n + 1)
-        if pid not in world.crashed and not world.proc(pid).finished
+        for pid, p in enumerate(world.procs, 1)
+        if not p.finished and pid not in crashed
     ]
 
 
 # ── Action application ───────────────────────────────────────────────────────
 
 
-def _advance(world: World, procs: list[Proc], pid: int, result) -> list[Event]:
+def _advance(procs: list[Proc], pid: int, result) -> list[Event]:
     """Feed a step result to `pid`'s program; returns its announce events."""
     p = procs[pid - 1]
-    history = p.history + (result,)
-    pk = _peek_cached(p.ref, Ctx(world.n, world.t, world.k, pid), history)
-    events = _announce_events(pk.announces, pid)
-    procs[pid - 1] = Proc(
-        ref=p.ref,
-        history=history,
-        waiting=None,
-        finished=pk.done,
-        result=pk.value if pk.done else None,
-    )
-    return events
+    procs[pid - 1], pk = _proc_at(p.ref, p.ctx, p.history + (result,))
+    return _announce_events(pk.announces, pid)
 
 
 def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
@@ -325,69 +319,65 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     step = current_step(world, pid)
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
-    if not step_guard_ok(world, pid, step):
+    if not step_guard_ok(world, step):
         raise SimError(f"step guard not satisfied for process {pid}: {step}")
     procs = list(world.procs)
+    regs, kis, cons = world.regs, world.kis, world.cons
     events: list[Event]
 
     if isinstance(step, WriteStep):
-        cells = world.regs[step.array]
+        cells = regs[step.array]
         idx = pid - 1
-        regs = {**world.regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
+        regs = {**regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
         events = [Event(-1, "reg_write", pid, step.array, "write", step.value)]
-        events += _advance(world, procs, pid, None)
-        return replace(world, procs=tuple(procs), regs=regs), events
+        events += _advance(procs, pid, None)
 
-    if isinstance(step, ScanStep):
-        cells = world.regs[step.array]
+    elif isinstance(step, ScanStep):
+        cells = regs[step.array]
         events = [Event(-1, "reg_read", pid, step.array, "scan", None, cells)]
-        events += _advance(world, procs, pid, cells)
-        return replace(world, procs=tuple(procs)), events
+        events += _advance(procs, pid, cells)
 
-    if isinstance(step, ReadStep):
-        val = _cell(world, step.array, step.cell)
-        events = [Event(-1, "reg_read", pid, step.array, "read", step.cell, val)]
-        events += _advance(world, procs, pid, val)
-        return replace(world, procs=tuple(procs)), events
-
-    if isinstance(step, WaitAnyStep):
+    elif isinstance(step, WaitAnyStep):
         vals = tuple(_cell(world, a, c) for a, c in step.watches)
         events = [
             Event(-1, "reg_read", pid, a, "read", c, v)
             for (a, c), v in zip(step.watches, vals)
         ]
-        events += _advance(world, procs, pid, vals)
-        return replace(world, procs=tuple(procs)), events
+        events += _advance(procs, pid, vals)
 
-    if isinstance(step, KisInvokeStep):
+    elif isinstance(step, KisInvokeStep):
         try:
-            st = world.kis[step.obj]
+            st = kis[step.obj]
         except KeyError:
             raise SimError(f"unknown k-IS object {step.obj!r}") from None
-        new_st = kis_invoke(st, pid, step.value)
-        kis = {**world.kis, step.obj: new_st}
+        kis = {**kis, step.obj: kis_invoke(st, pid, step.value)}
         p = procs[pid - 1]
-        procs[pid - 1] = replace(p, waiting=step.obj)
+        procs[pid - 1] = Proc(p.ref, p.ctx, p.history, None, step.obj)
         events = [
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
-        return replace(world, procs=tuple(procs), kis=kis), events
 
-    if isinstance(step, ConsProposeStep):
+    elif isinstance(step, ConsProposeStep):
         try:
-            st = world.cons[step.obj]
+            st = cons[step.obj]
         except KeyError:
             raise SimError(f"unknown consensus object {step.obj!r}") from None
         new_st, decided = consensus_propose(st, pid, step.value)
-        cons = {**world.cons, step.obj: new_st}
+        cons = {**cons, step.obj: new_st}
         events = [
             Event(-1, "invoke", pid, step.obj, "propose", step.value),
             Event(-1, "respond", pid, step.obj, "propose", None, decided),
         ]
-        events += _advance(world, procs, pid, decided)
-        return replace(world, procs=tuple(procs), cons=cons), events
+        events += _advance(procs, pid, decided)
 
-    raise SimError(f"process {pid} yielded an unknown step {step!r}")
+    else:
+        raise SimError(f"process {pid} yielded an unknown step {step!r}")
+
+    world = World(
+        world.n, world.t, world.k, tuple(procs), regs, kis, cons,
+        world.crashed, world.crashes_left,
+    )
+    return world, events
 
 
 def _apply_commit(
@@ -404,30 +394,32 @@ def _apply_commit(
     ]
     procs = list(world.procs)
     for pid, delivered in releases:
-        if world.proc(pid).waiting != obj:
+        if procs[pid - 1].waiting != obj:
             raise SimError(f"process {pid} is not parked on {obj!r}")
         events.append(
             Event(-1, "respond", pid, obj, "write_snapshot_k", None, delivered)
         )
-        events += _advance(world, procs, pid, delivered)
-    return replace(world, procs=tuple(procs), kis=kis), events
+        events += _advance(procs, pid, delivered)
+    world = World(
+        world.n, world.t, world.k, tuple(procs), world.regs, kis, world.cons,
+        world.crashed, world.crashes_left,
+    )
+    return world, events
 
 
 def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
+    _check_pid(world, pid)
     if world.crashes_left <= 0:
         raise SimError("crash budget exhausted")
     if pid in world.crashed:
         raise SimError(f"process {pid} already crashed")
-    if world.proc(pid).finished:
+    if world.procs[pid - 1].finished:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    return (
-        replace(
-            world,
-            crashed=world.crashed | {pid},
-            crashes_left=world.crashes_left - 1,
-        ),
-        [Event(-1, "crash", pid)],
+    world = World(
+        world.n, world.t, world.k, world.procs, world.regs, world.kis,
+        world.cons, world.crashed | {pid}, world.crashes_left - 1,
     )
+    return world, [Event(-1, "crash", pid)]
 
 
 # ── Schedules ────────────────────────────────────────────────────────────────
@@ -495,8 +487,7 @@ def _stamp(events: list[Event], new_events: list[Event]) -> None:
 
 def outcomes_of(world: World) -> dict[int, tuple]:
     out: dict[int, tuple] = {}
-    for pid in range(1, world.n + 1):
-        p = world.proc(pid)
+    for pid, p in enumerate(world.procs, 1):
         if pid in world.crashed:
             out[pid] = (CRASHED,)
         elif p.finished:
@@ -542,7 +533,9 @@ def run(
     initial_crashes: tuple[int, ...] = (),
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> RunResult:
-    """Run one schedule to quiescence/completion (or the step bound)."""
+    """Run one schedule to quiescence/completion, or until `step_bound`
+    scheduler actions (initial crashes included) have been applied and the
+    schedule still offers another, which ends the run truncated."""
     world, init_events = initial_world(instance)
     events: list[Event] = []
     _stamp(events, init_events)
@@ -553,11 +546,11 @@ def run(
         actions.append(("crash", pid))
     truncated = False
     while True:
-        if len(events) > step_bound:
-            truncated = True
-            break
         action = schedule.choose(world)
         if action is None:
+            break
+        if len(actions) >= step_bound:
+            truncated = True
             break
         world, evs = apply_action(world, action)
         _stamp(events, evs)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .checkers import CheckReport, check_consensus_linearizable, check_is, check_theorem1, check_xsa
-from .core import run_random
+from .core import _peek_cached, run_random
 from .explore import enumerate_runs
 from .reductions import make_instance, xsa_bound
 from .trace import Trace
@@ -178,6 +178,9 @@ def run_matrix(
     start = time.time()
     for t in range(1, n):
         for k in range(t, n):
+            # Replay-cache keys hold the cell's (n, t, k), so no entry can
+            # hit in a later cell; dropping them keeps memory bounded.
+            _peek_cached.cache_clear()
             if exhaustive:
                 cell = _run_cell_exhaustive(n, t, k, algo)
             else:

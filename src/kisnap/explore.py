@@ -23,6 +23,7 @@ from typing import Iterator
 from .core import (
     Instance,
     World,
+    _stamp,
     apply_action,
     crash_candidates,
     current_step,
@@ -34,7 +35,6 @@ from .core import (
 from .primitives import (
     ConsProposeStep,
     KisInvokeStep,
-    ReadStep,
     ScanStep,
     WaitAnyStep,
     WriteStep,
@@ -59,8 +59,6 @@ def action_footprint(world: World, action: tuple) -> tuple:
             return ("w", step.array, pid)
         if isinstance(step, ScanStep):
             return ("scan", step.array)
-        if isinstance(step, ReadStep):
-            return ("r", ((step.array, step.cell),))
         if isinstance(step, WaitAnyStep):
             return ("r", tuple(step.watches))
         if isinstance(step, KisInvokeStep):
@@ -117,13 +115,6 @@ def _never_independent(a, fa, b, fb) -> bool:
 # ── DFS enumeration ──────────────────────────────────────────────────────────
 
 
-def _stamp(events: list[Event], new_events: list[Event]) -> None:
-    base = len(events)
-    for i, e in enumerate(new_events):
-        e.step = base + i
-    events.extend(new_events)
-
-
 def enumerate_runs(
     instance: Instance,
     *,
@@ -134,9 +125,9 @@ def enumerate_runs(
     """Yield every maximal run of `instance` (one trace per interleaving).
 
     With `reduced=True`, sleep-set pruning keeps one interleaving per
-    trace-equivalence class. `depth_bound` caps the action count per run and
-    yields the cut-off runs as truncated traces; `max_runs` stops the walk
-    after that many yields.
+    trace-equivalence class. `depth_bound` caps the number of scheduler
+    actions per run and yields the runs it cuts off as truncated traces;
+    `max_runs` stops the walk after that many yields.
     """
     indep = independent if reduced else _never_independent
     world0, init_events = initial_world(instance)
@@ -151,7 +142,7 @@ def enumerate_runs(
             world, list(events), truncated=truncated, meta=instance.meta
         )
 
-    def dfs(world: World, sleep: dict) -> Iterator[Trace]:
+    def dfs(world: World, sleep: dict, depth: int) -> Iterator[Trace]:
         nonlocal count
         if max_runs is not None and count >= max_runs:
             return
@@ -160,8 +151,7 @@ def enumerate_runs(
             count += 1
             yield leaf(world, truncated=False)
             return
-        depth_left = depth_bound is None or len(events) <= depth_bound
-        if not depth_left:
+        if depth_bound is not None and depth >= depth_bound:
             count += 1
             yield leaf(world, truncated=True)
             return
@@ -184,11 +174,11 @@ def enumerate_runs(
             for s, fs in explored:
                 if indep(s, fs, a, fa):
                     child_sleep[s] = fs
-            yield from dfs(child, child_sleep)
+            yield from dfs(child, child_sleep, depth + 1)
             del events[mark:]
             explored.append((a, fa))
 
-    yield from dfs(world0, {})
+    yield from dfs(world0, {}, 0)
 
 
 def count_runs(instance: Instance, **kw) -> int:

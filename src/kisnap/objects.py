@@ -11,7 +11,7 @@ levels: it is wait-free, so it cannot enforce any minimum view size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .primitives import (
     BOTTOM,
@@ -64,13 +64,6 @@ class KisState:
     def has_invoked(self, pid: int) -> bool:
         return any(p == pid for p, _ in self.invoked)
 
-    def committed_view(self) -> frozenset:
-        """Union of all committed classes (the cumulative view)."""
-        out: set = set()
-        for c in self.classes:
-            out |= c
-        return frozenset(out)
-
     def min_batch_size(self) -> int:
         """Smallest batch the gate admits next."""
         committed = sum(len(c) for c in self.classes)
@@ -85,7 +78,9 @@ def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
     if st.has_invoked(pid):
         raise ObjectError(f"process {pid} invoked k-IS object twice")
     invoked = tuple(sorted(st.invoked + ((pid, value),)))
-    return replace(st, invoked=invoked, pending=st.pending | {pid})
+    return KisState(
+        st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.classes, st.released
+    )
 
 
 def kis_commit_batch(
@@ -119,11 +114,8 @@ def kis_commit_batch(
     view = frozenset(view)
     releases = [(p, view) for p in pids if p not in crashed]
     released = tuple(sorted(st.released + tuple(releases)))
-    new_st = replace(
-        st,
-        pending=st.pending - set(pids),
-        classes=classes,
-        released=released,
+    new_st = KisState(
+        st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), classes, released
     )
     return new_st, view, releases
 

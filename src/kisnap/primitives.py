@@ -51,14 +51,6 @@ class ScanStep:
 
 
 @dataclass(frozen=True, slots=True)
-class ReadStep:
-    """Atomic read of one cell (1-based index); result is the cell value."""
-
-    array: str
-    cell: int
-
-
-@dataclass(frozen=True, slots=True)
 class WaitAnyStep:
     """Blocks until some watched cell is non-bottom; result is the tuple of
     watched cell values at the wakeup instant."""
@@ -89,7 +81,6 @@ class ConsProposeStep:
 Step = (
     WriteStep
     | ScanStep
-    | ReadStep
     | WaitAnyStep
     | KisInvokeStep
     | ConsProposeStep

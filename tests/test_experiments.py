@@ -17,6 +17,8 @@ from kisnap import (
     trial_seed,
     xsa_bound,
 )
+from kisnap.core import _peek_cached
+from kisnap.experiments import _run_cell_random
 
 
 def test_trial_seeds_are_stable_and_distinct():
@@ -45,6 +47,16 @@ def test_random_matrix_respects_bounds():
     for cell in report.cells:
         assert cell.trials == 40
         assert cell.observed_max <= cell.bound
+
+
+def test_matrix_replay_cache_holds_one_cell_at_a_time():
+    """Replay-cache keys carry the cell's (n, t, k), so the sweep drops each
+    cell's entries before the next: what remains is the last cell's."""
+    run_matrix(6, trials=5)
+    after_sweep = _peek_cached.cache_info().currsize
+    _peek_cached.cache_clear()
+    _run_cell_random(6, 5, 5, 5, 0, "alg1")
+    assert after_sweep == _peek_cached.cache_info().currsize > 0
 
 
 def test_matrix_report_renders_and_serializes():

@@ -38,6 +38,16 @@ def test_two_processes_one_step_each_gives_two_literal_runs():
     assert count_runs(inst, reduced=False) == 2
 
 
+def test_depth_bound_counts_actions():
+    """Every maximal run of two toy_two_writes processes takes 4 actions
+    (one write event each): a bound of 3 cuts all 6, a bound of 4 none."""
+    inst = toy_instance("toy_two_writes")
+    cut = list(enumerate_runs(inst, depth_bound=3))
+    assert [(tr.truncated, len(tr.events)) for tr in cut] == [(True, 3)] * 6
+    whole = list(enumerate_runs(inst, depth_bound=4))
+    assert [(tr.truncated, len(tr.events)) for tr in whole] == [(False, 4)] * 6
+
+
 def test_reduction_collapses_independent_programs_to_one_run():
     """All steps commute (distinct SWMR cells), so one representative
     interleaving suffices."""
@@ -153,6 +163,14 @@ def test_crashed_process_emits_no_further_events():
         assert later == []
 
 
+@pytest.mark.parametrize("action", [("step", 0), ("step", 4), ("crash", 0), ("crash", 4)])
+def test_action_on_unknown_pid_is_rejected(action):
+    """A schedule naming no process must not act on another one."""
+    world, _ = initial_world(toy_instance("toy_two_writes", n=3, t=2))
+    with pytest.raises(SimError):
+        apply_action(world, action)
+
+
 def test_returned_process_cannot_be_crashed():
     inst = toy_instance("toy_one_write", n=2, t=1, arrays=("a",))
     world, _ = initial_world(inst)
@@ -178,7 +196,9 @@ def test_blocked_run_is_quiescent_with_blocked_events():
 
 def test_step_bound_truncates_instead_of_hanging():
     inst = make_instance("alg1", 3, 1, 1)
-    trace = run_random(inst, 1, step_bound=4).trace
+    res = run_random(inst, 1, step_bound=4)
+    trace = res.trace
+    assert len(res.actions) == 4
     assert trace.truncated and not trace.quiescent
     assert not any(e.kind == "blocked" for e in trace.events)
 
