@@ -2,9 +2,9 @@
 
 Each digest is the sha256 of the JSONL bytes of fixed seeded runs (trace
 followed by schedule, run after run) or of every leaf of one reduced
-exhaustive walk, in yield order. The values were computed before the step
-loop was rewritten; any change to scheduling, event order or encoding
-shows up here.
+exhaustive walk, in yield order. The values are fixed: a change to
+scheduling, the random menu order, event order or encoding fails here, so
+an optimization of the simulator must leave them as they are.
 """
 
 from __future__ import annotations
