@@ -40,6 +40,18 @@ SEEDED = {
         "naive", 4, 2, 1, (2,),
         "c5961e4421966246cf1186fd6ab26898ec47417d6a368b0fc9c90a9eab5fd819",
     ),
+    "kis_oracle_4_1_2": (
+        "kis_oracle", 4, 1, 2, (),
+        "77fd8b5930f30a3a16aba90e841646fcc62745dd5f93d825c38a6011615231d5",
+    ),
+    "cons_oracle_4_1_2": (
+        "cons_oracle", 4, 1, 2, (),
+        "785d15640bd4b79dfd03e79d8852fa2831ac72d00e79e41c4060bc1da3bdd7f4",
+    ),
+    "is_impl_3_1_none": (
+        "is_impl", 3, 1, None, (),
+        "96df51d9a00709e865155bb2c60f50e8a05e7f1fd53a33f7f31fcf528e8c9bc2",
+    ),
 }
 
 EXHAUSTIVE_ALG1_3_2_2 = (
