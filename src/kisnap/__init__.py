@@ -34,10 +34,9 @@ from .experiments import (
     run_blocking_demo,
     run_equivalence_suite,
     run_matrix,
-    standard_reports,
     trial_seed,
 )
-from .explore import count_runs, decision_sets, enumerate_runs
+from .explore import count_runs, enumerate_runs
 from .objects import (
     ConsState,
     KisState,
@@ -57,9 +56,11 @@ from .primitives import (
     WriteStep,
 )
 from .reductions import (
-    ALGORITHMS,
+    CATALOG,
+    AlgoSpec,
     default_inputs,
     make_instance,
+    standard_reports,
     xsa_bound,
 )
 from .simulation import (

@@ -31,10 +31,9 @@ from .experiments import (
     run_blocking_demo,
     run_equivalence_suite,
     run_matrix,
-    standard_reports,
 )
 from .explore import enumerate_runs
-from .reductions import ALGORITHMS, make_instance
+from .reductions import CATALOG, make_instance, standard_reports
 from .simulation import (
     build_simulation,
     check_simulation_trace,
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inputs", help="comma-separated per-process inputs")
 
     p = sub.add_parser("run", help="one seeded or replayed run")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--algo", choices=tuple(CATALOG), required=True)
     common(p, k_required=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("explore", help="enumerate all schedules exhaustively")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--algo", choices=tuple(CATALOG), required=True)
     common(p, k_required=False)
     p.add_argument(
         "--literal",
@@ -321,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--random", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--random", action="store_true")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--witness", help="write a violation witness trace here")

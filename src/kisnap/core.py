@@ -92,12 +92,6 @@ class Instance:
         if len(set(names)) != len(names):
             raise SimError("duplicate k-IS object ids")
 
-    def object_ids(self) -> set[str]:
-        ids = set(self.arrays)
-        ids.update(o for o, _, _ in self.kis_objects)
-        ids.update(self.cons_objects)
-        return ids
-
 
 # ── Program state via generator replay ───────────────────────────────────────
 #

@@ -13,52 +13,19 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .checkers import CheckReport, check_consensus_linearizable, check_is, check_theorem1, check_xsa
+from .checkers import check_xsa
 from .core import _peek_cached, run_random
 from .explore import enumerate_runs
-from .reductions import make_instance, xsa_bound
+from .reductions import make_instance, standard_reports, xsa_bound
 from .trace import Trace
 
 
 def trial_seed(seed: int, *parts) -> str:
     """Deterministic per-trial seed string (stable across platforms)."""
     return ":".join(str(p) for p in (seed, *parts))
-
-
-def standard_reports(trace: Trace) -> list[CheckReport]:
-    """The property checks appropriate for a trace, by the algorithm that
-    produced it (from trace meta)."""
-    algo = trace.meta.get("algo")
-    n, t, k = trace.n, trace.t, trace.k
-    if algo in ("alg1", "alg1_variant", "alg1_over_alg2"):
-        reports = [check_xsa(trace, xsa_bound(n, t, k))]
-        if algo == "alg1":
-            reports.append(check_is(trace, "kis", k=k))
-        elif algo == "alg1_variant":
-            reports.append(check_is(trace, "kis1", k=k))
-            reports.append(check_is(trace, "kis2", k=k))
-        else:
-            reports.append(check_is(trace, "ckis", k=k))
-            reports.append(check_consensus_linearizable(trace, "cs"))
-        return reports
-    if algo == "alg2":
-        return [
-            check_is(trace, "ckis", k=k),
-            check_theorem1(trace, "ckis", k=k),
-            check_is(trace, "is"),
-            check_consensus_linearizable(trace, "cs"),
-        ]
-    if algo == "naive":
-        return [check_is(trace, "nkis", k=k)]
-    if algo == "kis_oracle":
-        return [check_is(trace, "kis", k=k), check_theorem1(trace, "kis", k=k)]
-    if algo == "is_impl":
-        return [check_is(trace, "is", k=n - 1)]
-    if algo == "cons_oracle":
-        return [check_consensus_linearizable(trace, "cs")]
-    raise ValueError(f"no standard checks for algorithm {algo!r}")
 
 
 # ── Agreement matrix ─────────────────────────────────────────────────────────
@@ -121,30 +88,15 @@ class MatrixReport:
         }
 
 
-def _run_cell_random(
-    n: int, t: int, k: int, trials: int, seed: int, algo: str
-) -> MatrixCell:
+def _run_cell(n: int, t: int, k: int, traces: Iterable[Trace]) -> MatrixCell:
+    """Count the distinct decisions of every trace of one cell; the first
+    trace that breaks x-set agreement at the cell's bound is the witness."""
     cell = MatrixCell(t=t, k=k, bound=xsa_bound(n, t, k))
-    inst = make_instance(algo, n, t, k)
-    for i in range(trials):
-        res = run_random(inst, trial_seed(seed, n, t, k, i))
-        tr = res.trace
+    for tr in traces:
         if tr.truncated:
-            raise RuntimeError(f"trial hit the step bound at t={t} k={k} i={i}")
-        distinct = len(set(tr.decisions().values()))
-        cell.trials += 1
-        cell.observed_max = max(cell.observed_max, distinct)
-        if distinct > cell.bound or not check_xsa(tr, cell.bound).passed:
-            cell.violations += 1
-            if cell.witness is None:
-                cell.witness = tr
-    return cell
-
-
-def _run_cell_exhaustive(n: int, t: int, k: int, algo: str) -> MatrixCell:
-    cell = MatrixCell(t=t, k=k, bound=xsa_bound(n, t, k))
-    inst = make_instance(algo, n, t, k)
-    for tr in enumerate_runs(inst, reduced=True):
+            raise RuntimeError(
+                f"trial hit the step bound at t={t} k={k} i={cell.trials}"
+            )
         distinct = len(set(tr.decisions().values()))
         cell.trials += 1
         cell.observed_max = max(cell.observed_max, distinct)
@@ -161,10 +113,10 @@ def run_matrix(
     seed: int = 0,
     *,
     exhaustive: bool | None = None,
-    algo: str = "alg1",
     progress: bool = False,
 ) -> MatrixReport:
-    """Sweep all cells 1 <= t <= k <= n-1 and compare against the bound.
+    """Sweep alg1 over all cells 1 <= t <= k <= n-1 and compare against the
+    bound.
 
     `exhaustive=None` picks exhaustive (reduced) enumeration for n <= 4 and
     seeded-random trials otherwise.
@@ -181,10 +133,15 @@ def run_matrix(
             # Replay-cache keys hold the cell's (n, t, k), so no entry can
             # hit in a later cell; dropping them keeps memory bounded.
             _peek_cached.cache_clear()
+            inst = make_instance("alg1", n, t, k)
             if exhaustive:
-                cell = _run_cell_exhaustive(n, t, k, algo)
+                traces = enumerate_runs(inst, reduced=True)
             else:
-                cell = _run_cell_random(n, t, k, trials, seed, algo)
+                traces = (
+                    run_random(inst, trial_seed(seed, n, t, k, i)).trace
+                    for i in range(trials)
+                )
+            cell = _run_cell(n, t, k, traces)
             report.cells.append(cell)
             if progress:
                 print(
@@ -314,6 +271,14 @@ def equivalence_zone(n: int, t: int, k: int) -> bool:
     return 0 < t < n / 2 and t <= k <= (n - 1) - t
 
 
+# (checked key, failure label, algorithm, trial-seed tag) per direction
+EQUIVALENCE_RUNS = (
+    ("alg2_kis_histories", "alg2", "alg2", "eqA"),
+    ("alg1_single_decision", "alg1", "alg1", "eqB"),
+    ("composed_runs", "composed", "alg1_over_alg2", "eqC"),
+)
+
+
 def run_equivalence_suite(
     n: int = 5,
     t: int = 2,
@@ -329,7 +294,8 @@ def run_equivalence_suite(
     of the set-agreement reduction over a k-IS oracle must decide a single
     value, since t+k <= n-1 forces x = 1. The composed program (reduction
     running on the constructed object instead of the oracle) is sampled as
-    well, checking both layers inside one trace.
+    well, checking both layers inside one trace. Every sampled trace gets
+    its algorithm's full `standard_reports`.
     """
     if not equivalence_zone(n, t, k):
         raise ValueError(
@@ -337,34 +303,12 @@ def run_equivalence_suite(
             "0 < t < n/2, t <= k <= (n-1)-t"
         )
     report = EquivalenceReport(n=n, t=t, k=k, trials=trials)
-    alg2 = make_instance("alg2", n, t, k)
-    alg1 = make_instance("alg1", n, t, k)
-    composed = make_instance("alg1_over_alg2", n, t, k)
-
-    count = 0
-    for i in range(trials):
-        tr = run_random(alg2, trial_seed(seed, "eqA", i)).trace
-        for rep in (check_is(tr, "ckis", k=k), check_theorem1(tr, "ckis", k=k)):
-            if not rep.passed:
-                report.failures.append(f"alg2 trial {i}: {rep.failures()}")
-        count += 1
-    report.checked["alg2_kis_histories"] = count
-
-    count = 0
-    for i in range(trials):
-        tr = run_random(alg1, trial_seed(seed, "eqB", i)).trace
-        rep = check_xsa(tr, 1)
-        if not rep.passed:
-            report.failures.append(f"alg1 trial {i}: {rep.failures()}")
-        count += 1
-    report.checked["alg1_single_decision"] = count
-
-    count = 0
-    for i in range(trials):
-        tr = run_random(composed, trial_seed(seed, "eqC", i)).trace
-        for rep in (check_xsa(tr, 1), check_is(tr, "ckis", k=k)):
-            if not rep.passed:
-                report.failures.append(f"composed trial {i}: {rep.failures()}")
-        count += 1
-    report.checked["composed_runs"] = count
+    for key, label, algo, tag in EQUIVALENCE_RUNS:
+        inst = make_instance(algo, n, t, k)
+        for i in range(trials):
+            tr = run_random(inst, trial_seed(seed, tag, i)).trace
+            for rep in standard_reports(tr):
+                if not rep.passed:
+                    report.failures.append(f"{label} trial {i}: {rep.failures()}")
+        report.checked[key] = trials
     return report

@@ -183,12 +183,3 @@ def enumerate_runs(
 
 def count_runs(instance: Instance, **kw) -> int:
     return sum(1 for _ in enumerate_runs(instance, **kw))
-
-
-def decision_sets(instance: Instance, **kw) -> set[frozenset]:
-    """Set of decision-value sets over all maximal runs (reduced by default)."""
-    kw.setdefault("reduced", True)
-    out = set()
-    for tr in enumerate_runs(instance, **kw):
-        out.add(frozenset(tr.decisions().values()))
-    return out

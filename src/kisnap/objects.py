@@ -69,10 +69,6 @@ class KisState:
         committed = sum(len(c) for c in self.classes)
         return max(1, self.n_obj - self.k_obj - committed)
 
-    def commit_enabled(self, batch_size: int) -> bool:
-        committed = sum(len(c) for c in self.classes)
-        return committed + batch_size >= self.n_obj - self.k_obj
-
 
 def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
     if st.has_invoked(pid):
@@ -101,7 +97,7 @@ def kis_commit_batch(
         raise ObjectError(f"duplicate pids in batch {pids}")
     if not set(pids) <= st.pending:
         raise ObjectError(f"batch {pids} not a subset of pending {sorted(st.pending)}")
-    if not st.commit_enabled(len(pids)):
+    if len(pids) < st.min_batch_size():
         raise ObjectError(
             f"batch of {len(pids)} violates output-size gate "
             f"(need cumulative >= {st.n_obj - st.k_obj})"

@@ -19,10 +19,24 @@ consensus, written as step programs for the simulator core.
 
 SWMR cells hold whatever a program writes; views are frozensets of
 (pid, value) pairs, so views of views nest without special cases.
+
+`CATALOG` describes each runnable algorithm once (program, shared objects,
+parameter range, standard checks); `make_instance` and `standard_reports`
+read it, so adding an algorithm means one program plus one entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass, field
+
+from .checkers import (
+    CheckReport,
+    check_consensus_linearizable,
+    check_is,
+    check_theorem1,
+    check_xsa,
+)
 from .core import Instance, make_ref
 from .objects import is_array, is_write_snapshot
 from .primitives import (
@@ -34,19 +48,28 @@ from .primitives import (
     WriteStep,
     register_program,
 )
+from .trace import Trace
 
 XSA_OBJ = "xsa"  # object id under which decisions appear in traces
+
+
+def paper_range(n: int, t: int, k: int | None) -> None:
+    """Raise ValueError unless n >= 3 and 1 <= t <= k <= n-1, the parameter
+    zone of the paper's constructions."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if k is None:
+        raise ValueError("this algorithm needs k")
+    if not (1 <= t <= k <= n - 1):
+        raise ValueError(f"need 1 <= t <= k <= n-1, got t={t} k={k} n={n}")
 
 
 def xsa_bound(n: int, t: int, k: int) -> int:
     """Agreement degree x of the k-IS-to-x-SA reduction: max(1, t+k-(n-2)).
 
-    Preconditions: n >= 3 and 1 <= t <= k <= n-1.
+    Preconditions: `paper_range(n, t, k)`.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if not (1 <= t <= k <= n - 1):
-        raise ValueError(f"need 1 <= t <= k <= n-1, got t={t} k={k} n={n}")
+    paper_range(n, t, k)
     return max(1, t + k - (n - 2))
 
 
@@ -71,6 +94,13 @@ def alg1_xsa(ctx, value):
     """x-set agreement from one k-IS object (object ids: kis, view array)."""
     yield Announce("invoke", XSA_OBJ, "propose", args=value)
     view = yield KisInvokeStep("kis", value)
+    decision = yield from _publish_and_decide(ctx, view)
+    return decision
+
+
+def _publish_and_decide(ctx, view):
+    """alg1's tail: publish `view`, wait until n-t views are published, and
+    decide the smallest value in the smallest of them."""
     yield WriteStep("view", view)
     cells = yield ScanStep("view", min_filled=ctx.n - ctx.t)
     views = [c for c in cells if c is not BOTTOM]
@@ -152,26 +182,108 @@ def alg1_over_alg2_xsa(ctx, value):
     """
     yield Announce("invoke", XSA_OBJ, "propose", args=value)
     view = yield from alg2_kis_body(ctx, value)
-    yield WriteStep("view", view)
-    cells = yield ScanStep("view", min_filled=ctx.n - ctx.t)
-    views = [c for c in cells if c is not BOTTOM]
-    decision = _min_value(_smallest_view(views))
-    yield Announce("respond", XSA_OBJ, "propose", ret=decision)
+    decision = yield from _publish_and_decide(ctx, view)
     return decision
 
 
-# ── Instance builders ────────────────────────────────────────────────────────
+# ── The algorithm catalog ────────────────────────────────────────────────────
 
-ALGORITHMS = (
-    "alg1",
-    "alg1_variant",
-    "alg2",
-    "naive",
-    "alg1_over_alg2",
-    "kis_oracle",
-    "is_impl",
-    "cons_oracle",
-)
+Check = Callable[[Trace], CheckReport]
+
+
+def strawman_range(n: int, t: int, k: int | None) -> None:
+    """The strawman exists to be run outside the t <= k zone: only n >= 3
+    and 1 <= k <= n-1 are required."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if k is None or not (1 <= k <= n - 1):
+        raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
+
+
+def no_range(n: int, t: int, k: int | None) -> None:
+    """No paper range: only the instance's own n >= 2, 0 <= t < n apply."""
+
+
+def _xsa(trace: Trace) -> CheckReport:
+    return check_xsa(trace, xsa_bound(trace.n, trace.t, trace.k))
+
+
+def _kis(obj: str) -> Check:
+    return lambda trace: check_is(trace, obj, k=trace.k)
+
+
+def _theorem1(obj: str) -> Check:
+    return lambda trace: check_theorem1(trace, obj, k=trace.k)
+
+
+def _cons(obj: str) -> Check:
+    return lambda trace: check_consensus_linearizable(trace, obj)
+
+
+@dataclass(frozen=True)
+class AlgoSpec:
+    """One catalog algorithm.
+
+    Every pid runs `program` with `params` plus its input as `value`. The
+    instance declares the register `arrays`, the `kis` objects (n-process
+    k-IS objects at the instance's k) and the `cons` objects; `objects` is
+    the list of object ids its traces carry in meta, in that order.
+    `check_range(n, t, k)` raises ValueError outside the algorithm's
+    parameter range, and `checks` are the standard property checks of its
+    traces.
+    """
+
+    program: str
+    objects: tuple[str, ...]
+    checks: tuple[Check, ...]
+    check_range: Callable[[int, int, int | None], None] = paper_range
+    params: dict = field(default_factory=dict)
+    arrays: tuple[str, ...] = ()
+    kis: tuple[str, ...] = ()
+    cons: tuple[str, ...] = ()
+
+
+CATALOG: dict[str, AlgoSpec] = {
+    "alg1": AlgoSpec(
+        "alg1_xsa", arrays=("view",), kis=("kis",),
+        objects=("kis", "view", XSA_OBJ), checks=(_xsa, _kis("kis")),
+    ),
+    "alg1_variant": AlgoSpec(
+        "alg1_variant_xsa", kis=("kis1", "kis2"),
+        objects=("kis1", "kis2", XSA_OBJ),
+        checks=(_xsa, _kis("kis1"), _kis("kis2")),
+    ),
+    "alg2": AlgoSpec(
+        "alg2_kis", arrays=("reg", is_array("is")), cons=("cs",),
+        objects=("reg", "cs", "is", "ckis"),
+        checks=(
+            _kis("ckis"), _theorem1("ckis"),
+            lambda trace: check_is(trace, "is"), _cons("cs"),
+        ),
+    ),
+    "naive": AlgoSpec(
+        "naive_kis", arrays=("reg",), check_range=strawman_range,
+        objects=("reg", "nkis"), checks=(_kis("nkis"),),
+    ),
+    "alg1_over_alg2": AlgoSpec(
+        "alg1_over_alg2_xsa", arrays=("reg", is_array("is"), "view"), cons=("cs",),
+        objects=("reg", "cs", "is", "ckis", "view", XSA_OBJ),
+        checks=(_xsa, _kis("ckis"), _cons("cs")),
+    ),
+    "kis_oracle": AlgoSpec(
+        "kis_once", params={"obj": "kis"}, kis=("kis",),
+        objects=("kis",), checks=(_kis("kis"), _theorem1("kis")),
+    ),
+    "is_impl": AlgoSpec(
+        "is_once", params={"obj": "is"}, arrays=(is_array("is"),),
+        check_range=no_range, objects=("is",),
+        checks=(lambda trace: check_is(trace, "is", k=trace.n - 1),),
+    ),
+    "cons_oracle": AlgoSpec(
+        "cons_once", params={"obj": "cs"}, cons=("cs",),
+        check_range=no_range, objects=("cs",), checks=(_cons("cs"),),
+    ),
+}
 
 
 def default_inputs(n: int) -> tuple[int, ...]:
@@ -179,103 +291,37 @@ def default_inputs(n: int) -> tuple[int, ...]:
     return tuple(100 + i for i in range(1, n + 1))
 
 
-def make_instance(
-    algo: str,
-    n: int,
-    t: int,
-    k: int | None,
-    inputs: tuple | None = None,
-    *,
-    enforce_paper_ranges: bool = True,
-) -> Instance:
-    """Build a runnable instance of one of the catalog algorithms.
+def catalog_spec(algo: str) -> AlgoSpec:
+    """The catalog entry of `algo`; ValueError for an unknown name."""
+    if algo not in CATALOG:
+        raise ValueError(f"unknown algorithm {algo!r}; known: {tuple(CATALOG)}")
+    return CATALOG[algo]
 
-    `enforce_paper_ranges=False` relaxes the n >= 3, t >= 1 validation for
-    engine-level experiments (e.g. wait-free IS runs with crash budget 0).
-    """
+
+def make_instance(
+    algo: str, n: int, t: int, k: int | None, inputs: tuple | None = None
+) -> Instance:
+    """Build a runnable instance of a catalog algorithm at (n, t, k)."""
+    spec = catalog_spec(algo)
     if inputs is None:
         inputs = default_inputs(n)
     if len(inputs) != n:
         raise ValueError(f"need {n} inputs, got {len(inputs)}")
-    if enforce_paper_ranges:
-        if n < 3:
-            raise ValueError(f"need n >= 3, got {n}")
-        if algo == "naive":
-            # The strawman exists to be run outside the t <= k zone.
-            if k is None or not (1 <= k <= n - 1):
-                raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
-        elif algo not in ("is_impl", "cons_oracle") and not (
-            1 <= t <= (k if k is not None else n - 1) <= n - 1
-        ):
-            raise ValueError(f"need 1 <= t <= k <= n-1, got t={t} k={k} n={n}")
+    spec.check_range(n, t, k)
+    programs = {
+        pid: make_ref(spec.program, **spec.params, value=inputs[pid - 1])
+        for pid in range(1, n + 1)
+    }
+    return Instance(
+        n, t, k, programs,
+        arrays=spec.arrays,
+        kis_objects=tuple((obj, n, k) for obj in spec.kis),
+        cons_objects=spec.cons,
+        meta={"algo": algo, "inputs": list(inputs), "objects": list(spec.objects)},
+    )
 
-    meta = {"algo": algo, "inputs": list(inputs)}
-    programs = {}
-    if algo == "alg1":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("alg1_xsa", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            arrays=("view",),
-            kis_objects=(("kis", n, k),),
-            meta={**meta, "objects": ["kis", "view", XSA_OBJ]},
-        )
-    if algo == "alg1_variant":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("alg1_variant_xsa", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            kis_objects=(("kis1", n, k), ("kis2", n, k)),
-            meta={**meta, "objects": ["kis1", "kis2", XSA_OBJ]},
-        )
-    if algo == "alg2":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("alg2_kis", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            arrays=("reg", is_array("is")),
-            cons_objects=("cs",),
-            meta={**meta, "objects": ["reg", "cs", "is", "ckis"]},
-        )
-    if algo == "naive":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("naive_kis", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            arrays=("reg",),
-            meta={**meta, "objects": ["reg", "nkis"]},
-        )
-    if algo == "alg1_over_alg2":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("alg1_over_alg2_xsa", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            arrays=("reg", is_array("is"), "view"),
-            cons_objects=("cs",),
-            meta={**meta, "objects": ["reg", "cs", "is", "ckis", "view", XSA_OBJ]},
-        )
-    if algo == "kis_oracle":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("kis_once", obj="kis", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            kis_objects=(("kis", n, k),),
-            meta={**meta, "objects": ["kis"]},
-        )
-    if algo == "is_impl":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("is_once", obj="is", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            arrays=(is_array("is"),),
-            meta={**meta, "objects": ["is"]},
-        )
-    if algo == "cons_oracle":
-        for pid in range(1, n + 1):
-            programs[pid] = make_ref("cons_once", obj="cs", value=inputs[pid - 1])
-        return Instance(
-            n, t, k, programs,
-            cons_objects=("cs",),
-            meta={**meta, "objects": ["cs"]},
-        )
-    raise ValueError(f"unknown algorithm {algo!r}; known: {ALGORITHMS}")
+
+def standard_reports(trace: Trace) -> list[CheckReport]:
+    """The standard property checks of a trace, chosen by the algorithm
+    named in its meta."""
+    return [check(trace) for check in catalog_spec(trace.meta.get("algo")).checks]

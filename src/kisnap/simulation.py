@@ -52,7 +52,7 @@ from .primitives import (
     WriteStep,
     register_program,
 )
-from .reductions import XSA_OBJ, make_instance
+from .reductions import XSA_OBJ, catalog_spec
 from .trace import BLOCKED, CRASHED, INNER_PREFIX, RETURNED, Event, Trace
 
 SIM_OBJ = "sim"
@@ -76,13 +76,6 @@ class Partition:
     a0: tuple[int, ...]
     a1: tuple[int, ...]
     d: tuple[int, ...] = ()
-
-    def side_of(self, pid: int) -> int | None:
-        if pid in self.a0:
-            return 0
-        if pid in self.a1:
-            return 1
-        return None
 
     def members(self, side: int) -> tuple[int, ...]:
         return self.a0 if side == 0 else self.a1
@@ -259,14 +252,14 @@ def build_simulation(
     """
     part = partition or make_partition(n, t)
     validate_partition(part, n, t)
-    template = make_instance(inner_algo, n, t, k)
-    if template.arrays or template.cons_objects:
+    spec = catalog_spec(inner_algo)
+    spec.check_range(n, t, k)
+    if spec.arrays or spec.cons:
         raise SimError(
             f"inner algorithm {inner_algo!r} uses registers or consensus; "
             "only k-IS-object algorithms can be simulated"
         )
-    inner_objs = tuple(o for o, _, _ in template.kis_objects)
-    prog_name = template.programs[1].name
+    inner_objs = spec.kis
     programs = {
         1 + side: make_ref(
             "q_simulator",
@@ -275,7 +268,7 @@ def build_simulation(
             inner_n=n,
             inner_t=t,
             inner_k=k,
-            inner_prog=prog_name,
+            inner_prog=spec.program,
             value=q_inputs[side],
         )
         for side in (0, 1)

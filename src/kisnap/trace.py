@@ -63,9 +63,6 @@ class Trace:
     quiescent: bool = False
     meta: dict = field(default_factory=dict)
 
-    def events_for(self, obj: str) -> list[Event]:
-        return [e for e in self.events if e.obj == obj]
-
     def decisions(self) -> dict[int, object]:
         """Values of processes that returned."""
         return {
@@ -181,6 +178,18 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _outcome_from_json(out: object) -> tuple:
+    if isinstance(out, list) and len(out) == 2 and out[0] == RETURNED:
+        return (RETURNED, decode_value(out[1]))
+    if isinstance(out, list) and len(out) == 1 and out[0] in (CRASHED, BLOCKED):
+        return (out[0],)
+    raise ValueError(f"bad outcome {out!r}")
+
+
 def trace_from_jsonl(text: str) -> Trace:
     header = None
     footer = None
@@ -198,8 +207,22 @@ def trace_from_jsonl(text: str) -> Trace:
         if o["kind"] == "config":
             if header is not None:
                 raise TraceParseError(line_no, "duplicate config line")
+            if not (
+                _is_int(o.get("n"))
+                and _is_int(o.get("t"))
+                and (o.get("k") is None or _is_int(o["k"]))
+                and isinstance(o.get("meta", {}), dict)
+            ):
+                raise TraceParseError(line_no, f"malformed config: {raw}")
             header = o
         elif o["kind"] == "end":
+            try:
+                outcomes = {
+                    int(p): _outcome_from_json(out)
+                    for p, out in o.get("outcomes", {}).items()
+                }
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise TraceParseError(line_no, f"bad outcomes: {exc}") from exc
             footer = o
         else:
             if header is None:
@@ -209,12 +232,6 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceParseError(0, "missing config line")
     if footer is None:
         raise TraceParseError(0, "missing end line")
-    outcomes: dict[int, tuple] = {}
-    for p, out in footer.get("outcomes", {}).items():
-        if out[0] == RETURNED:
-            outcomes[int(p)] = (RETURNED, decode_value(out[1]))
-        else:
-            outcomes[int(p)] = (out[0],)
     return Trace(
         n=header["n"],
         t=header["t"],
@@ -258,14 +275,14 @@ def action_from_json(raw: str, line_no: int) -> tuple:
         o = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-    kind = o.get("a")
-    if kind == "step":
-        return ("step", o["pid"])
-    if kind == "commit":
-        return ("commit", o["obj"], tuple(o["pids"]))
-    if kind == "crash":
-        return ("crash", o["pid"])
-    raise TraceParseError(line_no, f"unknown action kind {kind!r}")
+    match o:
+        case {"a": "step" | "crash" as kind, "pid": pid} if _is_int(pid):
+            return (kind, pid)
+        case {"a": "commit", "obj": str(obj), "pids": list(pids)} if all(
+            _is_int(p) for p in pids
+        ):
+            return ("commit", obj, tuple(pids))
+    raise TraceParseError(line_no, f"malformed action: {raw}")
 
 
 def schedule_to_jsonl(actions: Iterable[tuple]) -> str:

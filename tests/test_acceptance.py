@@ -119,7 +119,7 @@ def test_acceptance_3_kis_property_suite():
 def test_acceptance_4_wait_free_snapshot():
     histories = 0
     for budget in (0, 1, 2):
-        inst = make_instance("is_impl", 3, budget, None, enforce_paper_ranges=False)
+        inst = make_instance("is_impl", 3, budget, None)
         for tr in enumerate_runs(inst, reduced=True):
             rep = check_is(tr, "is", k=2)
             assert rep.passed, (budget, rep.failures())

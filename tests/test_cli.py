@@ -140,6 +140,35 @@ def test_bad_parameters_exit_2(capsys):
     rc = main(["run", "--algo", "alg1", "--n", "3", "--t", "5", "--k", "1"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    # --k omitted for an algorithm that needs it
+    for cmd in ("run", "explore"):
+        for algo in ("alg1", "alg1_variant", "alg2", "alg1_over_alg2", "kis_oracle"):
+            rc = main([cmd, "--algo", algo, "--n", "3", "--t", "1"])
+            assert rc == 2, (cmd, algo)
+            assert "needs k" in capsys.readouterr().err
+
+
+def test_matrix_modes_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--n", "3", "--exhaustive", "--random"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_malformed_files_exit_2(tmp_path, capsys):
+    sched_file = tmp_path / "s.jsonl"
+    sched_file.write_text('{"a": "step", "pid": "1"}\n')
+    rc = main([
+        "run", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+        "--schedule", f"replay:{sched_file}",
+    ])
+    assert rc == 2
+    assert "line 1" in capsys.readouterr().err
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text('{"kind":"config","t":1,"k":1}\n{"kind":"end"}\n')
+    rc = main(["check", "--trace", str(trace_file), "--kind", "is", "--obj", "kis"])
+    assert rc == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_unknown_algorithm_rejected():

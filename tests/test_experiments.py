@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from kisnap import (
+    CATALOG,
     equivalence_zone,
     make_instance,
     render_matrix,
@@ -18,7 +19,6 @@ from kisnap import (
     xsa_bound,
 )
 from kisnap.core import _peek_cached
-from kisnap.experiments import _run_cell_random
 
 
 def test_trial_seeds_are_stable_and_distinct():
@@ -55,7 +55,9 @@ def test_matrix_replay_cache_holds_one_cell_at_a_time():
     run_matrix(6, trials=5)
     after_sweep = _peek_cached.cache_info().currsize
     _peek_cached.cache_clear()
-    _run_cell_random(6, 5, 5, 5, 0, "alg1")
+    inst = make_instance("alg1", 6, 5, 5)
+    for i in range(5):
+        run_random(inst, trial_seed(0, 6, 5, 5, i))
     assert after_sweep == _peek_cached.cache_info().currsize > 0
 
 
@@ -123,10 +125,7 @@ def test_equivalence_suite_passes_small():
 # ── Standard check dispatch ──────────────────────────────────────────────────
 
 
-@pytest.mark.parametrize(
-    "algo",
-    ["alg1", "alg1_variant", "alg2", "alg1_over_alg2", "kis_oracle", "is_impl", "cons_oracle"],
-)
+@pytest.mark.parametrize("algo", sorted(CATALOG))
 def test_standard_reports_pass_on_correct_algorithms(algo):
     inst = make_instance(algo, 3, 1, 1)
     for seed in range(10):

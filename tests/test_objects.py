@@ -97,8 +97,8 @@ def test_gate_arithmetic_across_classes():
     """n=5, k=2: floor is 3, so min batch 3, then 1 forever after."""
     st = invoked(KisState(5, 2), *((p, p) for p in range(1, 6)))
     assert st.min_batch_size() == 3
-    assert not st.commit_enabled(2)
-    assert st.commit_enabled(3)
+    with pytest.raises(ObjectError):
+        kis_commit_batch(st, (1, 2), frozenset())
     st, _, _ = kis_commit_batch(st, (1, 2, 3), frozenset())
     assert st.min_batch_size() == 1
     st, view, _ = kis_commit_batch(st, (4,), frozenset())
@@ -133,7 +133,7 @@ def test_consensus_oracle_runs_agree():
 def test_solo_snapshot_descends_to_singleton():
     """A process running alone descends from level n to level 1 and returns
     only itself: wait-freedom makes small views unavoidable."""
-    inst = make_instance("is_impl", 3, 1, None, enforce_paper_ranges=False)
+    inst = make_instance("is_impl", 3, 1, None)
     # p1 alone: (write, scan) per level, levels 3, 2, 1.
     res = run(inst, ReplaySchedule([("step", 1)] * 6))
     assert res.trace.outcomes[1] == ("returned", frozenset({(1, 101)}))
@@ -141,7 +141,7 @@ def test_solo_snapshot_descends_to_singleton():
 
 def test_lockstep_snapshot_returns_full_view():
     """All n processes running in lockstep stay at level n together."""
-    inst = make_instance("is_impl", 3, 0, None, enforce_paper_ranges=False)
+    inst = make_instance("is_impl", 3, 0, None)
     actions = [("step", p) for p in (1, 2, 3)] * 2  # all write, then all scan
     res = run(inst, ReplaySchedule(actions))
     full = frozenset({(1, 101), (2, 102), (3, 103)})
@@ -149,7 +149,7 @@ def test_lockstep_snapshot_returns_full_view():
 
 
 def test_snapshot_views_satisfy_all_is_properties_exhaustively():
-    inst = make_instance("is_impl", 2, 0, None, enforce_paper_ranges=False)
+    inst = make_instance("is_impl", 2, 0, None)
     count = 0
     for tr in enumerate_runs(inst, reduced=False):
         count += 1
@@ -162,7 +162,7 @@ def test_snapshot_views_satisfy_all_is_properties_exhaustively():
 
 def test_snapshot_termination_is_wait_free():
     """No crash pattern within budget can block a correct process."""
-    inst = make_instance("is_impl", 3, 2, None, enforce_paper_ranges=False)
+    inst = make_instance("is_impl", 3, 2, None)
     for tr in enumerate_runs(inst, reduced=True):
         for pid, outcome in tr.outcomes.items():
             assert outcome[0] in ("returned", "crashed")

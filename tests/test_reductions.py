@@ -200,3 +200,8 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         make_instance("alg1", 3, 1, 1, inputs=(1, 2))  # wrong arity
     make_instance("naive", 4, 2, 1)  # k < t is the strawman's whole point
+    for algo in ("alg1", "alg1_variant", "alg2", "alg1_over_alg2", "kis_oracle", "naive"):
+        with pytest.raises(ValueError):
+            make_instance(algo, 3, 1, None)  # k is needed
+    make_instance("is_impl", 2, 0, None)  # no paper range
+    make_instance("cons_oracle", 2, 1, None)
