@@ -1,6 +1,7 @@
-"""Golden trace digests: a speed-up must not change a trace.
+"""Golden trace digests and sweep outputs: a speed-up or a rewrite must not
+change a trace or a report.
 
-Each digest is the sha256 of the JSONL bytes of fixed seeded runs (trace
+Each trace digest is the sha256 of the JSONL bytes of fixed seeded runs (trace
 followed by schedule, run after run) or of every leaf of one reduced
 exhaustive walk, in yield order. The values are fixed: a change to
 scheduling, the random menu order, event order or encoding fails here, so
@@ -10,10 +11,12 @@ an optimization of the simulator must leave them as they are.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from kisnap import enumerate_runs, make_instance, run_random, trace_to_jsonl
+from kisnap.cli import main
 from kisnap.trace import schedule_to_jsonl
 
 SEEDS = range(12)
@@ -84,3 +87,81 @@ def test_reduced_exhaustive_leaves_match_golden_digest():
     inst = make_instance("alg1", 3, 2, 2)
     leaves = (trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True))
     assert _sha(leaves) == EXHAUSTIVE_ALG1_3_2_2
+
+
+# ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence and
+# simulate --exhaustive, pinned so a rewrite of their loops keeps them.
+
+EXPLORE_ALG1_3_2_2 = {
+    "algo": "alg1", "n": 3, "t": 2, "k": 2, "mode": "reduced", "runs": 2140,
+    "decision_sets": [
+        [101, 102, 103], [101, 102], [101, 103], [101], [102, 103], [102], [103],
+    ],
+    "outcomes": {"returned": 3285, "crashed": 3135, "blocked": 0},
+    "check_failures": 0,
+}
+
+CELL_KEYS = ["t", "k", "bound", "observed_max", "trials", "violations", "ok"]
+
+# case -> (CLI arguments, mode, trials_per_cell, one (t, k, bound,
+# observed_max, trials, violations, ok) row per cell)
+MATRIX = {
+    "n3_exhaustive": (("--n", "3", "--exhaustive"), "exhaustive", 0, [
+        (1, 1, 1, 1, 139, 0, True),
+        (1, 2, 2, 2, 451, 0, True),
+        (2, 2, 3, 3, 2140, 0, True),
+    ]),
+    "n5_random": (("--n", "5", "--trials", "20"), "random", 20, [
+        (1, 1, 1, 1, 20, 0, True), (1, 2, 1, 1, 20, 0, True),
+        (1, 3, 1, 1, 20, 0, True), (1, 4, 2, 1, 20, 0, True),
+        (2, 2, 1, 1, 20, 0, True), (2, 3, 2, 1, 20, 0, True),
+        (2, 4, 3, 1, 20, 0, True), (3, 3, 3, 1, 20, 0, True),
+        (3, 4, 4, 2, 20, 0, True), (4, 4, 5, 1, 20, 0, True),
+    ]),
+}
+
+EQUIVALENCE_TRIALS_20 = {
+    "n": 5, "t": 2, "k": 2, "trials": 20, "passed": True,
+    "checked": {
+        "alg2_kis_histories": 20, "alg1_single_decision": 20, "composed_runs": 20,
+    },
+    "failures": [],
+}
+
+SIMULATE_EXHAUSTIVE_4_2_2 = (
+    "simulation alg1_variant n=4 t=2 k=2: 113 outer schedules, 0 check failures"
+)
+
+
+def test_explore_summary_matches_golden(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    rc = main([
+        "explore", "--algo", "alg1", "--n", "3", "--t", "2", "--k", "2",
+        "--check", "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(out.read_text()) == EXPLORE_ALG1_3_2_2
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX))
+def test_matrix_report_matches_golden(tmp_path, capsys, case):
+    args, mode, per_cell, rows = MATRIX[case]
+    out = tmp_path / "matrix.json"
+    assert main(["matrix", *args, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    del report["elapsed_seconds"]
+    assert report == {
+        "n": int(args[1]), "mode": mode, "seed": 0, "trials_per_cell": per_cell,
+        "passed": True, "cells": [dict(zip(CELL_KEYS, row)) for row in rows],
+    }
+
+
+def test_equivalence_report_matches_golden(capsys):
+    assert main(["equivalence", "--trials", "20"]) == 0
+    assert json.loads(capsys.readouterr().out) == EQUIVALENCE_TRIALS_20
+
+
+def test_simulate_exhaustive_summary_matches_golden(capsys):
+    rc = main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--exhaustive"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == SIMULATE_EXHAUSTIVE_4_2_2
