@@ -34,6 +34,7 @@ from .experiments import (
     run_blocking_demo,
     run_equivalence_suite,
     run_matrix,
+    sweep,
     trial_seed,
 )
 from .explore import count_runs, enumerate_runs
@@ -69,7 +70,6 @@ from .simulation import (
     build_simulation,
     check_simulation_trace,
     extract_inner_trace,
-    extract_simulated_history,
     make_partition,
     max_concurrent_inside,
     simulate,

@@ -31,6 +31,7 @@ from .experiments import (
     run_blocking_demo,
     run_equivalence_suite,
     run_matrix,
+    sweep,
 )
 from .explore import enumerate_runs
 from .reductions import CATALOG, make_instance, standard_reports
@@ -100,35 +101,28 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
+def _print_failures(found) -> None:
+    for i, reports in found.failures:
+        print(f"run {i + 1}: FAIL")
+        for rep in reports:
+            print(rep)
+
+
 def _cmd_explore(args) -> int:
     inputs = _parse_inputs(args.inputs, args.n)
     inst = make_instance(args.algo, args.n, args.t, args.k, inputs)
-    count = 0
-    failed = 0
-    decision_sets = set()
-    outcomes = {"returned": 0, "crashed": 0, "blocked": 0}
-    for tr in enumerate_runs(
-        inst, reduced=not args.literal, max_runs=args.max_runs
-    ):
-        count += 1
-        decision_sets.add(frozenset(tr.decisions().values()))
-        for out in tr.outcomes.values():
-            outcomes[out[0]] += 1
-        if args.check:
-            for rep in standard_reports(tr):
-                if not rep.passed:
-                    failed += 1
-                    print(f"run {count}: FAIL")
-                    print(rep)
+    runs = enumerate_runs(inst, reduced=not args.literal, max_runs=args.max_runs)
+    found = sweep(runs, standard_reports) if args.check else sweep(runs)
+    _print_failures(found)
     mode = "literal" if args.literal else "reduced"
     print(
-        f"{args.algo} n={args.n} t={args.t} k={args.k}: {count} {mode} runs, "
-        f"{len(decision_sets)} distinct decision sets, "
-        f"max decisions {max((len(d) for d in decision_sets), default=0)}"
+        f"{args.algo} n={args.n} t={args.t} k={args.k}: {found.runs} {mode} "
+        f"runs, {len(found.decision_sets)} distinct decision sets, "
+        f"max decisions {found.observed_max}"
     )
-    print(f"per-process outcomes: {outcomes}")
+    print(f"per-process outcomes: {found.outcomes}")
     if args.check:
-        print(f"checked runs: {count}, failures: {failed}")
+        print(f"checked runs: {found.runs}, failures: {found.failed}")
     if args.out:
         summary = {
             "algo": args.algo,
@@ -136,18 +130,21 @@ def _cmd_explore(args) -> int:
             "t": args.t,
             "k": args.k,
             "mode": mode,
-            "runs": count,
+            "runs": found.runs,
             "decision_sets": sorted(
-                [[encode_value(v) for v in sorted(d, key=repr)] for d in decision_sets],
+                [
+                    [encode_value(v) for v in sorted(d, key=repr)]
+                    for d in found.decision_sets
+                ],
                 key=repr,
             ),
-            "outcomes": outcomes,
-            "check_failures": failed,
+            "outcomes": found.outcomes,
+            "check_failures": found.failed,
         }
         with open(args.out, "w") as fh:
             json.dump(summary, fh, indent=2)
         print(f"summary written to {args.out}")
-    return 0 if failed == 0 else 1
+    return 0 if found.failed == 0 else 1
 
 
 def _cmd_matrix(args) -> int:
@@ -189,10 +186,8 @@ def _cmd_check(args) -> int:
         if args.x is None:
             raise SystemExit("xsa check needs --x")
         rep = check_xsa(trace, args.x, obj=args.obj)
-    elif kind == "consensus":
+    else:  # consensus; argparse admits no other kind
         rep = check_consensus_linearizable(trace, args.obj)
-    else:
-        raise SystemExit(f"unknown check kind {kind!r}")
     print(rep)
     if args.out:
         with open(args.out, "w") as fh:
@@ -201,28 +196,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    q_inputs = (
-        tuple(int(x) for x in args.inputs.split(",")) if args.inputs else (0, 1)
-    )
-    if len(q_inputs) != 2:
-        raise SystemExit("--inputs needs exactly 2 values (one per simulator)")
+    q_inputs = _parse_inputs(args.inputs, 2) or (0, 1)
     if args.exhaustive:
         inst = build_simulation(args.inner_algo, args.n, args.t, args.k, q_inputs)
-        count = 0
-        failures = 0
-        for tr in enumerate_runs(inst, reduced=True):
-            count += 1
-            chk = check_simulation_trace(tr)
-            if not chk.passed:
-                failures += 1
-                for rep in chk.reports:
-                    if not rep.passed:
-                        print(f"run {count}: {rep}")
+        found = sweep(
+            enumerate_runs(inst, reduced=True),
+            lambda tr: check_simulation_trace(tr).reports,
+        )
+        _print_failures(found)
         print(
             f"simulation {args.inner_algo} n={args.n} t={args.t} k={args.k}: "
-            f"{count} outer schedules, {failures} check failures"
+            f"{found.runs} outer schedules, {found.failed} check failures"
         )
-        return 0 if failures == 0 else 1
+        return 0 if found.failed == 0 else 1
     res, chk = simulate(
         args.inner_algo, args.n, args.t, args.k, q_inputs, seed=args.seed
     )
@@ -283,15 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, k_required=True):
+    def common(p):
+        p.add_argument("--algo", choices=tuple(CATALOG), required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
-        p.add_argument("--k", type=int, required=k_required, default=None)
+        p.add_argument("--k", type=int, default=None)
         p.add_argument("--inputs", help="comma-separated per-process inputs")
 
     p = sub.add_parser("run", help="one seeded or replayed run")
-    p.add_argument("--algo", choices=tuple(CATALOG), required=True)
-    common(p, k_required=False)
+    common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--schedule",
@@ -304,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("explore", help="enumerate all schedules exhaustively")
-    p.add_argument("--algo", choices=tuple(CATALOG), required=True)
-    common(p, k_required=False)
+    common(p)
     p.add_argument(
         "--literal",
         action="store_true",

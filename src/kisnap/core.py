@@ -108,7 +108,7 @@ class Peek:
     """What a program does next: pending announces, then a step or a return."""
 
     announces: tuple[Announce, ...]
-    step: object | None  # a Step, or None when the program returned
+    step: object | None  # a step descriptor, or None when the program returned
     value: object = None  # return value, meaningful when step is None
 
     @property
@@ -424,7 +424,7 @@ class RandomSchedule:
     pending crashes of its designated victims. Commit batches are sampled
     (object, then size, then members) rather than enumerated."""
 
-    def __init__(self, rng: random.Random, crash_victims: tuple[int, ...] = ()):
+    def __init__(self, rng: random.Random, crash_victims: tuple[int, ...]):
         self.rng = rng
         self.victims = tuple(crash_victims)
 
@@ -468,7 +468,6 @@ class ReplaySchedule:
 @dataclass
 class RunResult:
     trace: Trace
-    world: World
     actions: list[tuple]
 
 
@@ -500,8 +499,9 @@ def finalize_trace(
 ) -> Trace:
     """Close a run: compute outcomes, emit blocked events on quiescence.
 
-    A truncated run (step bound hit) also marks unfinished processes as
-    blocked in the outcomes but is flagged `truncated`, not `quiescent`.
+    A truncated run (cut off with actions still enabled) also marks
+    unfinished processes as blocked in the outcomes but is flagged
+    `truncated`, not `quiescent`.
     """
     outcomes = outcomes_of(world)
     blocked = sorted(p for p, o in outcomes.items() if o[0] == BLOCKED)
@@ -527,9 +527,12 @@ def run(
     initial_crashes: tuple[int, ...] = (),
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> RunResult:
-    """Run one schedule to quiescence/completion, or until `step_bound`
-    scheduler actions (initial crashes included) have been applied and the
-    schedule still offers another, which ends the run truncated."""
+    """Run one schedule to quiescence/completion.
+
+    The run ends truncated when `step_bound` scheduler actions (initial
+    crashes included) have been applied and the schedule still offers
+    another, or when the schedule stops while a step or commit is still
+    enabled (a replayed prefix)."""
     world, init_events = initial_world(instance)
     events: list[Event] = []
     _stamp(events, init_events)
@@ -542,6 +545,9 @@ def run(
     while True:
         action = schedule.choose(world)
         if action is None:
+            truncated = bool(
+                enabled_step_actions(world) or commit_candidates(world)
+            )
             break
         if len(actions) >= step_bound:
             truncated = True
@@ -552,7 +558,7 @@ def run(
     trace = finalize_trace(
         world, events, truncated=truncated, meta=instance.meta
     )
-    return RunResult(trace=trace, world=world, actions=actions)
+    return RunResult(trace=trace, actions=actions)
 
 
 def run_random(
@@ -560,7 +566,6 @@ def run_random(
     seed: int,
     *,
     crash_victims: tuple[int, ...] | None = None,
-    max_crashes: int | None = None,
     initial_crashes: tuple[int, ...] = (),
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> RunResult:
@@ -568,8 +573,7 @@ def run_random(
     rng = random.Random(seed)
     if crash_victims is None:
         budget = instance.t - len(initial_crashes)
-        limit = budget if max_crashes is None else min(max_crashes, budget)
-        count = rng.randint(0, limit) if limit > 0 else 0
+        count = rng.randint(0, budget) if budget > 0 else 0
         pool = [p for p in range(1, instance.n + 1) if p not in initial_crashes]
         crash_victims = tuple(sorted(rng.sample(pool, count))) if count else ()
     schedule = RandomSchedule(rng, crash_victims)

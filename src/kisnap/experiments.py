@@ -1,5 +1,6 @@
 """Experiment drivers: the (t, k) agreement matrix, the blocking strawman
-demo, and the consensus/k-IS equivalence suite.
+demo, and the consensus/k-IS equivalence suite, plus `sweep`, the one loop
+that runs checks over a stream of traces for them and for the CLI.
 
 The matrix driver sweeps every cell 1 <= t <= k <= n-1, runs the k-IS-based
 set-agreement reduction under adversarial schedules (exhaustively for small
@@ -13,19 +14,76 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .checkers import check_xsa
+from .checkers import CheckReport, check_xsa
 from .core import _peek_cached, run_random
 from .explore import enumerate_runs
 from .reductions import make_instance, standard_reports, xsa_bound
-from .trace import Trace
+from .trace import BLOCKED, CRASHED, RETURNED, Trace
 
 
 def trial_seed(seed: int, *parts) -> str:
     """Deterministic per-trial seed string (stable across platforms)."""
     return ":".join(str(p) for p in (seed, *parts))
+
+
+# ── The sweep loop ───────────────────────────────────────────────────────────
+
+KEPT_FAILURES = 20  # failing runs whose reports a sweep keeps
+
+
+@dataclass
+class Sweep:
+    """What one pass over a stream of traces saw.
+
+    `failures` holds (index in the stream, failing reports) of the first
+    KEPT_FAILURES failing runs only, so a long sweep stays small; `failed`
+    counts them all and `witness` is the first failing trace.
+    """
+
+    runs: int = 0
+    decision_sets: set[frozenset] = field(default_factory=set)
+    outcomes: dict[str, int] = field(
+        default_factory=lambda: {RETURNED: 0, CRASHED: 0, BLOCKED: 0}
+    )
+    failed: int = 0
+    witness: Trace | None = None
+    failures: list[tuple[int, list[CheckReport]]] = field(default_factory=list)
+
+    @property
+    def observed_max(self) -> int:
+        """Most distinct decisions in one run."""
+        return max(map(len, self.decision_sets), default=0)
+
+
+def sweep(
+    traces: Iterable[Trace],
+    check: Callable[[Trace], Iterable[CheckReport]] = lambda trace: (),
+) -> Sweep:
+    """Tally the decisions and outcomes of every trace and apply `check` to
+    each; a run fails when one of its reports does. A truncated trace
+    raises RuntimeError: it shows where a run stopped, not what it does."""
+    found = Sweep()
+    for tr in traces:
+        if tr.truncated:
+            raise RuntimeError(
+                f"run {found.runs} of {tr.meta.get('algo')} at "
+                f"n={tr.n} t={tr.t} k={tr.k} hit the step bound"
+            )
+        found.decision_sets.add(frozenset(tr.decisions().values()))
+        for out in tr.outcomes.values():
+            found.outcomes[out[0]] += 1
+        bad = [rep for rep in check(tr) if not rep.passed]
+        if bad:
+            found.failed += 1
+            if found.witness is None:
+                found.witness = tr
+            if len(found.failures) < KEPT_FAILURES:
+                found.failures.append((found.runs, bad))
+        found.runs += 1
+    return found
 
 
 # ── Agreement matrix ─────────────────────────────────────────────────────────
@@ -36,10 +94,10 @@ class MatrixCell:
     t: int
     k: int
     bound: int
-    observed_max: int = 0
-    trials: int = 0
-    violations: int = 0
-    witness: Trace | None = None
+    observed_max: int
+    trials: int
+    violations: int
+    witness: Trace | None
 
     @property
     def ok(self) -> bool:
@@ -88,25 +146,6 @@ class MatrixReport:
         }
 
 
-def _run_cell(n: int, t: int, k: int, traces: Iterable[Trace]) -> MatrixCell:
-    """Count the distinct decisions of every trace of one cell; the first
-    trace that breaks x-set agreement at the cell's bound is the witness."""
-    cell = MatrixCell(t=t, k=k, bound=xsa_bound(n, t, k))
-    for tr in traces:
-        if tr.truncated:
-            raise RuntimeError(
-                f"trial hit the step bound at t={t} k={k} i={cell.trials}"
-            )
-        distinct = len(set(tr.decisions().values()))
-        cell.trials += 1
-        cell.observed_max = max(cell.observed_max, distinct)
-        if distinct > cell.bound or not check_xsa(tr, cell.bound).passed:
-            cell.violations += 1
-            if cell.witness is None:
-                cell.witness = tr
-    return cell
-
-
 def run_matrix(
     n: int,
     trials: int = 1000,
@@ -119,10 +158,15 @@ def run_matrix(
     bound.
 
     `exhaustive=None` picks exhaustive (reduced) enumeration for n <= 4 and
-    seeded-random trials otherwise.
+    seeded-random trials otherwise. A sweep that would check nothing (n < 3,
+    or fewer than one random trial per cell) raises ValueError.
     """
+    if n < 3:
+        raise ValueError(f"the matrix needs n >= 3, got n={n}")
     if exhaustive is None:
         exhaustive = n <= 4
+    if not exhaustive and trials < 1:
+        raise ValueError(f"need at least one trial per cell, got {trials}")
     mode = "exhaustive" if exhaustive else "random"
     report = MatrixReport(
         n=n, mode=mode, seed=seed, trials_per_cell=0 if exhaustive else trials
@@ -133,6 +177,7 @@ def run_matrix(
             # Replay-cache keys hold the cell's (n, t, k), so no entry can
             # hit in a later cell; dropping them keeps memory bounded.
             _peek_cached.cache_clear()
+            bound = xsa_bound(n, t, k)
             inst = make_instance("alg1", n, t, k)
             if exhaustive:
                 traces = enumerate_runs(inst, reduced=True)
@@ -141,7 +186,11 @@ def run_matrix(
                     run_random(inst, trial_seed(seed, n, t, k, i)).trace
                     for i in range(trials)
                 )
-            cell = _run_cell(n, t, k, traces)
+            found = sweep(traces, lambda tr: [check_xsa(tr, bound)])
+            cell = MatrixCell(
+                t, k, bound, found.observed_max, found.runs, found.failed,
+                found.witness,
+            )
             report.cells.append(cell)
             if progress:
                 print(
@@ -200,7 +249,7 @@ class BlockingReport:
 
 
 def run_blocking_demo(
-    n: int = 4, t: int = 2, k: int = 1, seeds: int = 100, base_seed: int = 0
+    n: int = 4, t: int = 2, k: int = 1, seeds: int = 100
 ) -> BlockingReport:
     """Demonstrate why k < t cannot be implemented without the oracle.
 
@@ -209,14 +258,16 @@ def run_blocking_demo(
     published values while only n-t < n-k can ever appear, so every run must
     end quiescent with every survivor blocked and nothing decided.
     """
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     report = BlockingReport(n=n, t=t, k=k)
     inst = make_instance("naive", n, t, k)
     for s in range(seeds):
-        rng = random.Random(trial_seed(base_seed, "blocking", n, t, k, s))
+        rng = random.Random(trial_seed(0, "blocking", n, t, k, s))
         victims = tuple(sorted(rng.sample(range(1, n + 1), t)))
         res = run_random(
             inst,
-            trial_seed(base_seed, "blocking-run", n, t, k, s),
+            trial_seed(0, "blocking-run", n, t, k, s),
             crash_victims=(),
             initial_crashes=victims,
         )
@@ -302,13 +353,16 @@ def run_equivalence_suite(
             f"(n,t,k)=({n},{t},{k}) is outside the equivalence zone "
             "0 < t < n/2, t <= k <= (n-1)-t"
         )
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     report = EquivalenceReport(n=n, t=t, k=k, trials=trials)
     for key, label, algo, tag in EQUIVALENCE_RUNS:
         inst = make_instance(algo, n, t, k)
-        for i in range(trials):
-            tr = run_random(inst, trial_seed(seed, tag, i)).trace
-            for rep in standard_reports(tr):
-                if not rep.passed:
-                    report.failures.append(f"{label} trial {i}: {rep.failures()}")
+        traces = (
+            run_random(inst, trial_seed(seed, tag, i)).trace for i in range(trials)
+        )
+        for i, reps in sweep(traces, standard_reports).failures:
+            for rep in reps:
+                report.failures.append(f"{label} trial {i}: {rep.failures()}")
         report.checked[key] = trials
     return report

@@ -36,10 +36,9 @@ class KisState:
     """Immutable state of one k-IS oracle object.
 
     `invoked` maps pid to proposed value (pid-sorted pair tuple), `pending`
-    holds invokers not yet in any committed class, `classes` is the committed
-    concurrency-class sequence, and `released` records the view each process
-    received. A crashed process's pending invocation stays committable but is
-    never released.
+    holds invokers not yet in any committed class, and `classes` is the
+    committed concurrency-class sequence. A crashed process's pending
+    invocation stays committable but is never released.
     """
 
     n_obj: int
@@ -47,22 +46,12 @@ class KisState:
     invoked: tuple[tuple[int, object], ...] = ()
     pending: frozenset[int] = frozenset()
     classes: tuple[frozenset, ...] = ()
-    released: tuple[tuple[int, frozenset], ...] = ()
 
     def __post_init__(self):
         if not (1 <= self.k_obj <= self.n_obj - 1):
             raise ObjectError(
                 f"k-IS object requires 1 <= k <= n-1, got n={self.n_obj} k={self.k_obj}"
             )
-
-    def value_of(self, pid: int) -> object:
-        for p, v in self.invoked:
-            if p == pid:
-                return v
-        raise KeyError(pid)
-
-    def has_invoked(self, pid: int) -> bool:
-        return any(p == pid for p, _ in self.invoked)
 
     def min_batch_size(self) -> int:
         """Smallest batch the gate admits next."""
@@ -71,12 +60,10 @@ class KisState:
 
 
 def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
-    if st.has_invoked(pid):
+    if any(p == pid for p, _ in st.invoked):
         raise ObjectError(f"process {pid} invoked k-IS object twice")
     invoked = tuple(sorted(st.invoked + ((pid, value),)))
-    return KisState(
-        st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.classes, st.released
-    )
+    return KisState(st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.classes)
 
 
 def kis_commit_batch(
@@ -102,17 +89,15 @@ def kis_commit_batch(
             f"batch of {len(pids)} violates output-size gate "
             f"(need cumulative >= {st.n_obj - st.k_obj})"
         )
-    new_class = frozenset((p, st.value_of(p)) for p in pids)
+    values = dict(st.invoked)
+    new_class = frozenset((p, values[p]) for p in pids)
     classes = st.classes + (new_class,)
     view: set = set()
     for c in classes:
         view |= c
     view = frozenset(view)
     releases = [(p, view) for p in pids if p not in crashed]
-    released = tuple(sorted(st.released + tuple(releases)))
-    new_st = KisState(
-        st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), classes, released
-    )
+    new_st = KisState(st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), classes)
     return new_st, view, releases
 
 

@@ -1,6 +1,6 @@
 """Shared primitives: step descriptors, trace annotations, program registry.
 
-A process program is a Python generator. It yields `Step` descriptors, each
+A process program is a Python generator. It yields step descriptors, each
 of which the simulator executes as one atomic scheduler action, and receives
 the step's result back through `send`. In between steps it may yield
 `Announce` markers; these add invoke/respond events to the trace without
@@ -77,14 +77,6 @@ class ConsProposeStep:
     obj: str
     value: object
 
-
-Step = (
-    WriteStep
-    | ScanStep
-    | WaitAnyStep
-    | KisInvokeStep
-    | ConsProposeStep
-)
 
 # ── Program registry ────────────────────────────────────────────────────────
 #

@@ -134,13 +134,13 @@ def alg2_kis(ctx, value):
     return view
 
 
-def alg2_kis_body(ctx, value, out_obj: str = "ckis"):
+def alg2_kis_body(ctx, value):
     """Reusable body of the consensus-based k-IS construction.
 
-    Emits the emulated object's invoke/respond events under `out_obj` so the
+    Emits the emulated object's invoke/respond events under "ckis" so the
     produced trace contains a checkable k-IS history.
     """
-    yield Announce("invoke", out_obj, "write_snapshot_k", args=value)
+    yield Announce("invoke", "ckis", "write_snapshot_k", args=value)
     yield WriteStep("reg", value)
     cells = yield ScanStep("reg", min_filled=ctx.n - ctx.k)
     aux = frozenset(
@@ -150,7 +150,7 @@ def alg2_kis_body(ctx, value, out_obj: str = "ckis"):
     if (ctx.pid, value) not in view:
         extra = yield from is_write_snapshot(ctx, "is", value)
         view = frozenset(view | extra)
-    yield Announce("respond", out_obj, "write_snapshot_k", ret=view)
+    yield Announce("respond", "ckis", "write_snapshot_k", ret=view)
     return view
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checkers import CheckReport, check_is, object_history
+from .checkers import CheckReport, Verdict, check_is, object_history
 from .core import (
     Ctx,
     Instance,
@@ -97,19 +97,6 @@ def make_partition(n: int, t: int) -> Partition:
     a1 = tuple(range(size + 1, 2 * size + 1))
     d = tuple(range(2 * size + 1, n + 1))
     return Partition(a0, a1, d)
-
-
-def validate_partition(part: Partition, n: int, t: int) -> None:
-    pids = part.a0 + part.a1 + part.d
-    if sorted(pids) != list(range(1, n + 1)):
-        raise SimError(f"partition does not cover pids 1..{n}: {part}")
-    if len(part.a0) != len(part.a1) or len(part.a0) != n - t:
-        raise SimError(
-            f"groups must both have n-t = {n - t} members, got "
-            f"{len(part.a0)} and {len(part.a1)}"
-        )
-    if len(part.d) != 2 * t - n:
-        raise SimError(f"initial-crash group must have 2t-n = {2*t-n} members")
 
 
 # ── The simulator program ────────────────────────────────────────────────────
@@ -209,9 +196,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
                 break
             watches.append((sim_array(o), other_cell))
             stuck.append((p, o, v))
-        if len(finished) == len(members):
-            break
-        if served:
+        if served or len(finished) == len(members):
             continue
         if not stuck:
             raise AssertionError("unfinished members but nothing to wait for")
@@ -242,22 +227,23 @@ def build_simulation(
     t: int,
     k: int,
     q_inputs: tuple = (0, 1),
-    partition: Partition | None = None,
 ) -> Instance:
     """Outer 2-process instance simulating `inner_algo` at (n, t, k).
 
-    The inner algorithm must interact only through k-IS objects (e.g.
-    `alg1_variant`); its object declarations are lifted into one outer
-    register array and one 2-process 1-IS mediator per inner object.
+    The inner algorithm must interact only through k-IS objects and decide
+    through the XSA_OBJ object, whose responses are the inner decisions
+    (e.g. `alg1_variant`); anything else raises SimError. Its k-IS objects
+    are lifted into one outer register array and one 2-process 1-IS
+    mediator per inner object.
     """
-    part = partition or make_partition(n, t)
-    validate_partition(part, n, t)
+    part = make_partition(n, t)
     spec = catalog_spec(inner_algo)
     spec.check_range(n, t, k)
-    if spec.arrays or spec.cons:
+    if spec.arrays or spec.cons or XSA_OBJ not in spec.objects:
         raise SimError(
-            f"inner algorithm {inner_algo!r} uses registers or consensus; "
-            "only k-IS-object algorithms can be simulated"
+            f"inner algorithm {inner_algo!r} cannot be simulated: only "
+            f"algorithms that use k-IS objects alone and decide through "
+            f"{XSA_OBJ!r} can"
         )
     inner_objs = spec.kis
     programs = {
@@ -300,12 +286,7 @@ def build_simulation(
     )
 
 
-def partition_from_meta(meta: dict) -> Partition:
-    a0, a1, d = meta["partition"]
-    return Partition(tuple(a0), tuple(a1), tuple(d))
-
-
-def extract_inner_trace(outer: Trace, top_obj: str | None = None) -> Trace:
+def extract_inner_trace(outer: Trace) -> Trace:
     """Recover the simulated processes' trace from an outer simulation trace.
 
     Copies the embedded inner invoke/respond events (dropping the "inner."
@@ -315,9 +296,9 @@ def extract_inner_trace(outer: Trace, top_obj: str | None = None) -> Trace:
     respond is present, crashed as above, blocked otherwise.
     """
     meta = outer.meta
-    part = partition_from_meta(meta)
+    part = Partition(*(tuple(group) for group in meta["partition"]))
     inner_n = meta["inner_n"]
-    top = top_obj or meta.get("inner_top", XSA_OBJ)
+    top = meta.get("inner_top", XSA_OBJ)
     events: list[Event] = []
     returned: dict[int, object] = {}
     crashed: set[int] = set()
@@ -365,12 +346,6 @@ def extract_inner_trace(outer: Trace, top_obj: str | None = None) -> Trace:
     )
 
 
-def extract_simulated_history(outer: Trace, obj: str):
-    """One simulated k-IS object's invoke/respond/crash history, recovered
-    from an outer simulation trace."""
-    return object_history(extract_inner_trace(outer), obj)
-
-
 def max_concurrent_inside(trace: Trace, obj: str) -> tuple[int, int | None]:
     """Largest number of processes simultaneously inside an operation on
     `obj`, and a step index where that happens.
@@ -405,24 +380,28 @@ class SimulationCheck:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.reports) and all(
-            ok for _, _, ok in self.lemma1.values()
-        )
+        return all(r.passed for r in self.reports)
 
 
 def check_simulation_trace(outer: Trace) -> SimulationCheck:
-    """Extract the inner trace and check every simulated k-IS object history
-    plus the concurrent-inside witness for objects with responses."""
+    """Extract the inner trace and check every simulated k-IS object history.
+    For an object with responses, its report also carries the
+    concurrent-inside witness (Lemma 1, verdict `concurrent_inside`): some
+    instant had at least n-k processes inside an operation on it."""
     inner = extract_inner_trace(outer)
     n, k = inner.n, inner.k
     reports = []
     lemma1 = {}
     for obj in outer.meta.get("inner_objects", ()):
-        reports.append(check_is(inner, obj, k=k))
-        h = object_history(inner, obj)
-        if h.responds:
+        rep = check_is(inner, obj, k=k)
+        reports.append(rep)
+        if object_history(inner, obj).responds:
             peak, at = max_concurrent_inside(inner, obj)
-            lemma1[obj] = (peak, at, peak >= n - k)
+            ok = peak >= n - k
+            lemma1[obj] = (peak, at, ok)
+            rep.verdicts["concurrent_inside"] = Verdict(
+                ok, None if ok else f"at most {peak} < n-k = {n - k} inside at once"
+            )
     q_decisions = {
         e.pid: e.ret
         for e in outer.events
@@ -445,9 +424,8 @@ def simulate(
     q_inputs: tuple = (0, 1),
     *,
     seed: int = 0,
-    partition: Partition | None = None,
 ) -> tuple[RunResult, SimulationCheck]:
     """Run one seeded simulation and check it."""
-    inst = build_simulation(inner_algo, n, t, k, q_inputs, partition)
+    inst = build_simulation(inner_algo, n, t, k, q_inputs)
     res = run_random(inst, seed)
     return res, check_simulation_trace(res.trace)

@@ -42,6 +42,14 @@ def test_run_replays_saved_schedule(tmp_path, capsys):
     # Identical outcomes under replay.
     assert [l for l in first.splitlines() if "p" in l and ":" in l][:3] == \
            [l for l in second.splitlines() if "p" in l and ":" in l][:3]
+    # A prefix stops while processes can still move: truncated, exit 1.
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_text(sched_file.read_text().splitlines(keepends=True)[0])
+    assert main([
+        "run", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+        "--schedule", f"replay:{prefix}",
+    ]) == 1
+    assert "flags: truncated" in capsys.readouterr().out
 
 
 def test_explore_reports_counts_and_summary(tmp_path, capsys):
@@ -146,6 +154,21 @@ def test_bad_parameters_exit_2(capsys):
             rc = main([cmd, "--algo", algo, "--n", "3", "--t", "1"])
             assert rc == 2, (cmd, algo)
             assert "needs k" in capsys.readouterr().err
+    # sweeps that would check nothing
+    for argv in (
+        ["matrix", "--n", "1"],
+        ["matrix", "--n", "5", "--trials", "0"],
+        ["equivalence", "--trials", "0"],
+        ["demo-blocking", "--seeds", "0"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error" in capsys.readouterr().err
+    # an inner algorithm that does not decide through xsa cannot be simulated
+    rc = main([
+        "simulate", "--inner-algo", "kis_oracle", "--n", "4", "--t", "2", "--k", "2",
+    ])
+    assert rc == 2
+    assert "cannot be simulated" in capsys.readouterr().err
 
 
 def test_matrix_modes_are_exclusive(capsys):

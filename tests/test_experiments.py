@@ -15,9 +15,11 @@ from kisnap import (
     run_matrix,
     run_random,
     standard_reports,
+    sweep,
     trial_seed,
     xsa_bound,
 )
+from kisnap.checkers import check_xsa
 from kisnap.core import _peek_cached
 
 
@@ -141,3 +143,30 @@ def test_standard_reports_check_agreement_against_the_bound():
     assert xsa_bound(4, 2, 2) == 2
     kinds = {r.kind for r in standard_reports(run_random(inst, 0).trace)}
     assert "2-sa" in kinds
+
+
+# ── The sweep loop ───────────────────────────────────────────────────────────
+
+
+def test_sweep_tallies_runs_and_keeps_a_bounded_failure_record():
+    inst = make_instance("alg1", 4, 2, 3)
+    traces = [run_random(inst, seed).trace for seed in range(30)]
+    strict = sweep(traces, lambda tr: [check_xsa(tr, 1)])
+    multi = [i for i, tr in enumerate(traces) if len(set(tr.decisions().values())) > 1]
+    assert strict.runs == 30
+    assert strict.failed == len(multi) > 0
+    assert strict.witness is traces[multi[0]]
+    assert [i for i, _ in strict.failures] == multi[:20]
+    assert strict.observed_max == 2
+    assert sum(strict.outcomes.values()) == 30 * 4
+    always = sweep(traces, lambda tr: [check_xsa(tr, 0)])
+    assert always.failed == 30 and len(always.failures) == 20
+    unchecked = sweep(traces)
+    assert unchecked.failed == 0 and unchecked.witness is None
+    assert unchecked.decision_sets == strict.decision_sets
+
+
+def test_sweep_rejects_truncated_traces():
+    inst = make_instance("alg1", 3, 1, 1)
+    with pytest.raises(RuntimeError, match="step bound"):
+        sweep([run_random(inst, 1, step_bound=4).trace])

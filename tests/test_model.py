@@ -118,6 +118,22 @@ def test_recorded_actions_replay_to_identical_trace():
     assert trace_to_jsonl(replayed.trace) == trace_to_jsonl(res.trace)
 
 
+def test_replayed_prefix_is_truncated_not_blocked():
+    """A schedule that stops while a step or commit is still enabled ends
+    the run truncated, with no blocked events. Crashes alone never enable
+    anything, so a prefix is cut short exactly when the rest of the recorded
+    schedule holds a step or commit."""
+    inst = make_instance("alg1", 4, 2, 3)
+    actions = run_random(inst, 11).actions
+    for cut in range(len(actions) + 1):
+        trace = run(inst, ReplaySchedule(actions[:cut])).trace
+        cut_short = any(a[0] != "crash" for a in actions[cut:])
+        assert trace.truncated == cut_short, cut
+        if cut_short:
+            assert not trace.quiescent
+            assert not any(e.kind == "blocked" for e in trace.events)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

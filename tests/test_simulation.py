@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from kisnap import (
-    Partition,
+    Event,
     SimError,
+    Trace,
     build_simulation,
     check_simulation_trace,
     enumerate_runs,
@@ -19,7 +20,6 @@ from kisnap import (
     validate_trace,
 )
 from kisnap.checkers import object_history
-from kisnap.simulation import validate_partition
 
 
 # ── Partition arithmetic ─────────────────────────────────────────────────────
@@ -43,7 +43,6 @@ def test_partition_covers_crash_budget():
     for n, t in [(4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (6, 5)]:
         part = make_partition(n, t)
         assert len(part.d) + len(part.a0) == t
-        validate_partition(part, n, t)
 
 
 def test_partition_rejects_minority_budget():
@@ -51,8 +50,6 @@ def test_partition_rejects_minority_budget():
         make_partition(4, 1)  # t < n/2: two groups cannot cover the budget
     with pytest.raises(SimError):
         make_partition(3, 3)  # t > n-1
-    with pytest.raises(SimError):
-        validate_partition(Partition((1,), (2, 3), (4,)), 4, 3)
 
 
 # ── Construction shape ───────────────────────────────────────────────────────
@@ -73,6 +70,8 @@ def test_simulation_rejects_register_level_inner_algorithms():
         build_simulation("alg1", 4, 2, 2)  # uses a plain register array
     with pytest.raises(SimError):
         build_simulation("alg2", 4, 2, 2)  # uses a consensus object
+    with pytest.raises(SimError):
+        build_simulation("kis_oracle", 4, 2, 2)  # decides through no xsa object
 
 
 # ── End-to-end runs ──────────────────────────────────────────────────────────
@@ -140,9 +139,7 @@ def test_extraction_crashes_initially_dead_group_first():
 
 def test_extract_single_object_history():
     res, _ = simulate("alg1_variant", 4, 2, 2, seed=5)
-    from kisnap import extract_simulated_history
-
-    h = extract_simulated_history(res.trace, "kis1")
+    h = object_history(extract_inner_trace(res.trace), "kis1")
     assert set(h.invokes) <= set(range(1, 5))
     for pid in h.responds:
         assert (pid, h.invokes[pid][0]) in h.view_of(pid)
@@ -157,6 +154,31 @@ def test_concurrent_inside_witness():
             assert ok and peak >= 2
             recalc, _ = max_concurrent_inside(chk.inner, obj)
             assert recalc == peak
+            rep = next(r for r in chk.reports if r.obj == obj)
+            assert rep.verdicts["concurrent_inside"].ok
+
+
+def test_solo_inner_operation_fails_concurrent_inside_witness():
+    """An inner operation that completes while only its caller is inside
+    fails the witness (n-k = 2 at n=4, k=2), and so fails the check."""
+    view = frozenset({(1, 5)})
+    outer = Trace(
+        n=2, t=1, k=None,
+        events=[
+            Event(0, "invoke", 1, "inner.kis1", "write_snapshot_k", 5),
+            Event(1, "respond", 1, "inner.kis1", "write_snapshot_k", None, view),
+        ],
+        outcomes={1: ("blocked",), 2: ("blocked",)},
+        meta={
+            "inner_n": 4, "inner_t": 2, "inner_k": 2,
+            "inner_objects": ["kis1"], "partition": [[1, 2], [3, 4], []],
+        },
+    )
+    chk = check_simulation_trace(outer)
+    assert chk.lemma1 == {"kis1": (1, 0, False)}
+    verdict = chk.reports[0].verdicts["concurrent_inside"]
+    assert not verdict.ok and "1 < n-k = 2" in verdict.witness
+    assert not chk.passed
 
 
 def test_exhaustive_outer_exploration_covers_crashes_and_passes():
