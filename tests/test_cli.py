@@ -64,6 +64,35 @@ def test_explore_reports_counts_and_summary(tmp_path, capsys):
     assert summary["runs"] > 0 and summary["check_failures"] == 0
 
 
+def test_explore_counts_failing_runs(tmp_path, capsys, monkeypatch):
+    """`check_failures` counts failing runs, not failing reports, and only
+    the first 20 failing runs are printed, after the walk."""
+    from kisnap.checkers import CheckReport, Verdict
+
+    def always_fails(trace):
+        return [
+            CheckReport(obj, "stub", {"ok": Verdict(False, "stub failure")})
+            for obj in ("a", "b")
+        ]
+
+    monkeypatch.setattr("kisnap.cli.standard_reports", always_fails)
+    out_file = tmp_path / "summary.json"
+    rc = main([
+        "explore", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+        "--check", "--out", str(out_file),
+    ])
+    assert rc == 1
+    out = capsys.readouterr().out
+    summary = json.loads(out_file.read_text())
+    runs = summary["runs"]
+    assert runs > 20 and summary["check_failures"] == runs
+    assert f"checked runs: {runs}, failures: {runs}" in out
+    assert "run 1: FAIL" in out and "run 20: FAIL" in out
+    assert "run 21: FAIL" not in out
+    assert out.count("stub failure") == 40
+    assert out.index("run 20: FAIL") < out.index("distinct decision sets")
+
+
 def test_explore_literal_matches_contract(capsys):
     rc = main([
         "explore", "--algo", "kis_oracle", "--n", "3", "--t", "1", "--k", "1",

@@ -38,10 +38,14 @@ def test_majority_budget_leaves_initially_crashed_group():
 
 
 def test_partition_covers_crash_budget():
-    """|D| + |A_i| = t: one simulator crash plus the initial crashes stay
+    """The groups cover pids 1..n, |A0| = |A1| = n-t, |D| = 2t-n, and
+    |D| + |A_i| = t: one simulator crash plus the initial crashes stay
     within the inner budget."""
     for n, t in [(4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (6, 5)]:
         part = make_partition(n, t)
+        assert sorted(part.a0 + part.a1 + part.d) == list(range(1, n + 1))
+        assert len(part.a0) == len(part.a1) == n - t
+        assert len(part.d) == 2 * t - n
         assert len(part.d) + len(part.a0) == t
 
 
