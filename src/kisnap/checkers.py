@@ -345,10 +345,11 @@ def check_xsa(trace: Trace, x: int, obj: str = "xsa") -> CheckReport:
 def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
     """Consensus history check: single decided value, linearizable choice.
 
-    Agreement: all responses carry the same value. Validity: that value was
-    proposed. Linearizability of the winning proposal: some process proposed
-    it at an invocation that does not come after the first response, so the
-    decision point can be placed inside every operation's interval.
+    Agreement: all responses carry the same value. Validity: that value (on
+    a disagreeing history, the value of the first response) was proposed.
+    Linearizability of the winning proposal: some process proposed it at an
+    invocation that does not come after the first response, so the decision
+    point can be placed inside every operation's interval.
     """
     h = object_history(trace, obj)
     report = CheckReport(obj=obj, kind="consensus")
@@ -365,8 +366,7 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
         )
     else:
         report.verdicts["agreement"] = PASS
-    decided = next(iter(values))
-    first_respond = min(step for _, step in h.responds.values())
+    decided, first_respond = min(h.responds.values(), key=lambda rs: rs[1])
     proposers = [
         pid
         for pid, (args, step) in h.invokes.items()
