@@ -139,7 +139,9 @@ def test_validator_rejects_single_writer_violation():
             Event(-1, "reg_read", 2, "a", "scan", None, (10, 99, None)),
         ]
     )
-    assert any("scan" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == [
+        "step 1: scan of a returned (10, 99, None), registers hold (10, None, None)"
+    ]
 
 
 def test_validator_rejects_stale_read():
@@ -149,22 +151,79 @@ def test_validator_rejects_stale_read():
             Event(-1, "reg_read", 2, "a", "read", 1, None),
         ]
     )
-    assert any("read" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == [
+        "step 1: read of a[1] returned None, register holds 10"
+    ]
+
+
+def test_validator_rejects_read_of_unwritten_array():
+    trace = mk_trace(
+        [
+            Event(-1, "reg_read", 2, "a", "read", 1, 5),
+            Event(-1, "reg_read", 2, "a", "read", 3, None),
+        ]
+    )
+    assert validate_trace(trace) == [
+        "step 0: read of a[1] returned 5, register holds None"
+    ]
+
+
+def test_validator_rejects_scan_of_unwritten_array():
+    trace = mk_trace(
+        [
+            Event(-1, "reg_read", 2, "a", "scan", None, (None, 4, None)),
+            Event(-1, "reg_read", 1, "b", "scan", None, (None, None, None)),
+        ]
+    )
+    assert validate_trace(trace) == [
+        "step 0: scan of a returned (None, 4, None), registers hold (None, None, None)"
+    ]
+
+
+def test_validator_out_of_range_writer_is_seen_by_reads_not_scans():
+    """A write by a pid outside 1..n lands in a cell that scans (pids 1..n)
+    never show but a read of that index does."""
+    trace = mk_trace(
+        [
+            Event(-1, "reg_write", 4, "a", "write", 9),
+            Event(-1, "reg_write", 0, "a", "write", 7),
+            Event(-1, "reg_read", 1, "a", "scan", None, (None, None, None)),
+            Event(-1, "reg_read", 1, "a", "read", 4, 9),
+            Event(-1, "reg_read", 1, "a", "read", 0, None),
+        ]
+    )
+    assert validate_trace(trace) == [
+        "step 4: read of a[0] returned None, register holds 7"
+    ]
+
+
+def test_validator_skips_inner_events():
+    """Events embedded from a simulated system use inner pids, so the
+    per-pid and register rules skip them."""
+    trace = mk_trace(
+        [
+            crash(1),
+            Event(-1, "reg_read", 1, "inner.a", "scan", None, (1, 2, 3)),
+            Event(-1, "respond", 1, "inner.o", "snap", None, 5),
+            Event(-1, "invoke", 4, "inner.o", "snap", 6),
+        ]
+    )
+    assert validate_trace(trace) == []
 
 
 def test_validator_rejects_crash_budget_overrun():
     trace = mk_trace([crash(1), crash(2)], t=1)
-    assert any("budget" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == ["2 crashes exceed budget t=1"]
 
 
 def test_validator_rejects_act_after_crash():
     trace = mk_trace([inv(1, "a"), crash(1), resp(1, view((1, "a")))], t=1)
-    assert any("crashed process" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == ["step 2: crashed process 1 acts (respond)"]
 
 
 def test_validator_rejects_respond_without_invoke():
     trace = mk_trace([resp(1, view((1, "a")))])
-    assert any("without invoke" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == ["step 0: respond by 1 on o without invoke"]
 
 
 def test_validator_rejects_nonmonotone_steps():
@@ -173,4 +232,4 @@ def test_validator_rejects_nonmonotone_steps():
     events[1].step = 5
     trace = mk_trace([])
     trace.events = events
-    assert any("not increasing" in p for p in validate_trace(trace))
+    assert validate_trace(trace) == ["step 5 not increasing after 5"]

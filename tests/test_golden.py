@@ -1,11 +1,13 @@
-"""Golden trace digests and sweep outputs: a speed-up or a rewrite must not
-change a trace or a report.
+"""Golden trace digests, checker reports and sweep outputs: a speed-up or a
+rewrite must not change a trace or a report.
 
 Each trace digest is the sha256 of the JSONL bytes of fixed seeded runs (trace
 followed by schedule, run after run) or of every leaf of one reduced
 exhaustive walk, in yield order. The values are fixed: a change to
 scheduling, the random menu order, event order or encoding fails here, so
-an optimization of the simulator must leave them as they are.
+an optimization of the simulator must leave them as they are. The report
+digests do the same for the checkers: the `to_dict()` of every standard
+report plus the `validate_trace` problem list, run after run.
 """
 
 from __future__ import annotations
@@ -15,9 +17,18 @@ import json
 
 import pytest
 
-from kisnap import enumerate_runs, make_instance, run_random, trace_to_jsonl
+from kisnap import (
+    enumerate_runs,
+    make_instance,
+    run_random,
+    standard_reports,
+    trace_to_jsonl,
+    validate_trace,
+)
 from kisnap.cli import main
 from kisnap.trace import schedule_to_jsonl
+
+from corpus import AGREEMENT_CORPUS, IS_PROPERTY_CORPUS, OBJ
 
 SEEDS = range(12)
 
@@ -87,6 +98,127 @@ def test_reduced_exhaustive_leaves_match_golden_digest():
     inst = make_instance("alg1", 3, 2, 2)
     leaves = (trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True))
     assert _sha(leaves) == EXHAUSTIVE_ALG1_3_2_2
+
+
+# ── Checker outputs: the standard reports and validator problems of the same
+# runs, and the exact report of every hand-built negative history.
+
+# case of SEEDED -> sha256 of its 12 runs' reports and problems
+SEEDED_REPORTS = {
+    "alg1_11_5_10": "4daa1eaf6cabaf0ee32d893ed89be2444fbde1a9198d7aa2ae188a704f3ba18d",
+    "alg1_over_alg2_7_3_3": "ee6b2f125a6a5b75fff9af03101938edba000b17baa5cc8ea0f06b00e1c32883",
+    "alg2_5_2_2": "0933829d3288f4c32eab77fda401d9588202686d2a20c2384711a1096ac56bb7",
+    "alg1_variant_5_2_3": "a1174f941111ca03942005424d1ea3ecdd666788b4e2db5e8f4f3193549517cb",
+    "naive_4_2_1_crash_2": "07a995cbf0310ad70d99d29a7fccd47feaad18891a0774401383d23d2d3c4e49",
+    "kis_oracle_4_1_2": "afef67f79cfaaba0a8608ef8f755bc51704f7a3425cf239cdc449d8d393d1142",
+    "cons_oracle_4_1_2": "1d2011cb8f63fe09c6b3a648beeef57109950eb8d4811c068934e3cf4e78a009",
+    "is_impl_3_1_none": "d5f42c058adf2cd3229c25bcfbf09f92661a2711311560604b431f7743f9b087",
+}
+
+EXHAUSTIVE_ALG1_3_2_2_REPORTS = (
+    "c3796cfcf04c1817bcde3efb07c4cfbce65d4f1cd5c904977b70f8826cbb3a98"
+)
+
+
+def _report_chunk(trace) -> str:
+    reports = [r.to_dict() for r in standard_reports(trace)]
+    return json.dumps([reports, validate_trace(trace)])
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED))
+def test_seeded_reports_match_golden_digest(case):
+    algo, n, t, k, initial_crashes, _ = SEEDED[case]
+    inst = make_instance(algo, n, t, k)
+    chunks = (
+        _report_chunk(run_random(inst, seed, initial_crashes=initial_crashes).trace)
+        for seed in SEEDS
+    )
+    assert _sha(chunks) == SEEDED_REPORTS[case]
+
+
+def test_reduced_exhaustive_reports_match_golden_digest():
+    inst = make_instance("alg1", 3, 2, 2)
+    chunks = (_report_chunk(tr) for tr in enumerate_runs(inst, reduced=True))
+    assert _sha(chunks) == EXHAUSTIVE_ALG1_3_2_2_REPORTS
+
+
+IS_VERDICTS = (
+    "termination", "self_inclusion", "validity", "containment", "immediacy",
+    "immediacy_symmetric", "output_size",
+)
+THEOREM1_VERDICTS = ("min_view_size", "min_view_members")
+XSA_VERDICTS = ("validity", "agreement", "termination")
+CONSENSUS_VERDICTS = ("termination", "agreement", "validity")
+
+# corpus entry -> (report kind, verdict names in order, failing verdict ->
+# witness); every other verdict passes with no witness, and no entry has notes
+CORPUS_REPORTS = {
+    "termination": ("2-is", IS_VERDICTS, {
+        "termination": "process 1 invoked o and neither responded nor crashed",
+    }),
+    "self_inclusion": ("2-is", IS_VERDICTS, {
+        "self_inclusion": "view of process 1 misses its own pair (1, 'a'): [(2, 'b')]",
+    }),
+    "validity": ("2-is", IS_VERDICTS, {
+        "validity": "view of process 1 contains (2, 'b') but 2 never invoked",
+    }),
+    "containment": ("2-is", IS_VERDICTS, {
+        "containment": "incomparable views [(3, 'c')] and [(1, 'a'), (2, 'b')]",
+    }),
+    "immediacy": ("2-is", IS_VERDICTS, {
+        "immediacy": "(2,-) in view of 1 but view of 2 not contained: "
+        "[(1, 'a'), (2, 'b'), (3, 'c')] vs [(1, 'a'), (2, 'b')]",
+        "immediacy_symmetric": "processes 1 and 2 see each other but views "
+        "differ: [(1, 'a'), (2, 'b')] vs [(1, 'a'), (2, 'b'), (3, 'c')]",
+    }),
+    "output_size": ("1-is", IS_VERDICTS, {
+        "output_size": "view of process 1 has 1 < n-k = 2 pairs: [(1, 'a')]",
+    }),
+    "min_view_size": ("theorem1", THEOREM1_VERDICTS, {
+        "min_view_size": "smallest view has 1 < n-k = 2 members: [(1, 'a')]",
+    }),
+    "min_view_members": ("theorem1", THEOREM1_VERDICTS, {
+        "min_view_members": "2 returned [(1, 'a'), (2, 'b'), (3, 'c')] != smallest view",
+    }),
+    "xsa_validity": ("1-sa", XSA_VERDICTS, {
+        "validity": "process 1 decided 99 which nobody proposed",
+    }),
+    "xsa_agreement": ("1-sa", XSA_VERDICTS, {
+        "agreement": "2 > x = 1 distinct decisions: [7, 8]",
+    }),
+    "xsa_termination": ("1-sa", XSA_VERDICTS, {
+        "termination": "process 1 invoked o and neither responded nor crashed",
+    }),
+    "cons_agreement": ("consensus", CONSENSUS_VERDICTS, {
+        "agreement": "distinct decisions: ['x', 'y']",
+    }),
+    "cons_validity": ("consensus", CONSENSUS_VERDICTS, {
+        "validity": "decided 'z' was never proposed",
+    }),
+    "cons_linearization": ("consensus", CONSENSUS_VERDICTS, {
+        "validity": "decided 'y' was proposed only after the first response",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "name,builder,checker",
+    [row[:3] for row in IS_PROPERTY_CORPUS + AGREEMENT_CORPUS],
+    ids=[row[0] for row in IS_PROPERTY_CORPUS + AGREEMENT_CORPUS],
+)
+def test_negative_corpus_reports_match_golden(name, builder, checker):
+    kind, names, failing = CORPUS_REPORTS[name]
+    got = checker(builder()).to_dict()
+    assert list(got["verdicts"]) == list(names)
+    assert got == {
+        "obj": OBJ,
+        "kind": kind,
+        "passed": False,
+        "verdicts": {
+            v: {"ok": v not in failing, "witness": failing.get(v)} for v in names
+        },
+        "notes": [],
+    }
 
 
 # ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence and
