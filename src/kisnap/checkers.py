@@ -113,48 +113,70 @@ class ObjHistory:
 def object_history(trace: Trace, obj: str) -> ObjHistory:
     """Extract one object's history; raises on object ids the trace has
     never heard of (neither in events nor declared in meta['objects'])."""
-    h = ObjHistory(obj=obj, n=trace.n)
+    invokes: dict[int, tuple[object, int]] = {}
+    responds: dict[int, tuple[object, int]] = {}
+    crashes: dict[int, int] = {}
+    double_invokes: list[int] = []
     mentioned = False
     for e in trace.events:
-        if e.kind == "crash":
-            h.crashes.setdefault(e.pid, e.step)
+        kind = e.kind
+        if kind == "crash":
+            crashes.setdefault(e.pid, e.step)
             continue
         if e.obj != obj:
             continue
         mentioned = True
-        if e.kind == "invoke":
-            if e.pid in h.invokes:
-                h.double_invokes.append(e.pid)
+        if kind == "invoke":
+            pid = e.pid
+            if pid in invokes:
+                double_invokes.append(pid)
             else:
-                h.invokes[e.pid] = (e.args, e.step)
-        elif e.kind == "respond":
-            h.responds[e.pid] = (e.ret, e.step)
-    declared = set(trace.meta.get("objects", ()))
-    if not mentioned and obj not in declared:
+                invokes[pid] = (e.args, e.step)
+        elif kind == "respond":
+            responds[e.pid] = (e.ret, e.step)
+    if not mentioned and obj not in trace.meta.get("objects", ()):
         raise ValueError(
             f"unknown object id {obj!r}: no events and not declared in trace meta"
         )
-    return h
+    return ObjHistory(obj, trace.n, invokes, responds, crashes, double_invokes)
 
 
 # ── Immediate snapshot / k-IS ────────────────────────────────────────────────
+#
+# The verdicts scan in pid order and report the first offending pid. Each
+# one first tests its property without sorting; only a failing verdict
+# sorts, to write its witness.
 
 
 def _check_termination(h: ObjHistory) -> Verdict:
-    for pid in sorted(h.invokes):
-        if pid not in h.responds and pid not in h.crashes:
-            return _fail(
-                f"process {pid} invoked {h.obj} and neither responded nor crashed"
-            )
-    return PASS
+    responds, crashes = h.responds, h.crashes
+    hung = [pid for pid in h.invokes if pid not in responds and pid not in crashes]
+    if not hung:
+        return PASS
+    return _fail(
+        f"process {min(hung)} invoked {h.obj} and neither responded nor crashed"
+    )
 
 
-def _check_self_inclusion(h: ObjHistory) -> Verdict:
-    for pid in h.responders():
-        value = h.invokes.get(pid, (None, None))[0]
-        if pid not in h.invokes:
+Rows = list[tuple[int, frozenset, set[int]]]
+
+
+def _rows(h: ObjHistory) -> Rows:
+    """(pid, view, pids named in the view) of every responder, in pid order;
+    built once per `check_is` call and shared by its verdicts."""
+    rows = []
+    for pid in sorted(h.responds):
+        view = h.responds[pid][0]
+        rows.append((pid, view, {q for q, _ in view}))
+    return rows
+
+
+def _check_self_inclusion(h: ObjHistory, rows: Rows) -> Verdict:
+    invokes = h.invokes
+    for pid, view, _ in rows:
+        if pid not in invokes:
             return _fail(f"process {pid} responded on {h.obj} without invoking")
-        view = h.view_of(pid)
+        value = invokes[pid][0]
         if (pid, value) not in view:
             return _fail(
                 f"view of process {pid} misses its own pair ({pid}, {value!r}): "
@@ -163,23 +185,29 @@ def _check_self_inclusion(h: ObjHistory) -> Verdict:
     return PASS
 
 
-def _check_validity(h: ObjHistory) -> Verdict:
-    for pid in h.responders():
-        for j, v in sorted(h.view_of(pid)):
-            if j not in h.invokes:
+def _check_validity(h: ObjHistory, rows: Rows) -> Verdict:
+    invokes = h.invokes
+    for pid, view, _ in rows:
+        for j, v in view:
+            if j not in invokes or invokes[j][0] != v:
+                break
+        else:
+            continue
+        for j, v in sorted(view):  # the witness: the first bad pair in order
+            if j not in invokes:
                 return _fail(
                     f"view of process {pid} contains ({j}, {v!r}) but {j} never invoked"
                 )
-            if h.invokes[j][0] != v:
+            if invokes[j][0] != v:
                 return _fail(
                     f"view of process {pid} contains ({j}, {v!r}) but {j} "
-                    f"invoked with {h.invokes[j][0]!r}"
+                    f"invoked with {invokes[j][0]!r}"
                 )
     return PASS
 
 
-def _check_containment(h: ObjHistory) -> Verdict:
-    views = sorted(set(h.views()), key=len)
+def _check_containment(rows: Rows) -> Verdict:
+    views = sorted({view for _, view, _ in rows}, key=len)
     for a, b in zip(views, views[1:]):
         if not a <= b:
             return _fail(
@@ -188,28 +216,20 @@ def _check_containment(h: ObjHistory) -> Verdict:
     return PASS
 
 
-def _check_immediacy_primal(h: ObjHistory) -> Verdict:
-    for j in h.responders():
-        view_j = h.view_of(j)
-        members = {p for p, _ in view_j}
-        for i in h.responders():
-            if i in members and not (h.view_of(i) <= view_j):
+def _check_immediacy_primal(rows: Rows) -> Verdict:
+    for j, view_j, members in rows:
+        for i, view_i, _ in rows:
+            if i in members and not view_i <= view_j:
                 return _fail(
                     f"({i},-) in view of {j} but view of {i} not contained: "
-                    f"{sorted(h.view_of(i))} vs {sorted(view_j)}"
+                    f"{sorted(view_i)} vs {sorted(view_j)}"
                 )
     return PASS
 
 
-def _check_immediacy_symmetric(h: ObjHistory) -> Verdict:
-    for i in h.responders():
-        vi = h.view_of(i)
-        mi = {p for p, _ in vi}
-        for j in h.responders():
-            if j <= i:
-                continue
-            vj = h.view_of(j)
-            mj = {p for p, _ in vj}
+def _check_immediacy_symmetric(rows: Rows) -> Verdict:
+    for a, (i, vi, mi) in enumerate(rows):
+        for j, vj, mj in rows[a + 1:]:
             if i in mj and j in mi and vi != vj:
                 return _fail(
                     f"processes {i} and {j} see each other but views differ: "
@@ -218,9 +238,8 @@ def _check_immediacy_symmetric(h: ObjHistory) -> Verdict:
     return PASS
 
 
-def _check_output_size(h: ObjHistory, n: int, k: int) -> Verdict:
-    for pid in h.responders():
-        view = h.view_of(pid)
+def _check_output_size(rows: Rows, n: int, k: int) -> Verdict:
+    for pid, view, _ in rows:
         if len(view) < n - k:
             return _fail(
                 f"view of process {pid} has {len(view)} < n-k = {n - k} pairs: "
@@ -240,30 +259,26 @@ def check_is(trace: Trace, obj: str, k: int | None = None) -> CheckReport:
     reported as a property failure.
     """
     h = object_history(trace, obj)
+    rows = _rows(h)
     report = CheckReport(obj=obj, kind="is" if k is None else f"{k}-is")
+    verdicts = report.verdicts
     if h.double_invokes:
-        report.verdicts["one_shot"] = _fail(
+        verdicts["one_shot"] = _fail(
             f"processes invoked twice: {sorted(set(h.double_invokes))}"
         )
-    report.verdicts["termination"] = _check_termination(h)
-    report.verdicts["self_inclusion"] = _check_self_inclusion(h)
-    report.verdicts["validity"] = _check_validity(h)
-    report.verdicts["containment"] = _check_containment(h)
-    primal = _check_immediacy_primal(h)
-    symmetric = _check_immediacy_symmetric(h)
-    report.verdicts["immediacy"] = primal
-    report.verdicts["immediacy_symmetric"] = symmetric
-    base_ok = all(
-        report.verdicts[name].ok
-        for name in ("self_inclusion", "validity", "containment")
-    )
-    if base_ok and primal.ok != symmetric.ok:
+    verdicts["termination"] = _check_termination(h)
+    verdicts["self_inclusion"] = base = _check_self_inclusion(h, rows)
+    verdicts["validity"] = validity = _check_validity(h, rows)
+    verdicts["containment"] = containment = _check_containment(rows)
+    verdicts["immediacy"] = primal = _check_immediacy_primal(rows)
+    verdicts["immediacy_symmetric"] = symmetric = _check_immediacy_symmetric(rows)
+    if base.ok and validity.ok and containment.ok and primal.ok != symmetric.ok:
         raise AssertionError(
             "immediacy forms disagree on a containment-clean history: "
             f"primal={primal}, symmetric={symmetric}"
         )
     if k is not None:
-        report.verdicts["output_size"] = _check_output_size(h, trace.n, k)
+        verdicts["output_size"] = _check_output_size(rows, trace.n, k)
     if not h.invokes:
         report.notes.append("no invocations: properties hold vacuously")
     return report
@@ -326,18 +341,22 @@ def check_xsa(trace: Trace, x: int, obj: str = "xsa") -> CheckReport:
     report = CheckReport(obj=obj, kind=f"{x}-sa")
     proposed = {args for args, _ in h.invokes.values()}
     decisions = {pid: ret for pid, (ret, _) in h.responds.items()}
-    bad = [
-        f"process {pid} decided {v!r} which nobody proposed"
-        for pid, v in sorted(decisions.items())
-        if v not in proposed
-    ]
-    report.verdicts["validity"] = PASS if not bad else _fail("; ".join(bad))
-    distinct = sorted(set(decisions.values()), key=repr)
-    report.verdicts["agreement"] = (
-        PASS
-        if len(distinct) <= x
-        else _fail(f"{len(distinct)} > x = {x} distinct decisions: {distinct}")
-    )
+    if proposed.issuperset(decisions.values()):
+        report.verdicts["validity"] = PASS
+    else:
+        report.verdicts["validity"] = _fail("; ".join(
+            f"process {pid} decided {v!r} which nobody proposed"
+            for pid, v in sorted(decisions.items())
+            if v not in proposed
+        ))
+    distinct = set(decisions.values())
+    if len(distinct) <= x:
+        report.verdicts["agreement"] = PASS
+    else:
+        report.verdicts["agreement"] = _fail(
+            f"{len(distinct)} > x = {x} distinct decisions: "
+            f"{sorted(distinct, key=repr)}"
+        )
     report.verdicts["termination"] = _check_termination(h)
     return report
 
@@ -399,52 +418,76 @@ def validate_trace(trace: Trace) -> list[str]:
     (pid, obj), the crash budget, silence of crashed processes, and SWMR
     register semantics (every read/scan returns exactly the latest writes).
     """
+    n = trace.n
     problems: list[str] = []
     last_step = -1
     crashed: set[int] = set()
     invoked: set[tuple[int, str]] = set()
-    regs: dict[str, dict[int, object]] = {}
+    # Each written array is a list of the cells of pids 1..n. `slot` finds a
+    # pid's cell by dict lookup, as a pid-keyed dict would; a writer outside
+    # 1..n lands in `stray`, seen by reads of that index but never by scans.
+    slot = {pid: pid - 1 for pid in range(1, n + 1)}
+    unwritten = (BOTTOM,) * n
+    arrays: dict[str, list] = {}
+    stray: dict[str, dict] = {}
+    # Events embedded from a simulated system carry pids of a different
+    # namespace, so the per-pid rules skip them; this remembers which
+    # object ids are theirs.
+    inner: dict[str | None, bool] = {None: False}
     for e in trace.events:
-        if e.step <= last_step:
-            problems.append(f"step {e.step} not increasing after {last_step}")
-        last_step = e.step
-        if e.obj is not None and e.obj.startswith(INNER_PREFIX):
-            # Embedded events from a simulated system: their pids live in a
-            # different namespace, so the per-pid rules do not apply here.
+        step = e.step
+        if step <= last_step:
+            problems.append(f"step {step} not increasing after {last_step}")
+        last_step = step
+        obj = e.obj
+        skip = inner.get(obj)
+        if skip is None:
+            skip = inner[obj] = obj.startswith(INNER_PREFIX)
+        if skip:
             continue
-        if e.pid is not None and e.pid in crashed:
-            problems.append(f"step {e.step}: crashed process {e.pid} acts ({e.kind})")
-        if e.kind == "crash":
-            if e.pid in crashed:
-                problems.append(f"step {e.step}: process {e.pid} crashes twice")
-            crashed.add(e.pid)
-        elif e.kind == "invoke":
-            invoked.add((e.pid, e.obj))
-        elif e.kind == "respond":
-            if (e.pid, e.obj) not in invoked:
+        kind, pid = e.kind, e.pid
+        if crashed and pid is not None and pid in crashed:
+            problems.append(f"step {step}: crashed process {pid} acts ({kind})")
+        if kind == "invoke":
+            invoked.add((pid, obj))
+        elif kind == "respond":
+            if (pid, obj) not in invoked:
                 problems.append(
-                    f"step {e.step}: respond by {e.pid} on {e.obj} without invoke"
+                    f"step {step}: respond by {pid} on {obj} without invoke"
                 )
-        elif e.kind == "reg_write":
-            regs.setdefault(e.obj, {})[e.pid] = e.args
-        elif e.kind == "reg_read":
-            cells = regs.get(e.obj, {})
+        elif kind == "reg_write":
+            at = slot.get(pid)
+            if at is None:
+                stray.setdefault(obj, {})[pid] = e.args
+            else:
+                cells = arrays.get(obj)
+                if cells is None:
+                    cells = arrays[obj] = [BOTTOM] * n
+                cells[at] = e.args
+        elif kind == "reg_read":
+            cells = arrays.get(obj)
             if e.op == "scan":
-                expect = tuple(
-                    cells.get(pid, BOTTOM) for pid in range(1, trace.n + 1)
-                )
+                expect = unwritten if cells is None else tuple(cells)
                 if tuple(e.ret) != expect:
                     problems.append(
-                        f"step {e.step}: scan of {e.obj} returned {e.ret}, "
+                        f"step {step}: scan of {obj} returned {e.ret}, "
                         f"registers hold {expect}"
                     )
             elif e.op == "read":
-                expect = cells.get(e.args, BOTTOM)
+                at = slot.get(e.args)
+                if at is None:
+                    expect = stray.get(obj, {}).get(e.args, BOTTOM)
+                else:
+                    expect = BOTTOM if cells is None else cells[at]
                 if e.ret != expect:
                     problems.append(
-                        f"step {e.step}: read of {e.obj}[{e.args}] returned "
+                        f"step {step}: read of {obj}[{e.args}] returned "
                         f"{e.ret!r}, register holds {expect!r}"
                     )
+        elif kind == "crash":
+            if pid in crashed:
+                problems.append(f"step {step}: process {pid} crashes twice")
+            crashed.add(pid)
     if len(crashed) > trace.t:
         problems.append(f"{len(crashed)} crashes exceed budget t={trace.t}")
     return problems
