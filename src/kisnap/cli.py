@@ -214,11 +214,6 @@ def _cmd_simulate(args) -> int:
     )
     print(f"simulators decided: {chk.q_decisions}")
     print(f"inner decisions:    {chk.inner_decisions}")
-    for obj, (peak, at, ok) in chk.lemma1.items():
-        print(
-            f"  {obj}: max {peak} processes inside at step {at} "
-            f"(need >= n-k = {args.n - args.k}: {'ok' if ok else 'FAIL'})"
-        )
     for rep in chk.reports:
         print(rep)
     if args.out_prefix:

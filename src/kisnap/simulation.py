@@ -374,7 +374,6 @@ def max_concurrent_inside(trace: Trace, obj: str) -> tuple[int, int | None]:
 class SimulationCheck:
     inner: Trace
     reports: list[CheckReport]
-    lemma1: dict[str, tuple[int, int | None, bool]]  # obj -> (max, step, ok)
     q_decisions: dict[int, object]
     inner_decisions: dict[int, object]
 
@@ -387,20 +386,22 @@ def check_simulation_trace(outer: Trace) -> SimulationCheck:
     """Extract the inner trace and check every simulated k-IS object history.
     For an object with responses, its report also carries the
     concurrent-inside witness (Lemma 1, verdict `concurrent_inside`): some
-    instant had at least n-k processes inside an operation on it."""
+    instant had at least n-k processes inside an operation on it. The
+    verdict's text gives the peak and the step where it is first reached,
+    whether it passes or fails."""
     inner = extract_inner_trace(outer)
     n, k = inner.n, inner.k
     reports = []
-    lemma1 = {}
     for obj in outer.meta.get("inner_objects", ()):
         rep = check_is(inner, obj, k=k)
         reports.append(rep)
         if object_history(inner, obj).responds:
             peak, at = max_concurrent_inside(inner, obj)
             ok = peak >= n - k
-            lemma1[obj] = (peak, at, ok)
             rep.verdicts["concurrent_inside"] = Verdict(
-                ok, None if ok else f"at most {peak} < n-k = {n - k} inside at once"
+                ok,
+                f"max {peak} {'>=' if ok else '<'} n-k = {n - k} processes "
+                f"inside at once, at step {at}",
             )
     q_decisions = {
         e.pid: e.ret
@@ -410,7 +411,6 @@ def check_simulation_trace(outer: Trace) -> SimulationCheck:
     return SimulationCheck(
         inner=inner,
         reports=reports,
-        lemma1=lemma1,
         q_decisions=q_decisions,
         inner_decisions=inner.decisions(),
     )

@@ -19,7 +19,7 @@ from kisnap import (
     simulate,
     validate_trace,
 )
-from kisnap.checkers import object_history
+from kisnap.checkers import Verdict, object_history
 
 
 # ── Partition arithmetic ─────────────────────────────────────────────────────
@@ -154,12 +154,16 @@ def test_concurrent_inside_witness():
     with at least n-k processes inside their invocations."""
     for seed in range(10):
         res, chk = simulate("alg1_variant", 4, 2, 2, seed=seed)
-        for obj, (peak, at, ok) in chk.lemma1.items():
-            assert ok and peak >= 2
-            recalc, _ = max_concurrent_inside(chk.inner, obj)
-            assert recalc == peak
-            rep = next(r for r in chk.reports if r.obj == obj)
-            assert rep.verdicts["concurrent_inside"].ok
+        for rep in chk.reports:
+            if not object_history(chk.inner, rep.obj).responds:
+                assert "concurrent_inside" not in rep.verdicts
+                continue
+            peak, at = max_concurrent_inside(chk.inner, rep.obj)
+            assert peak >= 2
+            assert rep.verdicts["concurrent_inside"] == Verdict(
+                True,
+                f"max {peak} >= n-k = 2 processes inside at once, at step {at}",
+            )
 
 
 def test_solo_inner_operation_fails_concurrent_inside_witness():
@@ -179,9 +183,9 @@ def test_solo_inner_operation_fails_concurrent_inside_witness():
         },
     )
     chk = check_simulation_trace(outer)
-    assert chk.lemma1 == {"kis1": (1, 0, False)}
-    verdict = chk.reports[0].verdicts["concurrent_inside"]
-    assert not verdict.ok and "1 < n-k = 2" in verdict.witness
+    assert chk.reports[0].verdicts["concurrent_inside"] == Verdict(
+        False, "max 1 < n-k = 2 processes inside at once, at step 0"
+    )
     assert not chk.passed
 
 
