@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from kisnap import (
     build_simulation,
     check_simulation_trace,
@@ -49,6 +51,7 @@ def cells(n: int):
     return [(t, k) for t in range(1, n) for k in range(t, n)]
 
 
+@pytest.mark.slow
 def test_acceptance_1_exhaustive_bound_small_n():
     witness_hit = False
     for n in (3, 4):
@@ -70,6 +73,7 @@ def test_acceptance_1_exhaustive_bound_small_n():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_2_full_matrix_n11():
     started = time.monotonic()
     report = run_matrix(11, trials=1000, seed=0, exhaustive=False)

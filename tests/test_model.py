@@ -15,6 +15,7 @@ from kisnap import (
     make_instance,
     run,
     run_random,
+    standard_reports,
     trace_from_jsonl,
     trace_to_jsonl,
     validate_trace,
@@ -73,6 +74,30 @@ def test_reduced_exploration_matches_literal_for_oracle_algorithm():
     inst = make_instance("kis_oracle", 3, 1, 1)
     literal = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=False)}
     reduced = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=True)}
+    assert reduced == literal
+
+
+def _checked_outcomes(traces) -> tuple[int, set]:
+    """Run count and outcome set of a walk; every run must pass its standard
+    checks and be well formed."""
+    runs, outcomes = 0, set()
+    for tr in traces:
+        runs += 1
+        assert not tr.truncated
+        assert [r.failures() for r in standard_reports(tr) if not r.passed] == []
+        assert validate_trace(tr) == []
+        outcomes.add(_outcome_summary(tr))
+    return runs, outcomes
+
+
+@pytest.mark.slow
+def test_reduced_exploration_matches_literal_for_alg1():
+    """The sleep-set reduction of alg1 at (3,1,1) reaches exactly the
+    outcomes of every interleaving, and all runs of both walks pass."""
+    inst = make_instance("alg1", 3, 1, 1)
+    literal_runs, literal = _checked_outcomes(enumerate_runs(inst, reduced=False))
+    reduced_runs, reduced = _checked_outcomes(enumerate_runs(inst, reduced=True))
+    assert (literal_runs, reduced_runs) == (30120, 139)
     assert reduced == literal
 
 
