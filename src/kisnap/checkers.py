@@ -57,7 +57,10 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(v.ok for v in self.verdicts.values())
+        for v in self.verdicts.values():
+            if not v.ok:
+                return False
+        return True
 
     def failures(self) -> dict[str, str]:
         return {
@@ -150,12 +153,14 @@ def object_history(trace: Trace, obj: str) -> ObjHistory:
 
 def _check_termination(h: ObjHistory) -> Verdict:
     responds, crashes = h.responds, h.crashes
-    hung = [pid for pid in h.invokes if pid not in responds and pid not in crashes]
-    if not hung:
-        return PASS
-    return _fail(
-        f"process {min(hung)} invoked {h.obj} and neither responded nor crashed"
-    )
+    for pid in h.invokes:
+        if pid not in responds and pid not in crashes:
+            hung = [p for p in h.invokes if p not in responds and p not in crashes]
+            return _fail(
+                f"process {min(hung)} invoked {h.obj} and neither responded "
+                "nor crashed"
+            )
+    return PASS
 
 
 Rows = list[tuple[int, frozenset, set[int]]]
