@@ -106,9 +106,6 @@ class ObjHistory:
     def view_of(self, pid: int):
         return self.responds[pid][0]
 
-    def responders(self) -> list[int]:
-        return sorted(self.responds)
-
     def views(self) -> list[frozenset]:
         return [self.responds[p][0] for p in sorted(self.responds)]
 
@@ -146,9 +143,10 @@ def object_history(trace: Trace, obj: str) -> ObjHistory:
 
 # ── Immediate snapshot / k-IS ────────────────────────────────────────────────
 #
-# The verdicts scan in pid order and report the first offending pid. Each
-# one first tests its property without sorting; only a failing verdict
-# sorts, to write its witness.
+# The verdicts scan the responders in pid order and report the first
+# offending pid. They share one sort of the responders and one member set
+# per view (`_rows`); beyond that, only a failing verdict sorts, to write
+# its witness.
 
 
 def _check_termination(h: ObjHistory) -> Verdict:
