@@ -106,9 +106,6 @@ class ObjHistory:
     def view_of(self, pid: int):
         return self.responds[pid][0]
 
-    def views(self) -> list[frozenset]:
-        return [self.responds[p][0] for p in sorted(self.responds)]
-
 
 def object_history(trace: Trace, obj: str) -> ObjHistory:
     """Extract one object's history; raises on object ids the trace has
@@ -166,11 +163,20 @@ Rows = list[tuple[int, frozenset, set[int]]]
 
 def _rows(h: ObjHistory) -> Rows:
     """(pid, view, pids named in the view) of every responder, in pid order;
-    built once per `check_is` call and shared by its verdicts."""
+    built once per `check_is` call and shared by its verdicts. A respond
+    whose value is not a set of pairs raises ValueError naming the event."""
     rows = []
-    for pid in sorted(h.responds):
-        view = h.responds[pid][0]
-        rows.append((pid, view, {q for q, _ in view}))
+    responds = h.responds
+    order = sorted(responds)
+    try:
+        for pid in order:
+            view = responds[pid][0]
+            rows.append((pid, view, {q for q, _ in view}))
+    except TypeError as exc:
+        raise ValueError(
+            f"respond of process {pid} on {h.obj} at step {responds[pid][1]} "
+            f"returned {view!r}, which is not a view"
+        ) from exc
     return rows
 
 
@@ -210,7 +216,9 @@ def _check_validity(h: ObjHistory, rows: Rows) -> Verdict:
 
 
 def _check_containment(rows: Rows) -> Verdict:
-    views = sorted({view for _, view, _ in rows}, key=len)
+    # Distinct views by size, ties by lowest responder pid: rows are in pid
+    # order and sorting is stable, so the witness never follows set order.
+    views = sorted(dict.fromkeys(view for _, view, _ in rows), key=len)
     for a, b in zip(views, views[1:]):
         if not a <= b:
             return _fail(
@@ -301,7 +309,7 @@ def check_theorem1(trace: Trace, obj: str, k: int) -> CheckReport:
         report.verdicts["min_view_size"] = PASS
         report.verdicts["min_view_members"] = PASS
         return report
-    views = h.views()
+    views = [view for _, view, _ in _rows(h)]
     min_view = min(views, key=len)
     equal_size = [w for w in views if len(w) == len(min_view)]
     if any(w != min_view for w in equal_size):

@@ -25,7 +25,7 @@ from .checkers import (
     check_xsa,
     validate_trace,
 )
-from .core import ReplaySchedule, run, run_random
+from .core import DEFAULT_STEP_BOUND, ReplaySchedule, run, run_random
 from .experiments import (
     render_matrix,
     run_blocking_demo,
@@ -41,9 +41,10 @@ from .simulation import (
     simulate,
 )
 from .trace import (
-    encode_value,
     read_schedule,
     read_trace,
+    value_to_json,
+    view_to_json,
     write_schedule,
     write_trace,
 )
@@ -79,9 +80,9 @@ def _cmd_run(args) -> int:
     inst = make_instance(args.algo, args.n, args.t, args.k, inputs)
     if args.schedule.startswith("replay:"):
         actions = read_schedule(args.schedule[len("replay:") :])
-        res = run(inst, ReplaySchedule(actions))
+        res = run(inst, ReplaySchedule(actions), step_bound=args.step_bound)
     elif args.schedule == "random":
-        res = run_random(inst, args.seed)
+        res = run_random(inst, args.seed, step_bound=args.step_bound)
     else:
         raise SystemExit(f"unknown schedule {args.schedule!r}")
     trace = res.trace
@@ -132,17 +133,14 @@ def _cmd_explore(args) -> int:
             "mode": mode,
             "runs": found.runs,
             "decision_sets": sorted(
-                [
-                    [encode_value(v) for v in sorted(d, key=repr)]
-                    for d in found.decision_sets
-                ],
-                key=repr,
+                [sorted(d, key=value_to_json) for d in found.decision_sets],
+                key=value_to_json,
             ),
             "outcomes": found.outcomes,
             "check_failures": found.failed,
         }
         with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump(summary, fh, indent=2, default=view_to_json)
         print(f"summary written to {args.out}")
     return 0 if found.failed == 0 else 1
 
@@ -254,6 +252,13 @@ def _cmd_equivalence(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least_1(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kisnap",
@@ -282,6 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the trace to this JSONL file")
     p.add_argument("--save-schedule", help="write the adversary choices here")
     p.add_argument("--check", action="store_true", help="run standard checks")
+    p.add_argument(
+        "--step-bound",
+        type=_at_least_1,
+        default=DEFAULT_STEP_BOUND,
+        help="truncate the run after this many scheduler actions "
+        f"(default {DEFAULT_STEP_BOUND})",
+    )
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("explore", help="enumerate all schedules exhaustively")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 EVENT_KINDS = (
@@ -78,52 +79,102 @@ class Trace:
 
 # ── Canonical value encoding ─────────────────────────────────────────────────
 #
-# Register and view values are built from ints, strings, tuples, and
-# frozensets of (pid, value) pairs. Views encode as {"view": [[pid, v], ...]}
-# sorted by pid so that nested views (views of views) stay canonical and
-# decodable without schema knowledge.
+# Register and view values are built from ints, strings, bools, floats, None,
+# tuples, and frozensets of (pid, value) pairs. Views encode as
+# {"view": [[pid, v], ...]} sorted by pid so that nested views (views of views)
+# stay canonical and decodable without schema knowledge. The stdlib C encoder
+# writes every line; it calls `view_to_json` for each view it meets, nested
+# ones included, and writes everything else itself.
+
+_pid = itemgetter(0)
+# Values that hold no dict the encoder could reach without `view_to_json`.
+_ATOMS = frozenset({int, str, bool, float, type(None), frozenset})
 
 
-def encode_value(v: object) -> object:
-    if v is None or isinstance(v, (int, str, bool, float)):
-        return v
+def _reject_dicts(v: object) -> None:
+    """Raise TypeError if `v` is a dict or its tuples and lists hold one.
+
+    The C encoder writes a dict as a JSON object without calling its
+    `default` hook, so a dict value would pass as a view or fail to decode."""
+    if isinstance(v, (tuple, list)):
+        for x in v:
+            if type(x) not in _ATOMS:
+                _reject_dicts(x)
+    elif isinstance(v, dict):
+        raise TypeError(f"cannot encode value of type {type(v).__name__}: {v!r}")
+
+
+def view_to_json(v: object) -> dict:
+    """The encoder's `default` hook: a view as {"view": pairs sorted by pid}.
+
+    Any other value that reaches it (a set, a frozenset that is not a view,
+    an arbitrary object) raises TypeError."""
     if isinstance(v, frozenset):
-        pairs = sorted(v, key=lambda pr: pr[0])
+        pairs = sorted(v, key=_pid)
         for pr in pairs:
             if not (isinstance(pr, tuple) and len(pr) == 2 and isinstance(pr[0], int)):
                 raise TypeError(f"frozenset value is not a view: {v!r}")
-        return {"view": [[p, encode_value(x)] for p, x in pairs]}
-    if isinstance(v, (tuple, list)):
-        return [encode_value(x) for x in v]
+            if type(pr[1]) not in _ATOMS:
+                _reject_dicts(pr[1])
+        return {"view": pairs}
     raise TypeError(f"cannot encode value of type {type(v).__name__}: {v!r}")
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), default=view_to_json).encode
+
+
+def value_to_json(v: object) -> str:
+    """One value in the canonical trace encoding, as compact JSON text."""
+    _reject_dicts(v)
+    return _encode(v)
+
+
+_SCALARS = frozenset({int, str, bool, float, type(None)})
+
+
 def decode_value(j: object) -> object:
-    if j is None or isinstance(j, (int, str, bool, float)):
-        return j
-    if isinstance(j, dict):
-        if set(j) != {"view"}:
+    """Inverse of the encoding, on parsed JSON: arrays become tuples and
+    {"view": [[pid, v], ...]} objects become frozensets of pairs."""
+    t = type(j)
+    if t is list:
+        return tuple([decode_value(x) for x in j])
+    if t is dict:
+        if len(j) != 1 or "view" not in j:
             raise ValueError(f"unknown object value: {j!r}")
-        return frozenset((p, decode_value(x)) for p, x in j["view"])
-    if isinstance(j, list):
-        return tuple(decode_value(x) for x in j)
+        return frozenset([(p, decode_value(x)) for p, x in j["view"]])
+    if t in _SCALARS:
+        return j
     raise ValueError(f"cannot decode value: {j!r}")
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(raw: str, line_no: int) -> object:
+    """Parse one stripped line, which must hold exactly one JSON value."""
+    try:
+        o, end = _raw_decode(raw)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+    if end != len(raw):
+        raise TraceParseError(line_no, f"invalid JSON: extra data at column {end + 1}")
+    return o
 
 
 def event_to_json(e: Event) -> str:
-    return _dumps(
+    if type(e.args) not in _ATOMS:
+        _reject_dicts(e.args)
+    if type(e.ret) not in _ATOMS:
+        _reject_dicts(e.ret)
+    return _encode(
         {
             "step": e.step,
             "kind": e.kind,
             "pid": e.pid,
             "obj": e.obj,
             "op": e.op,
-            "args": encode_value(e.args),
-            "ret": encode_value(e.ret),
+            "args": e.args,
+            "ret": e.ret,
         }
     )
 
@@ -150,8 +201,10 @@ def _event_from_obj(o: dict, line_no: int) -> Event:
 
 def trace_to_jsonl(trace: Trace) -> str:
     """Serialize a trace: config header line, event lines, outcome footer."""
+    for out in trace.outcomes.values():
+        _reject_dicts(out)
     lines = [
-        _dumps(
+        _encode(
             {
                 "kind": "config",
                 "n": trace.n,
@@ -163,13 +216,10 @@ def trace_to_jsonl(trace: Trace) -> str:
     ]
     lines.extend(event_to_json(e) for e in trace.events)
     lines.append(
-        _dumps(
+        _encode(
             {
                 "kind": "end",
-                "outcomes": {
-                    str(p): [out[0], encode_value(out[1])] if len(out) > 1 else [out[0]]
-                    for p, out in sorted(trace.outcomes.items())
-                },
+                "outcomes": {str(p): out for p, out in sorted(trace.outcomes.items())},
                 "truncated": trace.truncated,
                 "quiescent": trace.quiescent,
             }
@@ -198,10 +248,7 @@ def trace_from_jsonl(text: str) -> Trace:
         raw = raw.strip()
         if not raw:
             continue
-        try:
-            o = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+        o = _parse_line(raw, line_no)
         if not isinstance(o, dict) or "kind" not in o:
             raise TraceParseError(line_no, "missing 'kind' field")
         if o["kind"] == "config":
@@ -262,20 +309,16 @@ def read_trace(path) -> Trace:
 
 def action_to_json(action: tuple) -> str:
     if action[0] == "step":
-        return _dumps({"a": "step", "pid": action[1]})
+        return _encode({"a": "step", "pid": action[1]})
     if action[0] == "commit":
-        return _dumps({"a": "commit", "obj": action[1], "pids": list(action[2])})
+        return _encode({"a": "commit", "obj": action[1], "pids": action[2]})
     if action[0] == "crash":
-        return _dumps({"a": "crash", "pid": action[1]})
+        return _encode({"a": "crash", "pid": action[1]})
     raise ValueError(f"unknown action {action!r}")
 
 
 def action_from_json(raw: str, line_no: int) -> tuple:
-    try:
-        o = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-    match o:
+    match _parse_line(raw, line_no):
         case {"a": "step" | "crash" as kind, "pid": pid} if _is_int(pid):
             return (kind, pid)
         case {"a": "commit", "obj": str(obj), "pids": list(pids)} if all(

@@ -1,11 +1,18 @@
 """Hand-built negative histories: one minimal trace per checked property,
 violating exactly that property, with everything else clean.
 
-Shared by the checker unit tests and the acceptance gate.
+Shared by the checker unit tests and the acceptance gate, together with
+`run_python`, which runs a snippet under a fixed string hash seed.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kisnap
 from kisnap import Event, Trace
 from kisnap.checkers import (
     check_consensus_linearizable,
@@ -15,6 +22,26 @@ from kisnap.checkers import (
 )
 
 OBJ = "o"
+
+_PATH = os.pathsep.join(
+    [str(Path(kisnap.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+)
+
+
+def run_python(code: str, hash_seed: int) -> str:
+    """Stdout of `code` in a fresh interpreter with PYTHONHASHSEED set, so
+    that set iteration order over strings differs between seeds; kisnap and
+    this module are importable there."""
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": _PATH}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout
 
 
 def view(*pairs) -> frozenset:

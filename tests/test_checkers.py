@@ -17,6 +17,7 @@ from corpus import (
     inv,
     mk_trace,
     resp,
+    run_python,
     view,
 )
 
@@ -68,6 +69,34 @@ def test_validity_value_mismatch_rejected():
     report = check_is(bad_validity_value(), OBJ, k=2)
     assert set(report.failures()) == {"validity"}
     assert "invoked with" in report.verdicts["validity"].witness
+
+
+CONTAINMENT_TIE = """
+from corpus import OBJ, crash, inv, mk_trace, resp, view
+from kisnap.checkers import check_is
+trace = mk_trace([
+    inv(1, "a"), inv(2, "b"), inv(3, "c"),
+    resp(2, view((1, "a"), (2, "b"))),
+    resp(3, view((1, "a"), (3, "c"))),
+    crash(1),
+])
+print(check_is(trace, OBJ).verdicts["containment"].witness)
+"""
+
+
+def test_containment_witness_orders_ties_by_responder_pid():
+    """Equal-size incomparable views are reported lowest responder first,
+    whatever order the string hash seed gives their sets."""
+    witnesses = {run_python(CONTAINMENT_TIE, seed) for seed in (0, 1)}
+    assert witnesses == {
+        "incomparable views [(1, 'a'), (2, 'b')] and [(1, 'a'), (3, 'c')]\n"
+    }
+
+
+def test_respond_that_is_not_a_view_raises_value_error():
+    trace = mk_trace([inv(1, "a"), resp(1, (1, 2))])
+    with pytest.raises(ValueError, match="respond of process 1 on o at step 1"):
+        check_is(trace, OBJ)
 
 
 # ── Report plumbing ──────────────────────────────────────────────────────────

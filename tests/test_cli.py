@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from kisnap import read_trace
+from kisnap import read_schedule, read_trace
 from kisnap.cli import main
 
 
@@ -221,6 +221,44 @@ def test_malformed_files_exit_2(tmp_path, capsys):
     rc = main(["check", "--trace", str(trace_file), "--kind", "is", "--obj", "kis"])
     assert rc == 2
     assert "line 1" in capsys.readouterr().err
+    trace_file.write_text(
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
+        '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"snap","args":5,"ret":null}\n'
+        '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"snap","args":null,"ret":[1,2]}\n'
+        '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
+    )
+    for kind in ("is", "theorem1"):
+        rc = main([
+            "check", "--trace", str(trace_file), "--kind", kind, "--obj", "kis",
+            "--k", "1",
+        ])
+        assert rc == 2
+        assert "respond of process 1 on kis at step 1" in capsys.readouterr().err
+
+
+def test_run_step_bound_truncates(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    sched_file = tmp_path / "s.jsonl"
+    rc = main([
+        "run", "--algo", "alg1", "--n", "4", "--t", "2", "--k", "2",
+        "--step-bound", "3",
+        "--out", str(trace_file), "--save-schedule", str(sched_file),
+    ])
+    assert rc == 1
+    assert "truncated" in capsys.readouterr().out
+    assert read_trace(str(trace_file)).truncated
+    assert len(read_schedule(str(sched_file))) == 3
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_run_step_bound_below_1_exits_2(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--algo", "alg1", "--n", "4", "--t", "2", "--k", "2",
+            "--step-bound", bound,
+        ])
+    assert exc.value.code == 2
+    assert "--step-bound: must be at least 1" in capsys.readouterr().err
 
 
 def test_unknown_algorithm_rejected():

@@ -1,12 +1,31 @@
-"""Trace and schedule parsing: every malformed line raises TraceParseError
-naming its line."""
+"""Trace and schedule JSONL: every malformed line raises TraceParseError
+naming its line; values encode to the same bytes as the recursive reference
+encoder, decode back to themselves, and raise TypeError outside the format."""
 
 from __future__ import annotations
 
-import pytest
+import json
 
-from kisnap import TraceParseError, trace_from_jsonl
-from kisnap.trace import schedule_from_jsonl
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from corpus import run_python
+from kisnap import (
+    CRASHED,
+    RETURNED,
+    Event,
+    Trace,
+    TraceParseError,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
+from kisnap.trace import (
+    decode_value,
+    event_to_json,
+    schedule_from_jsonl,
+    value_to_json,
+)
 
 CONFIG = '{"kind":"config","n":3,"t":1,"k":1,"meta":{}}'
 END = '{"kind":"end","outcomes":{}}'
@@ -59,3 +78,164 @@ def test_malformed_trace_raises_parse_error(lines, line_no):
     with pytest.raises(TraceParseError) as exc:
         trace_from_jsonl("\n".join(lines) + "\n")
     assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"a": "step", "pid": 2} {"a": "step", "pid": 3}',
+        '{"a": "step", "pid": 2}]',
+    ],
+)
+def test_schedule_line_with_trailing_data_raises_parse_error(line):
+    with pytest.raises(TraceParseError) as exc:
+        schedule_from_jsonl('{"a": "step", "pid": 1}\n' + line + "\n")
+    assert exc.value.line_no == 2
+
+
+EVENT = '{"step":0,"kind":"invoke","pid":1,"obj":"o","op":"snap","args":%s,"ret":null}'
+
+
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        ([CONFIG + " 1", END], 1),
+        ([CONFIG, EVENT % "1" + "{}", END], 2),
+        ([CONFIG, EVENT % '{"a":1}', END], 2),
+        ([CONFIG, EVENT % '{"view":[[1,2]],"x":1}', END], 2),
+        ([CONFIG, EVENT % '[{"pid":1}]', END], 2),
+    ],
+)
+def test_trailing_data_and_non_view_objects_raise_parse_error(lines, line_no):
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_jsonl("\n".join(lines) + "\n")
+    assert exc.value.line_no == line_no
+
+
+# ── Value codec ──────────────────────────────────────────────────────────────
+#
+# The writer hands whole lines to the stdlib C encoder. The recursive encoder
+# it replaced is kept here as the reference for the bytes.
+
+
+def reference_encode(v: object) -> object:
+    if v is None or isinstance(v, (int, str, bool, float)):
+        return v
+    if isinstance(v, frozenset):
+        pairs = sorted(v, key=lambda pr: pr[0])
+        for pr in pairs:
+            if not (isinstance(pr, tuple) and len(pr) == 2 and isinstance(pr[0], int)):
+                raise TypeError(f"frozenset value is not a view: {v!r}")
+        return {"view": [[p, reference_encode(x)] for p, x in pairs]}
+    if isinstance(v, (tuple, list)):
+        return [reference_encode(x) for x in v]
+    raise TypeError(f"cannot encode value of type {type(v).__name__}: {v!r}")
+
+
+def reference_event_line(e: Event) -> str:
+    return json.dumps(
+        {
+            "step": e.step,
+            "kind": e.kind,
+            "pid": e.pid,
+            "obj": e.obj,
+            "op": e.op,
+            "args": reference_encode(e.args),
+            "ret": reference_encode(e.ret),
+        },
+        separators=(",", ":"),
+    )
+
+
+def one_event_trace(args: object, ret: object, outcome: object = 0) -> Trace:
+    return Trace(
+        n=2,
+        t=0,
+        k=None,
+        events=[Event(0, "invoke", 1, "o", "snap", args, ret)],
+        outcomes={1: (RETURNED, outcome), 2: (CRASHED,)},
+        meta={"objects": ["o"]},
+    )
+
+
+VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.integers(0, 9), inner, max_size=4).map(
+        lambda d: frozenset(d.items())
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+@example('quote " backslash \\ é ☃ \U0001f600')
+@example(frozenset({(2, frozenset({(1, 'x"y')})), (1, (True, None, -0.5))}))
+def test_value_codec_matches_reference_and_round_trips(v):
+    ref = json.dumps(reference_encode(v), separators=(",", ":"))
+    assert value_to_json(v) == ref
+    e = Event(3, "respond", 1, "o", "snap", v, (v, 1))
+    assert event_to_json(e) == reference_event_line(e)
+    assert decode_value(json.loads(ref)) == v
+    text = trace_to_jsonl(one_event_trace(v, (v, 1), v))
+    back = trace_from_jsonl(text)
+    assert back.events[0].args == v and back.events[0].ret == (v, 1)
+    assert back.outcomes[1] == (RETURNED, v)
+    assert trace_to_jsonl(back) == text
+
+
+class Opaque:
+    pass
+
+
+class HashableDict(dict):
+    """The only kind of dict a frozenset view can hold."""
+
+    __hash__ = object.__hash__
+
+
+NOT_ENCODABLE = [
+    {1, 2},
+    Opaque(),
+    frozenset({1, 2}),
+    frozenset({(1, 2, 3)}),
+    frozenset({("p", 1)}),
+    {"view": [[1, 2]]},
+    (1, {"a": 1}),
+    frozenset({(1, HashableDict(a=1))}),
+    frozenset({(1, (2, frozenset({(3, HashableDict())})))}),
+]
+
+
+@pytest.mark.parametrize("v", NOT_ENCODABLE, ids=repr)
+def test_values_outside_the_format_raise_type_error(v):
+    with pytest.raises(TypeError):
+        reference_encode(v)
+    with pytest.raises(TypeError):
+        value_to_json(v)
+    for args, ret, outcome in [(v, None, 0), (None, (0, v), 0), (None, None, v)]:
+        with pytest.raises(TypeError):
+            trace_to_jsonl(one_event_trace(args, ret, outcome))
+
+
+STRING_INPUT_RUN = """
+import kisnap
+from kisnap.trace import schedule_to_jsonl
+inst = kisnap.make_instance("alg1", 4, 2, 2, ("a", "b", "c", "d"))
+for seed in range(5):
+    res = kisnap.run_random(inst, seed)
+    print(kisnap.trace_to_jsonl(res.trace) + schedule_to_jsonl(res.actions))
+"""
+
+
+def test_trace_bytes_do_not_depend_on_the_hash_seed():
+    """Views of strings iterate in hash-seed order; their encoding sorts by
+    pid, so the trace and schedule bytes are the same under any seed."""
+    first, second = (run_python(STRING_INPUT_RUN, seed) for seed in (0, 1))
+    assert '"view":[[' in first
+    assert first == second
