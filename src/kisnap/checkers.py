@@ -216,9 +216,10 @@ def _check_validity(h: ObjHistory, rows: Rows) -> Verdict:
 
 
 def _check_containment(rows: Rows) -> Verdict:
-    # Distinct views by size, ties by lowest responder pid: rows are in pid
-    # order and sorting is stable, so the witness never follows set order.
-    views = sorted(dict.fromkeys(view for _, view, _ in rows), key=len)
+    # Distinct views by size, ties by lowest responder pid: a dict keeps the
+    # pid order of the rows and sorting is stable, so the witness does not
+    # follow set iteration order, which for strings depends on the hash seed.
+    views = sorted({view: None for _, view, _ in rows}, key=len)
     for a, b in zip(views, views[1:]):
         if not a <= b:
             return _fail(

@@ -29,6 +29,7 @@ from kisnap.trace import (
 
 CONFIG = '{"kind":"config","n":3,"t":1,"k":1,"meta":{}}'
 END = '{"kind":"end","outcomes":{}}'
+EVENT = '{"step":0,"kind":"invoke","pid":1,"obj":"o","op":"snap","args":%s,"ret":null}'
 
 
 @pytest.mark.parametrize(
@@ -45,6 +46,8 @@ END = '{"kind":"end","outcomes":{}}'
         '{"a": "commit", "obj": "kis", "pids": 1}',
         '{"a": "commit", "obj": "kis", "pids": ["1"]}',
         '{"a": "jump", "pid": 1}',
+        '{"a": "step", "pid": 2} {"a": "step", "pid": 3}',
+        '{"a": "step", "pid": 2}]',
     ],
 )
 def test_malformed_schedule_line_raises_parse_error(line):
@@ -72,33 +75,6 @@ def test_malformed_schedule_line_raises_parse_error(line):
         ([CONFIG, '{"kind":"end","outcomes":[]}'], 2),
         ([END], 0),
         ([CONFIG], 0),
-    ],
-)
-def test_malformed_trace_raises_parse_error(lines, line_no):
-    with pytest.raises(TraceParseError) as exc:
-        trace_from_jsonl("\n".join(lines) + "\n")
-    assert exc.value.line_no == line_no
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        '{"a": "step", "pid": 2} {"a": "step", "pid": 3}',
-        '{"a": "step", "pid": 2}]',
-    ],
-)
-def test_schedule_line_with_trailing_data_raises_parse_error(line):
-    with pytest.raises(TraceParseError) as exc:
-        schedule_from_jsonl('{"a": "step", "pid": 1}\n' + line + "\n")
-    assert exc.value.line_no == 2
-
-
-EVENT = '{"step":0,"kind":"invoke","pid":1,"obj":"o","op":"snap","args":%s,"ret":null}'
-
-
-@pytest.mark.parametrize(
-    "lines, line_no",
-    [
         ([CONFIG + " 1", END], 1),
         ([CONFIG, EVENT % "1" + "{}", END], 2),
         ([CONFIG, EVENT % '{"a":1}', END], 2),
@@ -106,7 +82,7 @@ EVENT = '{"step":0,"kind":"invoke","pid":1,"obj":"o","op":"snap","args":%s,"ret"
         ([CONFIG, EVENT % '[{"pid":1}]', END], 2),
     ],
 )
-def test_trailing_data_and_non_view_objects_raise_parse_error(lines, line_no):
+def test_malformed_trace_raises_parse_error(lines, line_no):
     with pytest.raises(TraceParseError) as exc:
         trace_from_jsonl("\n".join(lines) + "\n")
     assert exc.value.line_no == line_no
