@@ -164,7 +164,8 @@ Rows = list[tuple[int, frozenset, set[int]]]
 def _rows(h: ObjHistory) -> Rows:
     """(pid, view, pids named in the view) of every responder, in pid order;
     built once per `check_is` call and shared by its verdicts. A respond
-    whose value is not a set of pairs raises ValueError naming the event."""
+    whose value cannot be read as (pid, value) pairs raises ValueError
+    naming the event."""
     rows = []
     responds = h.responds
     order = sorted(responds)
