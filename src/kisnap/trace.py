@@ -87,8 +87,9 @@ class Trace:
 # ones included, and writes everything else itself.
 
 _pid = itemgetter(0)
+_SCALARS = frozenset({int, str, bool, float, type(None)})
 # Values that hold no dict the encoder could reach without `view_to_json`.
-_ATOMS = frozenset({int, str, bool, float, type(None), frozenset})
+_ATOMS = _SCALARS | {frozenset}
 
 
 def _reject_dicts(v: object) -> None:
@@ -120,9 +121,10 @@ def view_to_json(v: object) -> dict:
     raise TypeError(f"cannot encode value of type {type(v).__name__}: {v!r}")
 
 
-# No cycle check: values are tuples and frozensets, which cannot contain
-# themselves, and the check costs an id-keyed dict insert and delete for
-# every array and object written (about an eighth of the encoding time).
+# No cycle check: tuples and frozensets cannot contain themselves, a list
+# that does fails with RecursionError in `_reject_dicts` before it gets here,
+# and the check costs an id-keyed dict insert and delete for every array and
+# object written (about an eighth of the encoding time).
 _encode = json.JSONEncoder(
     separators=(",", ":"), default=view_to_json, check_circular=False
 ).encode
@@ -132,9 +134,6 @@ def value_to_json(v: object) -> str:
     """One value in the canonical trace encoding, as compact JSON text."""
     _reject_dicts(v)
     return _encode(v)
-
-
-_SCALARS = frozenset({int, str, bool, float, type(None)})
 
 
 def decode_value(j: object) -> object:

@@ -175,20 +175,20 @@ class HashableDict(dict):
     __hash__ = object.__hash__
 
 
-NOT_ENCODABLE = [
-    {1, 2},
-    Opaque(),
-    frozenset({1, 2}),
-    frozenset({(1, 2, 3)}),
-    frozenset({("p", 1)}),
-    {"view": [[1, 2]]},
-    (1, {"a": 1}),
-    frozenset({(1, HashableDict(a=1))}),
-    frozenset({(1, (2, frozenset({(3, HashableDict())})))}),
-]
+NOT_ENCODABLE = {
+    "set": {1, 2},
+    "object": Opaque(),
+    "frozenset_of_ints": frozenset({1, 2}),
+    "frozenset_of_triples": frozenset({(1, 2, 3)}),
+    "frozenset_with_str_pid": frozenset({("p", 1)}),
+    "dict": {"view": [[1, 2]]},
+    "dict_in_tuple": (1, {"a": 1}),
+    "dict_in_view": frozenset({(1, HashableDict(a=1))}),
+    "dict_in_nested_view": frozenset({(1, (2, frozenset({(3, HashableDict())})))}),
+}
 
 
-@pytest.mark.parametrize("v", NOT_ENCODABLE, ids=repr)
+@pytest.mark.parametrize("v", NOT_ENCODABLE.values(), ids=NOT_ENCODABLE.keys())
 def test_values_outside_the_format_raise_type_error(v):
     with pytest.raises(TypeError):
         reference_encode(v)
