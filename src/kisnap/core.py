@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -93,76 +92,116 @@ class Instance:
             raise SimError("duplicate k-IS object ids")
 
 
-# ── Program state via generator replay ───────────────────────────────────────
+# ── Program states ───────────────────────────────────────────────────────────
 #
-# A process's program state is (ref, ctx, result history). The generator is
-# rebuilt by replaying the history only when the process advances (a step
-# result arrives); results are memoized globally, so sibling branches of an
-# exhaustive search share the work. The replay's outcome, the process's next
-# step, is stored in its `Proc`, so enabled-action scans never replay or
-# consult the cache.
+# A process's program state is (ref, ctx, result history). Each run or DFS
+# walk grows a graph of these states from the roots `initial_world` builds:
+# a `ProgramState` records what the program does next and, once advanced,
+# its successor per step result. Advancing along a new edge resumes the
+# live generator paused at the state, so a run sends each result once. The
+# generator can be resumed only once; a later, different result at the same
+# state (a sibling branch of `explore`) replays the history from scratch.
+# The graph is reachable only from the run's `Proc`s, so it is freed with
+# the run.
 
 
-@dataclass(frozen=True, slots=True)
-class Peek:
-    """What a program does next: pending announces, then a step or a return."""
+class ProgramState:
+    """One state of a process's program: the announces it makes on entering
+    it, then the step it waits on, or the value it returned (`step` None).
 
-    announces: tuple[Announce, ...]
-    step: object | None  # a step descriptor, or None when the program returned
-    value: object = None  # return value, meaningful when step is None
+    `succ` maps a step result to the state it leads to; `gen` is the
+    program's generator paused here, until the first result takes it."""
 
-    @property
-    def done(self) -> bool:
-        return self.step is None
+    __slots__ = ("ref", "ctx", "history", "announces", "step", "value", "succ", "gen")
+
+    def __init__(self, ref, ctx, history, announces, step, value, gen):
+        self.ref = ref
+        self.ctx = ctx
+        self.history = history
+        self.announces = announces
+        self.step = step
+        self.value = value
+        self.succ: dict = {}
+        self.gen = gen
+
+    def after(self, result) -> ProgramState:
+        """The state the program reaches when its step returns `result`."""
+        nxt = self.succ.get(result)
+        if nxt is None:
+            history = self.history + (result,)
+            gen = self.gen
+            if gen is None:
+                gen = _replay(self.ref, self.ctx, self.history)
+            else:
+                self.gen = None
+            nxt = _resume(self.ref, self.ctx, history, gen, result)
+            self.succ[result] = nxt
+        return nxt
 
 
-@lru_cache(maxsize=1 << 20)
-def _peek_cached(ref: ProgramRef, ctx: Ctx, history: tuple) -> Peek:
-    gen = program_fn(ref.name)(ctx, **dict(ref.params))
+def _resume(ref: ProgramRef, ctx: Ctx, history: tuple, gen, result) -> ProgramState:
+    """Send `result` to `gen` and run it to its next step or its return."""
     announces: list[Announce] = []
-    consumed = 0
+    try:
+        item = gen.send(result)
+        while isinstance(item, Announce):
+            announces.append(item)
+            item = gen.send(None)
+    except StopIteration as stop:
+        return ProgramState(ref, ctx, history, tuple(announces), None, stop.value, None)
+    return ProgramState(ref, ctx, history, tuple(announces), item, None, gen)
+
+
+def _replay(ref: ProgramRef, ctx: Ctx, history: tuple):
+    """A fresh generator fed `history`, paused at the step that follows it."""
+    gen = program_fn(ref.name)(ctx, **dict(ref.params))
     try:
         item = next(gen)
         for h in history:
             while isinstance(item, Announce):
                 item = gen.send(None)
-            consumed += 1
             item = gen.send(h)
         while isinstance(item, Announce):
-            announces.append(item)
             item = gen.send(None)
-    except StopIteration as stop:
-        if consumed != len(history):
-            raise SimError(
-                f"program {ref.name} ended before consuming its history"
-            ) from None
-        return Peek(tuple(announces), None, stop.value)
-    return Peek(tuple(announces), item)
+    except StopIteration:
+        raise SimError(
+            f"program {ref.name} ended before consuming its history"
+        ) from None
+    return gen
+
+
+def program_root(ref: ProgramRef, ctx: Ctx) -> ProgramState:
+    """The start state of `ref`'s program, root of a new state graph."""
+    return _resume(ref, ctx, (), program_fn(ref.name)(ctx, **dict(ref.params)), None)
 
 
 @dataclass(frozen=True, slots=True)
 class Proc:
     """One process: its program, context and step-result history, plus the
-    next step that replaying the history found.
+    next step of its program state `node`.
 
     `step` is None once the program returned (`finished`, with `result`) and
     while the process is parked on the k-IS object `waiting`; a crash leaves
-    the `Proc` as it was and is recorded in `World.crashed`.
+    the `Proc` as it was and is recorded in `World.crashed`. `node` is not
+    part of the value: equal processes may hold different graph nodes.
     """
 
     ref: ProgramRef
     ctx: Ctx
     history: tuple
     step: object | None
+    node: ProgramState = field(compare=False, repr=False)
     waiting: str | None = None
     finished: bool = False
     result: object = None
 
 
-def _proc_at(ref: ProgramRef, ctx: Ctx, history: tuple) -> tuple[Proc, Peek]:
-    """Replay `history`; returns the resulting process and the replay."""
-    pk = _peek_cached(ref, ctx, history)
-    return Proc(ref, ctx, history, pk.step, None, pk.done, pk.value), pk
+def _proc_at(node: ProgramState) -> Proc:
+    """The process whose program is in state `node`."""
+    return Proc(
+        node.ref, node.ctx, node.history, node.step, node,
+        None, node.step is None, node.value,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,9 +241,9 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     procs = []
     events: list[Event] = []
     for pid in range(1, n + 1):
-        proc, pk = _proc_at(instance.programs[pid], Ctx(n, t, k, pid), ())
-        events.extend(_announce_events(pk.announces, pid))
-        procs.append(proc)
+        node = program_root(instance.programs[pid], Ctx(n, t, k, pid))
+        events.extend(_announce_events(node.announces, pid))
+        procs.append(_proc_at(node))
     world = World(n, t, k, tuple(procs), regs, kis, cons, frozenset(), t)
     return world, events
 
@@ -293,9 +332,9 @@ def crash_candidates(world: World) -> list[int]:
 
 def _advance(procs: list[Proc], pid: int, result) -> list[Event]:
     """Feed a step result to `pid`'s program; returns its announce events."""
-    p = procs[pid - 1]
-    procs[pid - 1], pk = _proc_at(p.ref, p.ctx, p.history + (result,))
-    return _announce_events(pk.announces, pid)
+    node = procs[pid - 1].node.after(result)
+    procs[pid - 1] = _proc_at(node)
+    return _announce_events(node.announces, pid)
 
 
 def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
@@ -346,7 +385,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             raise SimError(f"unknown k-IS object {step.obj!r}") from None
         kis = {**kis, step.obj: kis_invoke(st, pid, step.value)}
         p = procs[pid - 1]
-        procs[pid - 1] = Proc(p.ref, p.ctx, p.history, None, step.obj)
+        procs[pid - 1] = Proc(p.ref, p.ctx, p.history, None, p.node, step.obj)
         events = [
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .checkers import CheckReport, check_xsa
-from .core import _peek_cached, run_random
+from .core import run_random
 from .explore import enumerate_runs
 from .reductions import make_instance, standard_reports, xsa_bound
 from .trace import BLOCKED, CRASHED, RETURNED, Trace
@@ -174,9 +174,6 @@ def run_matrix(
     start = time.time()
     for t in range(1, n):
         for k in range(t, n):
-            # Replay-cache keys hold the cell's (n, t, k), so no entry can
-            # hit in a later cell; dropping them keeps memory bounded.
-            _peek_cached.cache_clear()
             bound = xsa_bound(n, t, k)
             inst = make_instance("alg1", n, t, k)
             if exhaustive:

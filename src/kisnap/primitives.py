@@ -5,8 +5,9 @@ of which the simulator executes as one atomic scheduler action, and receives
 the step's result back through `send`. In between steps it may yield
 `Announce` markers; these add invoke/respond events to the trace without
 consuming a scheduler step. Programs must be deterministic functions of
-their context, parameters, and the sequence of step results: the engine
-rebuilds generator state by replay, so no hidden mutable state is allowed.
+their context, parameters, and the sequence of step results: exploration
+rebuilds a generator by replaying its step results when a program state
+is revisited with a different result, so no hidden mutable state is allowed.
 """
 
 from __future__ import annotations

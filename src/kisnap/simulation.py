@@ -38,10 +38,11 @@ from .checkers import CheckReport, Verdict, check_is, object_history
 from .core import (
     Ctx,
     Instance,
+    ProgramState,
     RunResult,
     SimError,
-    _peek_cached,
     make_ref,
+    program_root,
     run_random,
 )
 from .primitives import (
@@ -109,32 +110,34 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
     All members propose the simulator's own input `value` (the simulation
     forwards one proposal per simulator, not per member). Inner programs may
     only interact through k-IS invocations; any other shared step raises.
+    Each member's program state comes from `core.program_root` and
+    `ProgramState.after`, the mechanism the core uses for processes, with
+    its own graph that lives as long as this generator.
     """
     me = ctx.pid
     other_cell = 3 - me
     yield Announce("invoke", SIM_OBJ, "simulate", args=value)
     inner_ref = make_ref(inner_prog, value=value)
-    ictx = {p: Ctx(inner_n, inner_t, inner_k, p) for p in members}
-    hist: dict[int, tuple] = {p: () for p in members}
-    peeks: dict[int, object] = {}
+    nodes: dict[int, ProgramState] = {}
     finished: set[int] = set()
     decided: list = []  # first inner decision, recorded once
 
-    def absorb(p, pk):
+    def absorb(p, node):
         """Bookkeeping after advancing member p; returns announces to emit."""
-        peeks[p] = pk
+        nodes[p] = node
         out = [
             Announce(a.kind, INNER_PREFIX + a.obj, a.op, a.args, a.ret, pid=p)
-            for a in pk.announces
+            for a in node.announces
         ]
-        if pk.done:
+        if node.step is None:
             finished.add(p)
             if not decided:
-                decided.append(pk.value)
+                decided.append(node.value)
         return out
 
     for p in members:
-        for a in absorb(p, _peek_cached(inner_ref, ictx[p], ())):
+        root = program_root(inner_ref, Ctx(inner_n, inner_t, inner_k, p))
+        for a in absorb(p, root):
             yield a
 
     prop: dict[str, dict[int, object]] = {}
@@ -142,7 +145,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
     ptr = 0
 
     def pending_op(p):
-        step = peeks[p].step
+        step = nodes[p].step
         if not isinstance(step, KisInvokeStep):
             raise SimError(
                 f"inner program of p{p} uses unsupported shared step {step!r}; "
@@ -157,8 +160,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
                 "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
             )
         ]
-        hist[p] = hist[p] + (view,)
-        out += absorb(p, _peek_cached(inner_ref, ictx[p], hist[p]))
+        out += absorb(p, nodes[p].after(view))
         return out
 
     while len(finished) < len(members):

@@ -3,6 +3,10 @@ equivalence suite, and the per-algorithm check dispatcher."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
+
 import pytest
 
 from kisnap import (
@@ -20,7 +24,9 @@ from kisnap import (
     xsa_bound,
 )
 from kisnap.checkers import check_xsa
-from kisnap.core import _peek_cached
+from kisnap.core import ProgramState
+from kisnap.explore import enumerate_runs
+from kisnap.primitives import PROGRAMS
 
 
 def test_trial_seeds_are_stable_and_distinct():
@@ -51,16 +57,49 @@ def test_random_matrix_respects_bounds():
         assert cell.observed_max <= cell.bound
 
 
-def test_matrix_replay_cache_holds_one_cell_at_a_time():
-    """Replay-cache keys carry the cell's (n, t, k), so the sweep drops each
-    cell's entries before the next: what remains is the last cell's."""
+def _live_program_states() -> list:
+    """Graph nodes and suspended program generators still in memory."""
+    codes = {fn.__code__ for fn in PROGRAMS.values()}
+    return [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, ProgramState)
+        or (
+            isinstance(o, types.GeneratorType)
+            and o.gi_code in codes
+            and o.gi_frame is not None
+        )
+    ]
+
+
+def test_no_program_state_outlives_a_run():
+    """Each run or walk owns its program-state graph, so once a sweep or an
+    exhaustive walk is done no node and no paused program is left."""
+    gc.collect()
+    assert _live_program_states() == []
     run_matrix(6, trials=5)
-    after_sweep = _peek_cached.cache_info().currsize
-    _peek_cached.cache_clear()
-    inst = make_instance("alg1", 6, 5, 5)
-    for i in range(5):
-        run_random(inst, trial_seed(0, 6, 5, 5, i))
-    assert after_sweep == _peek_cached.cache_info().currsize > 0
+    assert _live_program_states() == []
+    runs = sum(1 for _ in enumerate_runs(make_instance("alg1", 3, 1, 1), reduced=True))
+    assert runs > 0
+    assert _live_program_states() == []
+
+
+def test_memory_stays_flat_over_many_runs():
+    """2,000 seeded runs on one instance: of what the runs after the first
+    500 allocate, nothing stays."""
+    inst = make_instance("alg1", 5, 2, 2)
+    for i in range(500):
+        run_random(inst, i)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(500, 2000):
+            run_random(inst, i)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 1024
 
 
 def test_matrix_report_renders_and_serializes():

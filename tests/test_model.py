@@ -20,7 +20,11 @@ from kisnap import (
     trace_to_jsonl,
     validate_trace,
 )
+from kisnap import core, explore
 from kisnap.core import apply_action, initial_world
+from kisnap.primitives import Announce, program_fn
+from kisnap.reductions import CATALOG
+from kisnap.simulation import build_simulation
 
 from conftest import toy_instance
 
@@ -270,3 +274,111 @@ def test_replay_rejects_disabled_action():
     # Committing before anyone invoked is illegal.
     with pytest.raises(Exception):
         run(inst, ReplaySchedule([("commit", "kis", (1, 2))]))
+
+
+# ── Program states against from-scratch replay ───────────────────────────────
+
+
+def _replayed(proc):
+    """(announces, step, return value) of `proc`'s program after its
+    history, rebuilt from a fresh generator."""
+    gen = program_fn(proc.ref.name)(proc.ctx, **dict(proc.ref.params))
+    announces = []
+    try:
+        item = next(gen)
+        for h in proc.history:
+            while isinstance(item, Announce):
+                item = gen.send(None)
+            item = gen.send(h)
+        while isinstance(item, Announce):
+            announces.append(item)
+            item = gen.send(None)
+    except StopIteration as stop:
+        return tuple(announces), None, stop.value
+    return tuple(announces), item, None
+
+
+def _assert_states_replay(world):
+    for proc in world.procs:
+        node = proc.node
+        assert node.history == proc.history
+        assert (node.announces, node.step, node.value) == _replayed(proc)
+        assert proc.step == (None if proc.waiting else node.step)
+        assert proc.finished == (node.step is None)
+        assert proc.result == node.value
+
+
+@pytest.fixture
+def checked_worlds(monkeypatch):
+    """Check every world that `run` and `enumerate_runs` build; gives a
+    function returning the number of worlds checked so far."""
+    checked = [0]
+
+    def check(world):
+        _assert_states_replay(world)
+        checked[0] += 1
+
+    def initial(instance):
+        world, events = initial_world(instance)
+        check(world)
+        return world, events
+
+    def apply(world, action):
+        world, events = apply_action(world, action)
+        check(world)
+        return world, events
+
+    for module in (core, explore):
+        monkeypatch.setattr(module, "initial_world", initial)
+        monkeypatch.setattr(module, "apply_action", apply)
+    return lambda: checked[0]
+
+
+SEEDED_CELLS = {
+    "alg1": (5, 2, 3),
+    "alg1_variant": (5, 2, 3),
+    "alg2": (5, 2, 2),
+    "naive": (4, 2, 1),
+    "alg1_over_alg2": (5, 2, 2),
+    "kis_oracle": (4, 1, 2),
+    "is_impl": (3, 1, None),
+    "cons_oracle": (4, 1, 2),
+}
+
+
+def test_seeded_cells_cover_the_catalog():
+    assert set(SEEDED_CELLS) == set(CATALOG)
+
+
+@pytest.mark.parametrize("algo", sorted(SEEDED_CELLS))
+def test_seeded_program_states_match_replay(algo, checked_worlds):
+    inst = make_instance(algo, *SEEDED_CELLS[algo])
+    for seed in range(6):
+        run_random(inst, seed)
+    assert checked_worlds() > 6
+
+
+def test_simulator_program_states_match_replay(checked_worlds):
+    inst = build_simulation("alg1_variant", 4, 2, 2)
+    for seed in range(4):
+        run_random(inst, seed)
+    assert checked_worlds() > 4
+
+
+@pytest.mark.parametrize("algo", ["alg1", "alg2"])
+def test_literal_walk_program_states_match_replay(algo, checked_worlds, monkeypatch):
+    """Sibling branches of a literal walk hand one program state different
+    step results, so all but the first rebuild the program by replay."""
+    replays = [0]
+    original = core._replay
+
+    def replay(*args):
+        replays[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "_replay", replay)
+    inst = make_instance(algo, 3, 1, 1)
+    runs = sum(1 for _ in enumerate_runs(inst, depth_bound=7))
+    assert runs > 100
+    assert checked_worlds() > runs
+    assert replays[0] > 0
