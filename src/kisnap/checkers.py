@@ -164,20 +164,22 @@ Rows = list[tuple[int, frozenset, set[int]]]
 def _rows(h: ObjHistory) -> Rows:
     """(pid, view, pids named in the view) of every responder, in pid order;
     built once per `check_is` call and shared by its verdicts. A respond
-    whose value cannot be read as (pid, value) pairs raises ValueError
+    whose value is not a frozenset of (pid, value) pairs raises ValueError
     naming the event."""
     rows = []
     responds = h.responds
-    order = sorted(responds)
-    try:
-        for pid in order:
-            view = responds[pid][0]
-            rows.append((pid, view, {q for q, _ in view}))
-    except TypeError as exc:
-        raise ValueError(
-            f"respond of process {pid} on {h.obj} at step {responds[pid][1]} "
-            f"returned {view!r}, which is not a view"
-        ) from exc
+    for pid in sorted(responds):
+        view = responds[pid][0]
+        try:
+            named = {q for q, _ in view} if isinstance(view, frozenset) else None
+        except (TypeError, ValueError):
+            named = None
+        if named is None:
+            raise ValueError(
+                f"respond of process {pid} on {h.obj} at step {responds[pid][1]} "
+                f"returned {view!r}, which is not a view"
+            )
+        rows.append((pid, view, named))
     return rows
 
 

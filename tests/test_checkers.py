@@ -99,6 +99,17 @@ def test_respond_that_is_not_a_view_raises_value_error():
         check_is(trace, OBJ)
 
 
+@pytest.mark.parametrize(
+    "ret",
+    [((1, "a"),), [(1, "a")], frozenset({1}), frozenset({(1, "a", 2)})],
+    ids=["tuple of pairs", "list of pairs", "set of ints", "set of triples"],
+)
+def test_respond_of_pairs_not_in_a_frozenset_raises_value_error(ret):
+    trace = mk_trace([inv(1, "a"), resp(1, ret)])
+    with pytest.raises(ValueError, match="respond of process 1 on o at step 1"):
+        check_is(trace, OBJ)
+
+
 # ── Report plumbing ──────────────────────────────────────────────────────────
 
 

@@ -221,19 +221,21 @@ def test_malformed_files_exit_2(tmp_path, capsys):
     rc = main(["check", "--trace", str(trace_file), "--kind", "is", "--obj", "kis"])
     assert rc == 2
     assert "line 1" in capsys.readouterr().err
-    trace_file.write_text(
-        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
-        '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"snap","args":5,"ret":null}\n'
-        '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"snap","args":null,"ret":[1,2]}\n'
-        '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
-    )
-    for kind in ("is", "theorem1"):
-        rc = main([
-            "check", "--trace", str(trace_file), "--kind", kind, "--obj", "kis",
-            "--k", "1",
-        ])
-        assert rc == 2
-        assert "respond of process 1 on kis at step 1" in capsys.readouterr().err
+    for ret in ("[1,2]", "[[1,5]]"):
+        trace_file.write_text(
+            '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
+            '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"snap","args":5,"ret":null}\n'
+            '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"snap","args":null,'
+            f'"ret":{ret}}}\n'
+            '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
+        )
+        for kind in ("is", "theorem1"):
+            rc = main([
+                "check", "--trace", str(trace_file), "--kind", kind, "--obj", "kis",
+                "--k", "1",
+            ])
+            assert rc == 2
+            assert "respond of process 1 on kis at step 1" in capsys.readouterr().err
 
 
 def test_run_step_bound_truncates(tmp_path, capsys):
