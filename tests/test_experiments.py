@@ -11,6 +11,7 @@ import pytest
 
 from kisnap import (
     CATALOG,
+    enumerate_runs,
     equivalence_zone,
     make_instance,
     render_matrix,
@@ -25,7 +26,6 @@ from kisnap import (
 )
 from kisnap.checkers import check_xsa
 from kisnap.core import ProgramState
-from kisnap.explore import enumerate_runs
 from kisnap.primitives import PROGRAMS
 
 
