@@ -101,8 +101,10 @@ class Instance:
 # live generator paused at the state, so a run sends each result once. The
 # generator can be resumed only once; a later, different result at the same
 # state (a sibling branch of `explore`) replays the history from scratch.
-# The graph is reachable only from the run's `Proc`s, so it is freed with
-# the run.
+# A world's processes are the nodes of this graph (`World.procs`), so the
+# graph is reachable only from the run's worlds and is freed with the run.
+# Since `after` keeps one successor per result, equal program states within
+# one walk are the same node, and worlds compare by node identity.
 
 
 class ProgramState:
@@ -176,45 +178,20 @@ def program_root(ref: ProgramRef, ctx: Ctx) -> ProgramState:
 
 
 @dataclass(frozen=True, slots=True)
-class Proc:
-    """One process: its program, context and step-result history, plus the
-    next step of its program state `node`.
-
-    `step` is None once the program returned (`finished`, with `result`) and
-    while the process is parked on the k-IS object `waiting`; a crash leaves
-    the `Proc` as it was and is recorded in `World.crashed`. `node` is not
-    part of the value: equal processes may hold different graph nodes.
-    """
-
-    ref: ProgramRef
-    ctx: Ctx
-    history: tuple
-    step: object | None
-    node: ProgramState = field(compare=False, repr=False)
-    waiting: str | None = None
-    finished: bool = False
-    result: object = None
-
-
-def _proc_at(node: ProgramState) -> Proc:
-    """The process whose program is in state `node`."""
-    return Proc(
-        node.ref, node.ctx, node.history, node.step, node,
-        None, node.step is None, node.value,
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class World:
+    """The system state. `procs[pid - 1]` is `pid`'s program state: its step
+    is None once the program returned, and an invoke step stays in place
+    while the process is parked in its k-IS object's `pending` set. A crash
+    leaves the program state as it was and is recorded in `crashed`."""
+
     n: int
     t: int
     k: int | None
-    procs: tuple[Proc, ...]
+    procs: tuple[ProgramState, ...]
     regs: dict  # array -> tuple of n cells
     kis: dict  # obj -> KisState
     cons: dict  # obj -> ConsState
     crashed: frozenset[int]
-    crashes_left: int
 
 
 def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
@@ -243,8 +220,8 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     for pid in range(1, n + 1):
         node = program_root(instance.programs[pid], Ctx(n, t, k, pid))
         events.extend(_announce_events(node.announces, pid))
-        procs.append(_proc_at(node))
-    world = World(n, t, k, tuple(procs), regs, kis, cons, frozenset(), t)
+        procs.append(node)
+    world = World(n, t, k, tuple(procs), regs, kis, cons, frozenset())
     return world, events
 
 
@@ -257,7 +234,9 @@ def _check_pid(world: World, pid: int) -> None:
 
 
 def current_step(world: World, pid: int):
-    """The step `pid` would execute next, or None if it has none."""
+    """The step `pid`'s program waits on, or None once it returned or
+    crashed. A parked process keeps its invoke step; `step_guard_ok`
+    refuses it."""
     _check_pid(world, pid)
     if pid in world.crashed:
         return None
@@ -271,7 +250,9 @@ def _cell(world: World, arr: str, cell: int):
         raise SimError(f"unknown register array {arr!r}") from None
 
 
-def step_guard_ok(world: World, step) -> bool:
+def step_guard_ok(world: World, pid: int, step) -> bool:
+    """Whether `pid` can take `step` now: a scan or wait has its registers
+    filled, and an invoke is not already parked in its k-IS object."""
     if isinstance(step, ScanStep):
         cells = world.regs.get(step.array)
         if cells is None:
@@ -279,6 +260,9 @@ def step_guard_ok(world: World, step) -> bool:
         return len(cells) - cells.count(BOTTOM) >= step.min_filled
     if isinstance(step, WaitAnyStep):
         return any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
+    if isinstance(step, KisInvokeStep):
+        st = world.kis.get(step.obj)
+        return st is None or pid not in st.pending
     return True
 
 
@@ -290,7 +274,7 @@ def enabled_step_actions(world: World) -> list[tuple]:
         for pid, p in enumerate(world.procs, 1)
         if p.step is not None
         and pid not in crashed
-        and step_guard_ok(world, p.step)
+        and step_guard_ok(world, pid, p.step)
     ]
 
 
@@ -317,23 +301,22 @@ def enabled_commit_actions(world: World) -> list[tuple]:
 
 
 def crash_candidates(world: World) -> list[int]:
-    if world.crashes_left <= 0:
-        return []
     crashed = world.crashed
+    if len(crashed) >= world.t:
+        return []
     return [
         pid
         for pid, p in enumerate(world.procs, 1)
-        if not p.finished and pid not in crashed
+        if p.step is not None and pid not in crashed
     ]
 
 
 # ── Action application ───────────────────────────────────────────────────────
 
 
-def _advance(procs: list[Proc], pid: int, result) -> list[Event]:
+def _advance(procs: list[ProgramState], pid: int, result) -> list[Event]:
     """Feed a step result to `pid`'s program; returns its announce events."""
-    node = procs[pid - 1].node.after(result)
-    procs[pid - 1] = _proc_at(node)
+    node = procs[pid - 1] = procs[pid - 1].after(result)
     return _announce_events(node.announces, pid)
 
 
@@ -352,7 +335,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     step = current_step(world, pid)
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
-    if not step_guard_ok(world, step):
+    if not step_guard_ok(world, pid, step):
         raise SimError(f"step guard not satisfied for process {pid}: {step}")
     procs = list(world.procs)
     regs, kis, cons = world.regs, world.kis, world.cons
@@ -384,8 +367,6 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         except KeyError:
             raise SimError(f"unknown k-IS object {step.obj!r}") from None
         kis = {**kis, step.obj: kis_invoke(st, pid, step.value)}
-        p = procs[pid - 1]
-        procs[pid - 1] = Proc(p.ref, p.ctx, p.history, None, p.node, step.obj)
         events = [
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
@@ -407,8 +388,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         raise SimError(f"process {pid} yielded an unknown step {step!r}")
 
     world = World(
-        world.n, world.t, world.k, tuple(procs), regs, kis, cons,
-        world.crashed, world.crashes_left,
+        world.n, world.t, world.k, tuple(procs), regs, kis, cons, world.crashed
     )
     return world, events
 
@@ -427,30 +407,28 @@ def _apply_commit(
     ]
     procs = list(world.procs)
     for pid, delivered in releases:
-        if procs[pid - 1].waiting != obj:
-            raise SimError(f"process {pid} is not parked on {obj!r}")
         events.append(
             Event(-1, "respond", pid, obj, "write_snapshot_k", None, delivered)
         )
         events += _advance(procs, pid, delivered)
     world = World(
         world.n, world.t, world.k, tuple(procs), world.regs, kis, world.cons,
-        world.crashed, world.crashes_left,
+        world.crashed,
     )
     return world, events
 
 
 def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
     _check_pid(world, pid)
-    if world.crashes_left <= 0:
+    if len(world.crashed) >= world.t:
         raise SimError("crash budget exhausted")
     if pid in world.crashed:
         raise SimError(f"process {pid} already crashed")
-    if world.procs[pid - 1].finished:
+    if world.procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
     world = World(
         world.n, world.t, world.k, world.procs, world.regs, world.kis,
-        world.cons, world.crashed | {pid}, world.crashes_left - 1,
+        world.cons, world.crashed | {pid},
     )
     return world, [Event(-1, "crash", pid)]
 
@@ -522,8 +500,8 @@ def outcomes_of(world: World) -> dict[int, tuple]:
     for pid, p in enumerate(world.procs, 1):
         if pid in world.crashed:
             out[pid] = (CRASHED,)
-        elif p.finished:
-            out[pid] = (RETURNED, p.result)
+        elif p.step is None:
+            out[pid] = (RETURNED, p.value)
         else:
             out[pid] = (BLOCKED,)
     return out

@@ -119,7 +119,6 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
     yield Announce("invoke", SIM_OBJ, "simulate", args=value)
     inner_ref = make_ref(inner_prog, value=value)
     nodes: dict[int, ProgramState] = {}
-    finished: set[int] = set()
     decided: list = []  # first inner decision, recorded once
 
     def absorb(p, node):
@@ -129,10 +128,8 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
             Announce(a.kind, INNER_PREFIX + a.obj, a.op, a.args, a.ret, pid=p)
             for a in node.announces
         ]
-        if node.step is None:
-            finished.add(p)
-            if not decided:
-                decided.append(node.value)
+        if node.step is None and not decided:
+            decided.append(node.value)
         return out
 
     for p in members:
@@ -163,13 +160,13 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
         out += absorb(p, nodes[p].after(view))
         return out
 
-    while len(finished) < len(members):
+    while any(nodes[p].step is not None for p in members):
         served = False
         watches: list[tuple[str, int]] = []
         stuck: list[tuple[int, str, object]] = []
         for off in range(len(members)):
             p = members[(ptr + off) % len(members)]
-            if p in finished:
+            if nodes[p].step is None:
                 continue
             o, v = pending_op(p)
             if (o not in prop) or (p not in prop[o]):
@@ -198,7 +195,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
                 break
             watches.append((sim_array(o), other_cell))
             stuck.append((p, o, v))
-        if served or len(finished) == len(members):
+        if served:
             continue
         if not stuck:
             raise AssertionError("unfinished members but nothing to wait for")

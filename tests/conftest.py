@@ -6,7 +6,7 @@ Registered here once so every test module can build instances with
 
 from __future__ import annotations
 
-from kisnap import Instance, WriteStep, ScanStep, make_ref
+from kisnap import Instance, KisInvokeStep, WriteStep, ScanStep, make_ref
 from kisnap.primitives import register_program
 
 
@@ -31,6 +31,14 @@ def toy_write_scan(ctx, value):
     yield WriteStep("a", value)
     cells = yield ScanStep("a")
     return cells
+
+
+@register_program("toy_kis_then_write")
+def toy_kis_then_write(ctx, value):
+    """Invoke the k-IS object `kis`, then write the size of the view."""
+    view = yield KisInvokeStep("kis", value)
+    yield WriteStep("a", len(view))
+    return view
 
 
 def toy_instance(name: str, n: int = 2, t: int = 0, arrays=("a", "b")) -> Instance:

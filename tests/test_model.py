@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kisnap import (
+    Instance,
     ReplaySchedule,
     SimError,
     count_runs,
     enumerate_runs,
     make_instance,
+    make_ref,
     run,
     run_random,
     standard_reports,
@@ -21,7 +23,7 @@ from kisnap import (
     validate_trace,
 )
 from kisnap import core, explore
-from kisnap.core import apply_action, initial_world
+from kisnap.core import apply_action, enabled_step_actions, initial_world
 from kisnap.primitives import Announce, program_fn
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
@@ -224,6 +226,42 @@ def test_returned_process_cannot_be_crashed():
         apply_action(world, ("crash", 1))
 
 
+# ── Parked processes and world equality ─────────────────────────────────────
+
+
+def test_parked_process_is_enabled_again_only_after_its_commit():
+    """A process that invoked a k-IS object keeps its invoke step but cannot
+    take it until the adversary commits a batch that includes it."""
+    programs = {pid: make_ref("toy_kis_then_write", value=pid) for pid in (1, 2)}
+    inst = Instance(2, 0, 1, programs, arrays=("a",), kis_objects=(("kis", 2, 1),))
+    world, _ = initial_world(inst)
+    world, _ = apply_action(world, ("step", 1))
+    assert enabled_step_actions(world) == [("step", 2)]
+    with pytest.raises(SimError):
+        apply_action(world, ("step", 1))
+    world, _ = apply_action(world, ("step", 2))
+    assert enabled_step_actions(world) == []
+    world, _ = apply_action(world, ("commit", "kis", (2,)))
+    assert enabled_step_actions(world) == [("step", 2)]
+    with pytest.raises(SimError):
+        apply_action(world, ("step", 1))
+    world, _ = apply_action(world, ("commit", "kis", (1,)))
+    assert enabled_step_actions(world) == [("step", 1), ("step", 2)]
+
+
+def test_worlds_reached_in_either_order_are_equal():
+    """Program states are memoized per step result, so commuting steps lead
+    to the same nodes and equal worlds within one walk."""
+    world, _ = initial_world(toy_instance("toy_two_writes"))
+    w1, _ = apply_action(world, ("step", 1))
+    w12, _ = apply_action(w1, ("step", 2))
+    w2, _ = apply_action(world, ("step", 2))
+    w21, _ = apply_action(w2, ("step", 1))
+    assert w12 == w21
+    assert all(a is b for a, b in zip(w12.procs, w21.procs))
+    assert w1 != w2
+
+
 # ── Quiescence vs truncation ─────────────────────────────────────────────────
 
 
@@ -279,14 +317,14 @@ def test_replay_rejects_disabled_action():
 # ── Program states against from-scratch replay ───────────────────────────────
 
 
-def _replayed(proc):
-    """(announces, step, return value) of `proc`'s program after its
+def _replayed(node):
+    """(announces, step, return value) of `node`'s program after its
     history, rebuilt from a fresh generator."""
-    gen = program_fn(proc.ref.name)(proc.ctx, **dict(proc.ref.params))
+    gen = program_fn(node.ref.name)(node.ctx, **dict(node.ref.params))
     announces = []
     try:
         item = next(gen)
-        for h in proc.history:
+        for h in node.history:
             while isinstance(item, Announce):
                 item = gen.send(None)
             item = gen.send(h)
@@ -299,13 +337,8 @@ def _replayed(proc):
 
 
 def _assert_states_replay(world):
-    for proc in world.procs:
-        node = proc.node
-        assert node.history == proc.history
-        assert (node.announces, node.step, node.value) == _replayed(proc)
-        assert proc.step == (None if proc.waiting else node.step)
-        assert proc.finished == (node.step is None)
-        assert proc.result == node.value
+    for node in world.procs:
+        assert (node.announces, node.step, node.value) == _replayed(node)
 
 
 @pytest.fixture
