@@ -21,7 +21,8 @@ when it fails:
   proposed by a process whose invocation does not follow the first response.
 
 `validate_trace` checks trace well-formedness itself (monotone steps,
-respond-after-invoke, crash budget, SWMR register read consistency).
+respond-after-invoke, views in snapshot responds, crash budget, SWMR
+register read consistency).
 """
 
 from __future__ import annotations
@@ -161,19 +162,26 @@ def _check_termination(h: ObjHistory) -> Verdict:
 Rows = list[tuple[int, frozenset, set[int]]]
 
 
+def _view_pids(value: object) -> set | None:
+    """The pids a view names, or None if `value` is not a view (a frozenset
+    of (pid, value) pairs). `check_is` and `validate_trace` share it."""
+    if not isinstance(value, frozenset):
+        return None
+    try:
+        return {q for q, _ in value}
+    except (TypeError, ValueError):
+        return None
+
+
 def _rows(h: ObjHistory) -> Rows:
     """(pid, view, pids named in the view) of every responder, in pid order;
     built once per `check_is` call and shared by its verdicts. A respond
-    whose value is not a frozenset of (pid, value) pairs raises ValueError
-    naming the event."""
+    whose value is not a view raises ValueError naming the event."""
     rows = []
     responds = h.responds
     for pid in sorted(responds):
         view = responds[pid][0]
-        try:
-            named = {q for q, _ in view} if isinstance(view, frozenset) else None
-        except (TypeError, ValueError):
-            named = None
+        named = _view_pids(view)
         if named is None:
             raise ValueError(
                 f"respond of process {pid} on {h.obj} at step {responds[pid][1]} "
@@ -425,12 +433,15 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
 
 # ── Trace well-formedness ────────────────────────────────────────────────────
 
+_SNAPSHOT_OPS = frozenset({"write_snapshot_k", "write_snapshot"})
+
 
 def validate_trace(trace: Trace) -> list[str]:
     """Structural invariants of a trace; returns a list of violations.
 
     Covers monotone step indices, event kinds, respond-after-invoke per
-    (pid, obj), the crash budget, silence of crashed processes, and SWMR
+    (pid, obj), views as the value of every snapshot respond, the crash
+    budget, silence of crashed processes, and SWMR
     register semantics (every read/scan returns exactly the latest writes).
     """
     n = trace.n
@@ -469,6 +480,11 @@ def validate_trace(trace: Trace) -> list[str]:
             if (pid, obj) not in invoked:
                 problems.append(
                     f"step {step}: respond by {pid} on {obj} without invoke"
+                )
+            if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
+                problems.append(
+                    f"step {step}: respond by {pid} on {obj} returned "
+                    f"{e.ret!r}, which is not a view"
                 )
         elif kind == "reg_write":
             at = slot.get(pid)

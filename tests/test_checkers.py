@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from kisnap import Event, make_instance, run_random, validate_trace
+from kisnap import Event, make_instance, read_trace, run_random, validate_trace
 from kisnap.checkers import check_is, object_history
 
 from corpus import (
@@ -99,11 +99,11 @@ def test_respond_that_is_not_a_view_raises_value_error():
         check_is(trace, OBJ)
 
 
-@pytest.mark.parametrize(
-    "ret",
-    [((1, "a"),), [(1, "a")], frozenset({1}), frozenset({(1, "a", 2)})],
-    ids=["tuple of pairs", "list of pairs", "set of ints", "set of triples"],
-)
+NON_VIEWS = [((1, "a"),), [(1, "a")], frozenset({1}), frozenset({(1, "a", 2)})]
+NON_VIEW_IDS = ["tuple of pairs", "list of pairs", "set of ints", "set of triples"]
+
+
+@pytest.mark.parametrize("ret", NON_VIEWS, ids=NON_VIEW_IDS)
 def test_respond_of_pairs_not_in_a_frozenset_raises_value_error(ret):
     trace = mk_trace([inv(1, "a"), resp(1, ret)])
     with pytest.raises(ValueError, match="respond of process 1 on o at step 1"):
@@ -264,6 +264,54 @@ def test_validator_rejects_act_after_crash():
 def test_validator_rejects_respond_without_invoke():
     trace = mk_trace([resp(1, view((1, "a")))])
     assert validate_trace(trace) == ["step 0: respond by 1 on o without invoke"]
+
+
+@pytest.mark.parametrize("op", ["write_snapshot_k", "write_snapshot"])
+@pytest.mark.parametrize("ret", NON_VIEWS, ids=NON_VIEW_IDS)
+def test_validator_rejects_snapshot_respond_that_is_not_a_view(ret, op):
+    trace = mk_trace(
+        [
+            Event(-1, "invoke", 1, OBJ, op, "a"),
+            Event(-1, "respond", 1, OBJ, op, None, ret),
+        ]
+    )
+    assert validate_trace(trace) == [
+        f"step 1: respond by 1 on o returned {ret!r}, which is not a view"
+    ]
+
+
+@pytest.mark.parametrize(
+    "ret", NON_VIEWS + [view(), view((1, "a"))], ids=NON_VIEW_IDS + ["empty", "view"]
+)
+def test_validator_and_check_is_agree_on_what_a_view_is(ret):
+    trace = mk_trace(
+        [
+            Event(-1, "invoke", 1, OBJ, "write_snapshot_k", "a"),
+            Event(-1, "respond", 1, OBJ, "write_snapshot_k", None, ret),
+        ]
+    )
+    try:
+        check_is(trace, OBJ)
+        rejected = False
+    except ValueError:
+        rejected = True
+    assert bool(validate_trace(trace)) == rejected
+
+
+def test_validator_rejects_decoded_array_of_pairs(tmp_path):
+    """`"ret":[[1,5]]` decodes as the tuple ((1, 5),), not as a view."""
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
+        '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"write_snapshot_k",'
+        '"args":5,"ret":null}\n'
+        '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"write_snapshot_k",'
+        '"args":null,"ret":[[1,5]]}\n'
+        '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
+    )
+    assert validate_trace(read_trace(str(path))) == [
+        "step 1: respond by 1 on kis returned ((1, 5),), which is not a view"
+    ]
 
 
 def test_validator_rejects_nonmonotone_steps():
