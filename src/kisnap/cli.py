@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate every interleaving (default: partial-order reduced)",
     )
-    p.add_argument("--max-runs", type=int, default=None)
+    p.add_argument("--max-runs", type=_at_least_1, default=None)
     p.add_argument("--check", action="store_true", help="check every run")
     p.add_argument("--out", help="write a JSON summary here")
     p.set_defaults(fn=_cmd_explore)

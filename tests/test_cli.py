@@ -263,6 +263,17 @@ def test_run_step_bound_below_1_exits_2(bound, capsys):
     assert "--step-bound: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_explore_max_runs_below_1_exits_2(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "explore", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+            "--max-runs", bound, "--check",
+        ])
+    assert exc.value.code == 2
+    assert "--max-runs: must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--algo", "nope", "--n", "3", "--t", "1", "--k", "1"])
