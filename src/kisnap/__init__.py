@@ -15,12 +15,10 @@ from .checkers import (
 from .core import (
     Ctx,
     Instance,
-    ProgramRef,
     RandomSchedule,
     ReplaySchedule,
     RunResult,
     SimError,
-    make_ref,
     run,
     run_random,
 )

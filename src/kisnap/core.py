@@ -1,9 +1,9 @@
 """Deterministic simulator core for the t-crash asynchronous SWMR model.
 
-A system is an `Instance`: n processes (pids 1..n), each running a
-registered step program, plus declared register arrays (one single-writer
-cell per process), k-immediate-snapshot oracle objects, and consensus
-objects. The scheduler-visible unit is an action:
+A system is an `Instance`: n processes (pids 1..n), each running a step
+program, plus declared register arrays (one single-writer cell per
+process), k-immediate-snapshot oracle objects, and consensus objects.
+The scheduler-visible unit is an action:
 
     ("step", pid)            run the process's next enabled step
     ("commit", obj, batch)   commit a pending k-IS batch as a concurrency class
@@ -18,6 +18,7 @@ bit-identical trace.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, NamedTuple
@@ -31,7 +32,6 @@ from .primitives import (
     ScanStep,
     WaitAnyStep,
     WriteStep,
-    program_fn,
 )
 from .trace import BLOCKED, CRASHED, RETURNED, Event, Trace
 
@@ -45,19 +45,6 @@ class SimError(ValueError):
 # ── Instances and process programs ───────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
-class ProgramRef:
-    """Hashable reference to a registered program plus its parameters."""
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-
-def make_ref(name: str, **params) -> ProgramRef:
-    program_fn(name)  # fail fast on unknown names
-    return ProgramRef(name, tuple(sorted(params.items())))
-
-
 class Ctx(NamedTuple):
     """Read-only context every program receives."""
 
@@ -67,14 +54,19 @@ class Ctx(NamedTuple):
     pid: int
 
 
+Program = Callable[[Ctx], Iterator]
+
+
 @dataclass
 class Instance:
-    """A complete system description the simulator can run."""
+    """A complete system description the simulator can run. `programs`
+    maps each pid to its program: a generator function of the process's
+    `Ctx`, its parameters bound (`functools.partial`)."""
 
     n: int
     t: int
     k: int | None
-    programs: dict[int, ProgramRef]
+    programs: dict[int, Program]
     arrays: tuple[str, ...] = ()
     kis_objects: tuple[tuple[str, int, int], ...] = ()  # (obj, n_obj, k_obj)
     cons_objects: tuple[str, ...] = ()
@@ -94,7 +86,7 @@ class Instance:
 
 # ── Program states ───────────────────────────────────────────────────────────
 #
-# A process's program state is (ref, ctx, result history). Each run or DFS
+# A process's program state is (program, ctx, result history). Each run or DFS
 # walk grows a graph of these states from the roots `initial_world` builds:
 # a `ProgramState` records what the program does next and, once advanced,
 # its successor per step result. Advancing along a new edge resumes the
@@ -114,10 +106,12 @@ class ProgramState:
     `succ` maps a step result to the state it leads to; `gen` is the
     program's generator paused here, until the first result takes it."""
 
-    __slots__ = ("ref", "ctx", "history", "announces", "step", "value", "succ", "gen")
+    __slots__ = (
+        "program", "ctx", "history", "announces", "step", "value", "succ", "gen"
+    )
 
-    def __init__(self, ref, ctx, history, announces, step, value, gen):
-        self.ref = ref
+    def __init__(self, program, ctx, history, announces, step, value, gen):
+        self.program = program
         self.ctx = ctx
         self.history = history
         self.announces = announces
@@ -133,15 +127,17 @@ class ProgramState:
             history = self.history + (result,)
             gen = self.gen
             if gen is None:
-                gen = _replay(self.ref, self.ctx, self.history)
+                gen = _replay(self.program, self.ctx, self.history)
             else:
                 self.gen = None
-            nxt = _resume(self.ref, self.ctx, history, gen, result)
+            nxt = _resume(self.program, self.ctx, history, gen, result)
             self.succ[result] = nxt
         return nxt
 
 
-def _resume(ref: ProgramRef, ctx: Ctx, history: tuple, gen, result) -> ProgramState:
+def _resume(
+    program: Program, ctx: Ctx, history: tuple, gen, result
+) -> ProgramState:
     """Send `result` to `gen` and run it to its next step or its return."""
     announces: list[Announce] = []
     try:
@@ -150,13 +146,15 @@ def _resume(ref: ProgramRef, ctx: Ctx, history: tuple, gen, result) -> ProgramSt
             announces.append(item)
             item = gen.send(None)
     except StopIteration as stop:
-        return ProgramState(ref, ctx, history, tuple(announces), None, stop.value, None)
-    return ProgramState(ref, ctx, history, tuple(announces), item, None, gen)
+        return ProgramState(
+            program, ctx, history, tuple(announces), None, stop.value, None
+        )
+    return ProgramState(program, ctx, history, tuple(announces), item, None, gen)
 
 
-def _replay(ref: ProgramRef, ctx: Ctx, history: tuple):
+def _replay(program: Program, ctx: Ctx, history: tuple):
     """A fresh generator fed `history`, paused at the step that follows it."""
-    gen = program_fn(ref.name)(ctx, **dict(ref.params))
+    gen = program(ctx)
     try:
         item = next(gen)
         for h in history:
@@ -167,14 +165,14 @@ def _replay(ref: ProgramRef, ctx: Ctx, history: tuple):
             item = gen.send(None)
     except StopIteration:
         raise SimError(
-            f"program {ref.name} ended before consuming its history"
+            f"program of p{ctx.pid} ended before consuming its history"
         ) from None
     return gen
 
 
-def program_root(ref: ProgramRef, ctx: Ctx) -> ProgramState:
-    """The start state of `ref`'s program, root of a new state graph."""
-    return _resume(ref, ctx, (), program_fn(ref.name)(ctx, **dict(ref.params)), None)
+def program_root(program: Program, ctx: Ctx) -> ProgramState:
+    """The start state of `program`, root of a new state graph."""
+    return _resume(program, ctx, (), program(ctx), None)
 
 
 @dataclass(frozen=True, slots=True)

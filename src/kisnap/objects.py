@@ -20,7 +20,6 @@ from .primitives import (
     ConsProposeStep,
     ScanStep,
     WriteStep,
-    register_program,
 )
 
 
@@ -109,15 +108,12 @@ class ConsState:
     """Consensus object: the first linearized proposal wins, atomically."""
 
     decided: object = BOTTOM
-    proposals: tuple[tuple[int, object], ...] = ()
 
 
 def consensus_propose(st: ConsState, pid: int, value: object) -> tuple[ConsState, object]:
-    decided = st.decided if st.decided is not BOTTOM else value
-    return (
-        ConsState(decided=decided, proposals=st.proposals + ((pid, value),)),
-        decided,
-    )
+    if st.decided is not BOTTOM:
+        return st, st.decided
+    return ConsState(decided=value), value
 
 
 # ── Wait-free immediate snapshot from SWMR registers ────────────────────────
@@ -161,21 +157,18 @@ def is_write_snapshot(ctx, obj: str, value: object):
 # ── Bare single-operation programs (oracle/routine drivers) ─────────────────
 
 
-@register_program("kis_once")
 def kis_once(ctx, obj: str, value: object):
     """Invoke a k-IS oracle once and return its view."""
     view = yield KisInvokeStep(obj, value)
     return view
 
 
-@register_program("is_once")
 def is_once(ctx, obj: str, value: object):
     """Run the register-level immediate snapshot once and return its view."""
     view = yield from is_write_snapshot(ctx, obj, value)
     return view
 
 
-@register_program("cons_once")
 def cons_once(ctx, obj: str, value: object):
     """Propose to a consensus object once and return the decision."""
     decision = yield ConsProposeStep(obj, value)

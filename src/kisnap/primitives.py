@@ -1,13 +1,16 @@
-"""Shared primitives: step descriptors, trace annotations, program registry.
+"""Shared primitives: step descriptors and trace annotations.
 
 A process program is a Python generator. It yields step descriptors, each
 of which the simulator executes as one atomic scheduler action, and receives
 the step's result back through `send`. In between steps it may yield
 `Announce` markers; these add invoke/respond events to the trace without
-consuming a scheduler step. Programs must be deterministic functions of
-their context, parameters, and the sequence of step results: exploration
-rebuilds a generator by replaying its step results when a program state
-is revisited with a different result, so no hidden mutable state is allowed.
+consuming a scheduler step. An instance gives each process its program as
+a callable of its context: the generator function with its parameters
+bound, e.g. by `functools.partial`. Programs must be deterministic
+functions of their context, parameters, and the sequence of step results:
+exploration rebuilds a generator by replaying its step results when a
+program state is revisited with a different result, so no hidden mutable
+state is allowed.
 """
 
 from __future__ import annotations
@@ -78,29 +81,3 @@ class ConsProposeStep:
     obj: str
     value: object
 
-
-# ── Program registry ────────────────────────────────────────────────────────
-#
-# Programs are referenced by (name, params) pairs so that process state stays
-# hashable and serializable; the registry maps names to generator functions.
-
-PROGRAMS: dict[str, object] = {}
-
-
-def register_program(name: str):
-    """Decorator registering a generator function under `name`."""
-
-    def deco(fn):
-        if name in PROGRAMS:
-            raise ValueError(f"program {name!r} already registered")
-        PROGRAMS[name] = fn
-        return fn
-
-    return deco
-
-
-def program_fn(name: str):
-    try:
-        return PROGRAMS[name]
-    except KeyError:
-        raise KeyError(f"unknown program {name!r}") from None

@@ -28,7 +28,8 @@ read it, so adding an algorithm means one program plus one entry.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .checkers import (
     CheckReport,
@@ -37,8 +38,8 @@ from .checkers import (
     check_theorem1,
     check_xsa,
 )
-from .core import Instance, make_ref
-from .objects import is_array, is_write_snapshot
+from .core import Instance
+from .objects import cons_once, is_array, is_once, is_write_snapshot, kis_once
 from .primitives import (
     BOTTOM,
     Announce,
@@ -46,7 +47,6 @@ from .primitives import (
     KisInvokeStep,
     ScanStep,
     WriteStep,
-    register_program,
 )
 from .trace import Trace
 
@@ -89,7 +89,6 @@ def _min_value(view):
     return min(v for _, v in view)
 
 
-@register_program("alg1_xsa")
 def alg1_xsa(ctx, value):
     """x-set agreement from one k-IS object (object ids: kis, view array)."""
     yield Announce("invoke", XSA_OBJ, "propose", args=value)
@@ -109,7 +108,6 @@ def _publish_and_decide(ctx, view):
     return decision
 
 
-@register_program("alg1_variant_xsa")
 def alg1_variant_xsa(ctx, value):
     """x-set agreement from two k-IS objects, no register wait.
 
@@ -127,7 +125,6 @@ def alg1_variant_xsa(ctx, value):
     return decision
 
 
-@register_program("alg2_kis")
 def alg2_kis(ctx, value):
     """k-IS from consensus plus register-level immediate snapshot."""
     view = yield from alg2_kis_body(ctx, value)
@@ -154,7 +151,6 @@ def alg2_kis_body(ctx, value):
     return view
 
 
-@register_program("naive_kis")
 def naive_kis(ctx, value):
     """Blocking strawman: write, then wait for n-k published values.
 
@@ -172,7 +168,6 @@ def naive_kis(ctx, value):
     return view
 
 
-@register_program("alg1_over_alg2_xsa")
 def alg1_over_alg2_xsa(ctx, value):
     """Composition: the x-SA reduction running on the emulated k-IS object.
 
@@ -224,20 +219,20 @@ def _cons(obj: str) -> Check:
 class AlgoSpec:
     """One catalog algorithm.
 
-    Every pid runs `program` with `params` plus its input as `value`. The
-    instance declares the register `arrays`, the `kis` objects (n-process
-    k-IS objects at the instance's k) and the `cons` objects; `objects` is
-    the list of object ids its traces carry in meta, in that order.
+    `program` is a generator function of (ctx, value): every pid runs it
+    with its own input bound as `value`. The instance declares the register
+    `arrays`, the `kis` objects (n-process k-IS objects at the instance's
+    k) and the `cons` objects; `objects` is the list of object ids its
+    traces carry in meta, in that order.
     `check_range(n, t, k)` raises ValueError outside the algorithm's
     parameter range, and `checks` are the standard property checks of its
     traces.
     """
 
-    program: str
+    program: Callable
     objects: tuple[str, ...]
     checks: tuple[Check, ...]
     check_range: Callable[[int, int, int | None], None] = paper_range
-    params: dict = field(default_factory=dict)
     arrays: tuple[str, ...] = ()
     kis: tuple[str, ...] = ()
     cons: tuple[str, ...] = ()
@@ -245,16 +240,16 @@ class AlgoSpec:
 
 CATALOG: dict[str, AlgoSpec] = {
     "alg1": AlgoSpec(
-        "alg1_xsa", arrays=("view",), kis=("kis",),
+        alg1_xsa, arrays=("view",), kis=("kis",),
         objects=("kis", "view", XSA_OBJ), checks=(_xsa, _kis("kis")),
     ),
     "alg1_variant": AlgoSpec(
-        "alg1_variant_xsa", kis=("kis1", "kis2"),
+        alg1_variant_xsa, kis=("kis1", "kis2"),
         objects=("kis1", "kis2", XSA_OBJ),
         checks=(_xsa, _kis("kis1"), _kis("kis2")),
     ),
     "alg2": AlgoSpec(
-        "alg2_kis", arrays=("reg", is_array("is")), cons=("cs",),
+        alg2_kis, arrays=("reg", is_array("is")), cons=("cs",),
         objects=("reg", "cs", "is", "ckis"),
         checks=(
             _kis("ckis"), _theorem1("ckis"),
@@ -262,25 +257,25 @@ CATALOG: dict[str, AlgoSpec] = {
         ),
     ),
     "naive": AlgoSpec(
-        "naive_kis", arrays=("reg",), check_range=strawman_range,
+        naive_kis, arrays=("reg",), check_range=strawman_range,
         objects=("reg", "nkis"), checks=(_kis("nkis"),),
     ),
     "alg1_over_alg2": AlgoSpec(
-        "alg1_over_alg2_xsa", arrays=("reg", is_array("is"), "view"), cons=("cs",),
+        alg1_over_alg2_xsa, arrays=("reg", is_array("is"), "view"), cons=("cs",),
         objects=("reg", "cs", "is", "ckis", "view", XSA_OBJ),
         checks=(_xsa, _kis("ckis"), _cons("cs")),
     ),
     "kis_oracle": AlgoSpec(
-        "kis_once", params={"obj": "kis"}, kis=("kis",),
+        partial(kis_once, obj="kis"), kis=("kis",),
         objects=("kis",), checks=(_kis("kis"), _theorem1("kis")),
     ),
     "is_impl": AlgoSpec(
-        "is_once", params={"obj": "is"}, arrays=(is_array("is"),),
+        partial(is_once, obj="is"), arrays=(is_array("is"),),
         check_range=no_range, objects=("is",),
         checks=(lambda trace: check_is(trace, "is", k=trace.n - 1),),
     ),
     "cons_oracle": AlgoSpec(
-        "cons_once", params={"obj": "cs"}, cons=("cs",),
+        partial(cons_once, obj="cs"), cons=("cs",),
         check_range=no_range, objects=("cs",), checks=(_cons("cs"),),
     ),
 }
@@ -309,8 +304,7 @@ def make_instance(
         raise ValueError(f"need {n} inputs, got {len(inputs)}")
     spec.check_range(n, t, k)
     programs = {
-        pid: make_ref(spec.program, **spec.params, value=inputs[pid - 1])
-        for pid in range(1, n + 1)
+        pid: partial(spec.program, value=inputs[pid - 1]) for pid in range(1, n + 1)
     }
     return Instance(
         n, t, k, programs,

@@ -33,6 +33,7 @@ is what forces information to cross between the simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .checkers import CheckReport, Verdict, check_is, object_history
 from .core import (
@@ -41,7 +42,6 @@ from .core import (
     ProgramState,
     RunResult,
     SimError,
-    make_ref,
     program_root,
     run_random,
 )
@@ -51,7 +51,6 @@ from .primitives import (
     KisInvokeStep,
     WaitAnyStep,
     WriteStep,
-    register_program,
 )
 from .reductions import XSA_OBJ, catalog_spec
 from .trace import BLOCKED, CRASHED, INNER_PREFIX, RETURNED, Event, Trace
@@ -103,21 +102,21 @@ def make_partition(n: int, t: int) -> Partition:
 # ── The simulator program ────────────────────────────────────────────────────
 
 
-@register_program("q_simulator")
 def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value):
     """One simulator: round-robin member service, publish-or-copy protocol.
 
-    All members propose the simulator's own input `value` (the simulation
-    forwards one proposal per simulator, not per member). Inner programs may
-    only interact through k-IS invocations; any other shared step raises.
-    Each member's program state comes from `core.program_root` and
-    `ProgramState.after`, the mechanism the core uses for processes, with
-    its own graph that lives as long as this generator.
+    All members run `inner_prog`, the inner algorithm's generator function
+    of (ctx, value), and propose the simulator's own input `value` (the
+    simulation forwards one proposal per simulator, not per member). Inner
+    programs may only interact through k-IS invocations; any other shared
+    step raises. Each member's program state comes from `core.program_root`
+    and `ProgramState.after`, the mechanism the core uses for processes,
+    with its own graph that lives as long as this generator.
     """
     me = ctx.pid
     other_cell = 3 - me
     yield Announce("invoke", SIM_OBJ, "simulate", args=value)
-    inner_ref = make_ref(inner_prog, value=value)
+    inner = partial(inner_prog, value=value)
     nodes: dict[int, ProgramState] = {}
     decided: list = []  # first inner decision, recorded once
 
@@ -133,7 +132,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
         return out
 
     for p in members:
-        root = program_root(inner_ref, Ctx(inner_n, inner_t, inner_k, p))
+        root = program_root(inner, Ctx(inner_n, inner_t, inner_k, p))
         for a in absorb(p, root):
             yield a
 
@@ -246,8 +245,8 @@ def build_simulation(
         )
     inner_objs = spec.kis
     programs = {
-        1 + side: make_ref(
-            "q_simulator",
+        1 + side: partial(
+            q_simulator,
             side=side,
             members=part.members(side),
             inner_n=n,

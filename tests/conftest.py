@@ -1,23 +1,18 @@
-"""Shared test fixtures: tiny step programs for engine-level tests.
-
-Registered here once so every test module can build instances with
-`make_ref` without tripping the duplicate-registration guard.
-"""
+"""Shared test fixtures: tiny step programs for engine-level tests."""
 
 from __future__ import annotations
 
-from kisnap import Instance, KisInvokeStep, WriteStep, ScanStep, make_ref
-from kisnap.primitives import register_program
+from functools import partial
+
+from kisnap import Instance, KisInvokeStep, WriteStep, ScanStep
 
 
-@register_program("toy_one_write")
 def toy_one_write(ctx, value):
     """Write one value to the own cell, return it."""
     yield WriteStep("a", value)
     return value
 
 
-@register_program("toy_two_writes")
 def toy_two_writes(ctx, value):
     """Two writes to own cells of two arrays; fully independent across pids."""
     yield WriteStep("a", value)
@@ -25,7 +20,6 @@ def toy_two_writes(ctx, value):
     return value
 
 
-@register_program("toy_write_scan")
 def toy_write_scan(ctx, value):
     """Write own value, then scan: the classic order-sensitive pair."""
     yield WriteStep("a", value)
@@ -33,7 +27,6 @@ def toy_write_scan(ctx, value):
     return cells
 
 
-@register_program("toy_kis_then_write")
 def toy_kis_then_write(ctx, value):
     """Invoke the k-IS object `kis`, then write the size of the view."""
     view = yield KisInvokeStep("kis", value)
@@ -41,6 +34,6 @@ def toy_kis_then_write(ctx, value):
     return view
 
 
-def toy_instance(name: str, n: int = 2, t: int = 0, arrays=("a", "b")) -> Instance:
-    programs = {pid: make_ref(name, value=10 * pid) for pid in range(1, n + 1)}
+def toy_instance(program, n: int = 2, t: int = 0, arrays=("a", "b")) -> Instance:
+    programs = {pid: partial(program, value=10 * pid) for pid in range(1, n + 1)}
     return Instance(n, t, None, programs, arrays=arrays, meta={"algo": "toy"})

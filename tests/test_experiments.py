@@ -4,11 +4,13 @@ equivalence suite, and the per-algorithm check dispatcher."""
 from __future__ import annotations
 
 import gc
+import os
 import tracemalloc
 import types
 
 import pytest
 
+import kisnap
 from kisnap import (
     CATALOG,
     enumerate_runs,
@@ -26,7 +28,6 @@ from kisnap import (
 )
 from kisnap.checkers import check_xsa
 from kisnap.core import ProgramState
-from kisnap.primitives import PROGRAMS
 
 
 def test_trial_seeds_are_stable_and_distinct():
@@ -58,15 +59,15 @@ def test_random_matrix_respects_bounds():
 
 
 def _live_program_states() -> list:
-    """Graph nodes and suspended program generators still in memory."""
-    codes = {fn.__code__ for fn in PROGRAMS.values()}
+    """Graph nodes and suspended generators of kisnap code still in memory."""
+    package = os.path.dirname(kisnap.__file__) + os.sep
     return [
         o
         for o in gc.get_objects()
         if isinstance(o, ProgramState)
         or (
             isinstance(o, types.GeneratorType)
-            and o.gi_code in codes
+            and o.gi_code.co_filename.startswith(package)
             and o.gi_frame is not None
         )
     ]

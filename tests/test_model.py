@@ -3,6 +3,8 @@ quiescence, trace and schedule round-trips, exploration soundness."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from kisnap import (
     count_runs,
     enumerate_runs,
     make_instance,
-    make_ref,
     run,
     run_random,
     standard_reports,
@@ -24,11 +25,17 @@ from kisnap import (
 )
 from kisnap import core, explore
 from kisnap.core import apply_action, enabled_step_actions, initial_world
-from kisnap.primitives import Announce, program_fn
+from kisnap.primitives import Announce, WriteStep
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
 
-from conftest import toy_instance
+from conftest import (
+    toy_instance,
+    toy_kis_then_write,
+    toy_one_write,
+    toy_two_writes,
+    toy_write_scan,
+)
 
 
 # ── Exhaustive interleaving counts ──────────────────────────────────────────
@@ -36,19 +43,19 @@ from conftest import toy_instance
 
 def test_two_processes_two_steps_each_gives_six_literal_runs():
     """2 processes x 2 steps: C(4,2) = 6 interleavings, enumerated literally."""
-    inst = toy_instance("toy_two_writes")
+    inst = toy_instance(toy_two_writes)
     assert count_runs(inst, reduced=False) == 6
 
 
 def test_two_processes_one_step_each_gives_two_literal_runs():
-    inst = toy_instance("toy_one_write")
+    inst = toy_instance(toy_one_write)
     assert count_runs(inst, reduced=False) == 2
 
 
 def test_depth_bound_counts_actions():
     """Every maximal run of two toy_two_writes processes takes 4 actions
     (one write event each): a bound of 3 cuts all 6, a bound of 4 none."""
-    inst = toy_instance("toy_two_writes")
+    inst = toy_instance(toy_two_writes)
     cut = list(enumerate_runs(inst, depth_bound=3))
     assert [(tr.truncated, len(tr.events)) for tr in cut] == [(True, 3)] * 6
     whole = list(enumerate_runs(inst, depth_bound=4))
@@ -58,7 +65,7 @@ def test_depth_bound_counts_actions():
 def test_reduction_collapses_independent_programs_to_one_run():
     """All steps commute (distinct SWMR cells), so one representative
     interleaving suffices."""
-    inst = toy_instance("toy_two_writes")
+    inst = toy_instance(toy_two_writes)
     assert count_runs(inst, reduced=True) == 1
 
 
@@ -69,7 +76,7 @@ def _outcome_summary(trace):
 def test_reduced_exploration_preserves_outcome_sets():
     """Order-sensitive program (write then scan): the reduced search must
     reach exactly the literal set of outcome combinations."""
-    inst = toy_instance("toy_write_scan", n=3, t=1, arrays=("a",))
+    inst = toy_instance(toy_write_scan, n=3, t=1, arrays=("a",))
     literal = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=False)}
     reduced = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=True)}
     assert reduced == literal
@@ -184,7 +191,7 @@ def test_random_runs_produce_wellformed_traces(seed, algo):
 
 
 def test_crash_budget_is_enforced():
-    inst = toy_instance("toy_two_writes", n=3, t=1)
+    inst = toy_instance(toy_two_writes, n=3, t=1)
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("crash", 1))
     with pytest.raises(SimError):
@@ -192,7 +199,7 @@ def test_crash_budget_is_enforced():
 
 
 def test_crashed_process_cannot_step_or_crash_again():
-    inst = toy_instance("toy_two_writes", n=3, t=2)
+    inst = toy_instance(toy_two_writes, n=3, t=2)
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("crash", 1))
     with pytest.raises(SimError):
@@ -213,13 +220,13 @@ def test_crashed_process_emits_no_further_events():
 @pytest.mark.parametrize("action", [("step", 0), ("step", 4), ("crash", 0), ("crash", 4)])
 def test_action_on_unknown_pid_is_rejected(action):
     """A schedule naming no process must not act on another one."""
-    world, _ = initial_world(toy_instance("toy_two_writes", n=3, t=2))
+    world, _ = initial_world(toy_instance(toy_two_writes, n=3, t=2))
     with pytest.raises(SimError):
         apply_action(world, action)
 
 
 def test_returned_process_cannot_be_crashed():
-    inst = toy_instance("toy_one_write", n=2, t=1, arrays=("a",))
+    inst = toy_instance(toy_one_write, n=2, t=1, arrays=("a",))
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("step", 1))  # p1 returns
     with pytest.raises(SimError):
@@ -232,7 +239,7 @@ def test_returned_process_cannot_be_crashed():
 def test_parked_process_is_enabled_again_only_after_its_commit():
     """A process that invoked a k-IS object keeps its invoke step but cannot
     take it until the adversary commits a batch that includes it."""
-    programs = {pid: make_ref("toy_kis_then_write", value=pid) for pid in (1, 2)}
+    programs = {pid: partial(toy_kis_then_write, value=pid) for pid in (1, 2)}
     inst = Instance(2, 0, 1, programs, arrays=("a",), kis_objects=(("kis", 2, 1),))
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("step", 1))
@@ -252,7 +259,7 @@ def test_parked_process_is_enabled_again_only_after_its_commit():
 def test_worlds_reached_in_either_order_are_equal():
     """Program states are memoized per step result, so commuting steps lead
     to the same nodes and equal worlds within one walk."""
-    world, _ = initial_world(toy_instance("toy_two_writes"))
+    world, _ = initial_world(toy_instance(toy_two_writes))
     w1, _ = apply_action(world, ("step", 1))
     w12, _ = apply_action(w1, ("step", 2))
     w2, _ = apply_action(world, ("step", 2))
@@ -320,7 +327,7 @@ def test_replay_rejects_disabled_action():
 def _replayed(node):
     """(announces, step, return value) of `node`'s program after its
     history, rebuilt from a fresh generator."""
-    gen = program_fn(node.ref.name)(node.ctx, **dict(node.ref.params))
+    gen = node.program(node.ctx)
     announces = []
     try:
         item = next(gen)
@@ -415,3 +422,22 @@ def test_literal_walk_program_states_match_replay(algo, checked_worlds, monkeypa
     assert runs > 100
     assert checked_worlds() > runs
     assert replays[0] > 0
+
+
+_starts = [0]  # instantiations of `_forgets_on_replay`
+
+
+def _forgets_on_replay(ctx):
+    """Writes once on its first instantiation; returns at once on any later
+    one, so a replay of its history cannot be fed."""
+    _starts[0] += 1
+    if _starts[0] == 1:
+        yield WriteStep("a", 1)
+
+
+def test_replay_of_a_program_that_ends_early_names_the_process():
+    _starts[0] = 0
+    root = core.program_root(_forgets_on_replay, core.Ctx(2, 0, None, 2))
+    assert root.after("first").step is None
+    with pytest.raises(SimError, match="program of p2 ended before consuming"):
+        root.after("second")

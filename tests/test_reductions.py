@@ -3,12 +3,19 @@ examples of the k-IS based set-agreement reduction, and the strawman."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kisnap import (
+    CATALOG,
+    Announce,
+    KisInvokeStep,
     ReplaySchedule,
+    ScanStep,
+    WriteStep,
     enumerate_runs,
     make_instance,
     run,
@@ -16,6 +23,7 @@ from kisnap import (
     xsa_bound,
 )
 from kisnap.checkers import check_is, check_theorem1, check_xsa, object_history
+from kisnap.reductions import XSA_OBJ
 
 
 # ── Agreement degree formula ─────────────────────────────────────────────────
@@ -140,6 +148,32 @@ def test_two_object_variant_matches_bound_exhaustively():
         assert check_xsa(tr, bound).passed
         assert check_is(tr, "kis1", k=1).passed
         assert check_is(tr, "kis2", k=1).passed
+
+
+def _alg1_decides_own_input(ctx, value):
+    """alg1 with a wrong decision rule: it publishes and waits as alg1 does,
+    then decides its own input instead of the smallest published one."""
+    yield Announce("invoke", XSA_OBJ, "propose", args=value)
+    view = yield KisInvokeStep("kis", value)
+    yield WriteStep("view", view)
+    yield ScanStep("view", min_filled=ctx.n - ctx.t)
+    yield Announce("respond", XSA_OBJ, "propose", ret=value)
+    return value
+
+
+def test_catalog_patch_runs_a_mutant(monkeypatch):
+    """A mutant replaces a program through its catalog entry, and seeded
+    runs built after the patch run it: every run of the mutant at (4,1,1)
+    fails agreement, every run of alg1 passes."""
+
+    def failures(seed):
+        trace = run_random(make_instance("alg1", 4, 1, 1), seed).trace
+        return check_xsa(trace, xsa_bound(4, 1, 1)).failures()
+
+    assert all(failures(seed) == {} for seed in range(5))
+    mutant = dataclasses.replace(CATALOG["alg1"], program=_alg1_decides_own_input)
+    monkeypatch.setitem(CATALOG, "alg1", mutant)
+    assert all("agreement" in failures(seed) for seed in range(5))
 
 
 # ── Consensus-based k-IS construction ────────────────────────────────────────
