@@ -142,7 +142,7 @@ def _resume(
     announces: list[Announce] = []
     try:
         item = gen.send(result)
-        while isinstance(item, Announce):
+        while type(item) is Announce:
             announces.append(item)
             item = gen.send(None)
     except StopIteration as stop:
@@ -158,10 +158,10 @@ def _replay(program: Program, ctx: Ctx, history: tuple):
     try:
         item = next(gen)
         for h in history:
-            while isinstance(item, Announce):
+            while type(item) is Announce:
                 item = gen.send(None)
             item = gen.send(h)
-        while isinstance(item, Announce):
+        while type(item) is Announce:
             item = gen.send(None)
     except StopIteration:
         raise SimError(
@@ -175,8 +175,7 @@ def program_root(program: Program, ctx: Ctx) -> ProgramState:
     return _resume(program, ctx, (), program(ctx), None)
 
 
-@dataclass(frozen=True, slots=True)
-class World:
+class World(NamedTuple):
     """The system state. `procs[pid - 1]` is `pid`'s program state: its step
     is None once the program returned, and an invoke step stays in place
     while the process is parked in its k-IS object's `pending` set. A crash
@@ -248,32 +247,52 @@ def _cell(world: World, arr: str, cell: int):
         raise SimError(f"unknown register array {arr!r}") from None
 
 
+def _scan_ready(world: World, pid: int, step: ScanStep) -> bool:
+    cells = world.regs.get(step.array)
+    if cells is None:
+        raise SimError(f"unknown register array {step.array!r}")
+    return len(cells) - cells.count(BOTTOM) >= step.min_filled
+
+
+def _wait_ready(world: World, pid: int, step: WaitAnyStep) -> bool:
+    return any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
+
+
+def _invoke_ready(world: World, pid: int, step: KisInvokeStep) -> bool:
+    st = world.kis.get(step.obj)
+    return st is None or pid not in st.pending
+
+
+# The readiness check of each guarded step class, keyed by exact type. A
+# write, a propose and an unknown step have none: they are always ready, so
+# stepping an unknown one reaches `_apply_step`, which raises.
+_GUARDS = {
+    ScanStep: _scan_ready,
+    WaitAnyStep: _wait_ready,
+    KisInvokeStep: _invoke_ready,
+}
+
+
 def step_guard_ok(world: World, pid: int, step) -> bool:
     """Whether `pid` can take `step` now: a scan or wait has its registers
     filled, and an invoke is not already parked in its k-IS object."""
-    if isinstance(step, ScanStep):
-        cells = world.regs.get(step.array)
-        if cells is None:
-            raise SimError(f"unknown register array {step.array!r}")
-        return len(cells) - cells.count(BOTTOM) >= step.min_filled
-    if isinstance(step, WaitAnyStep):
-        return any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
-    if isinstance(step, KisInvokeStep):
-        st = world.kis.get(step.obj)
-        return st is None or pid not in st.pending
-    return True
+    guard = _GUARDS.get(type(step))
+    return guard is None or guard(world, pid, step)
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid."""
     crashed = world.crashed
-    return [
-        ("step", pid)
-        for pid, p in enumerate(world.procs, 1)
-        if p.step is not None
-        and pid not in crashed
-        and step_guard_ok(world, pid, p.step)
-    ]
+    guards = _GUARDS
+    out = []
+    for pid, p in enumerate(world.procs, 1):
+        step = p.step
+        if step is None or pid in crashed:
+            continue
+        guard = guards.get(type(step))
+        if guard is None or guard(world, pid, step):
+            out.append(("step", pid))
+    return out
 
 
 def commit_candidates(world: World) -> list[tuple[str, tuple[int, ...], int]]:
@@ -338,20 +357,21 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     procs = list(world.procs)
     regs, kis, cons = world.regs, world.kis, world.cons
     events: list[Event]
+    cls = type(step)
 
-    if isinstance(step, WriteStep):
+    if cls is WriteStep:
         cells = regs[step.array]
         idx = pid - 1
         regs = {**regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
         events = [Event(-1, "reg_write", pid, step.array, "write", step.value)]
         events += _advance(procs, pid, None)
 
-    elif isinstance(step, ScanStep):
+    elif cls is ScanStep:
         cells = regs[step.array]
         events = [Event(-1, "reg_read", pid, step.array, "scan", None, cells)]
         events += _advance(procs, pid, cells)
 
-    elif isinstance(step, WaitAnyStep):
+    elif cls is WaitAnyStep:
         vals = tuple(_cell(world, a, c) for a, c in step.watches)
         events = [
             Event(-1, "reg_read", pid, a, "read", c, v)
@@ -359,7 +379,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         ]
         events += _advance(procs, pid, vals)
 
-    elif isinstance(step, KisInvokeStep):
+    elif cls is KisInvokeStep:
         try:
             st = kis[step.obj]
         except KeyError:
@@ -369,12 +389,12 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
 
-    elif isinstance(step, ConsProposeStep):
+    elif cls is ConsProposeStep:
         try:
             st = cons[step.obj]
         except KeyError:
             raise SimError(f"unknown consensus object {step.obj!r}") from None
-        new_st, decided = consensus_propose(st, pid, step.value)
+        new_st, decided = consensus_propose(st, step.value)
         cons = {**cons, step.obj: new_st}
         events = [
             Event(-1, "invoke", pid, step.obj, "propose", step.value),
@@ -424,10 +444,7 @@ def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
         raise SimError(f"process {pid} already crashed")
     if world.procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    world = World(
-        world.n, world.t, world.k, world.procs, world.regs, world.kis,
-        world.cons, world.crashed | {pid},
-    )
+    world = world._replace(crashed=world.crashed | {pid})
     return world, [Event(-1, "crash", pid)]
 
 
@@ -436,23 +453,28 @@ def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
 
 class RandomSchedule:
     """Seeded adversary: uniform over enabled non-crash actions plus the
-    pending crashes of its designated victims. Commit batches are sampled
-    (object, then size, then members) rather than enumerated."""
+    pending crashes of its designated victims, pids of the world it runs.
+    Commit batches are sampled (object, then size, then members) rather
+    than enumerated."""
 
     def __init__(self, rng: random.Random, crash_victims: tuple[int, ...]):
         self.rng = rng
         self.victims = tuple(crash_victims)
 
     def choose(self, world: World) -> tuple | None:
-        steps = enabled_step_actions(world)
+        menu = enabled_step_actions(world)
         commits = commit_candidates(world)
-        if not steps and not commits:
+        if not menu and not commits:
             return None
-        crashables = set(crash_candidates(world))
-        crashes = [("crash", p) for p in self.victims if p in crashables]
-        menu: list[tuple] = list(steps)
         menu += [("commit?", obj, pending, need) for obj, pending, need in commits]
-        menu += crashes
+        crashed = world.crashed
+        if len(crashed) < world.t:
+            procs = world.procs
+            menu += [
+                ("crash", p)
+                for p in self.victims
+                if p not in crashed and procs[p - 1].step is not None
+            ]
         pick = menu[self.rng.randrange(len(menu))]
         if pick[0] != "commit?":
             return pick
@@ -591,6 +613,10 @@ def run_random(
         count = rng.randint(0, budget) if budget > 0 else 0
         pool = [p for p in range(1, instance.n + 1) if p not in initial_crashes]
         crash_victims = tuple(sorted(rng.sample(pool, count))) if count else ()
+    elif not all(1 <= p <= instance.n for p in crash_victims):
+        raise SimError(
+            f"crash victims {crash_victims} not among pids 1..{instance.n}"
+        )
     schedule = RandomSchedule(rng, crash_victims)
     return run(
         instance,

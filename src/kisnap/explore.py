@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .core import (
     Instance,
+    SimError,
     World,
     _stamp,
     apply_action,
@@ -55,17 +56,18 @@ def action_footprint(world: World, action: tuple) -> tuple:
     if kind == "step":
         pid = action[1]
         step = current_step(world, pid)
-        if isinstance(step, WriteStep):
+        cls = type(step)
+        if cls is WriteStep:
             return ("w", step.array, pid)
-        if isinstance(step, ScanStep):
+        if cls is ScanStep:
             return ("scan", step.array)
-        if isinstance(step, WaitAnyStep):
+        if cls is WaitAnyStep:
             return ("r", tuple(step.watches))
-        if isinstance(step, KisInvokeStep):
+        if cls is KisInvokeStep:
             return ("kinv", step.obj)
-        if isinstance(step, ConsProposeStep):
+        if cls is ConsProposeStep:
             return ("cons", step.obj)
-        raise AssertionError(f"unexpected step {step!r}")
+        raise SimError(f"process {pid} yielded an unknown step {step!r}")
     if kind == "commit":
         return ("kcommit", action[1], frozenset(action[2]))
     if kind == "crash":

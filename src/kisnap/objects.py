@@ -11,7 +11,8 @@ levels: it is wait-free, so it cannot enforce any minimum view size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .primitives import (
     BOTTOM,
@@ -30,31 +31,35 @@ class ObjectError(ValueError):
 # ── k-immediate-snapshot oracle ──────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
-class KisState:
+class KisState(namedtuple("KisState", "n_obj k_obj invoked pending classes")):
     """Immutable state of one k-IS oracle object.
 
     `invoked` maps pid to proposed value (pid-sorted pair tuple), `pending`
     holds invokers not yet in any committed class, and `classes` is the
     committed concurrency-class sequence. A crashed process's pending
-    invocation stays committable but is never released.
+    invocation stays committable but is never released. Every invoker is
+    either pending or in exactly one class.
     """
 
-    n_obj: int
-    k_obj: int
-    invoked: tuple[tuple[int, object], ...] = ()
-    pending: frozenset[int] = frozenset()
-    classes: tuple[frozenset, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.k_obj <= self.n_obj - 1):
+    def __new__(
+        cls,
+        n_obj: int,
+        k_obj: int,
+        invoked: tuple[tuple[int, object], ...] = (),
+        pending: frozenset[int] = frozenset(),
+        classes: tuple[frozenset, ...] = (),
+    ):
+        if not (1 <= k_obj <= n_obj - 1):
             raise ObjectError(
-                f"k-IS object requires 1 <= k <= n-1, got n={self.n_obj} k={self.k_obj}"
+                f"k-IS object requires 1 <= k <= n-1, got n={n_obj} k={k_obj}"
             )
+        return tuple.__new__(cls, (n_obj, k_obj, invoked, pending, classes))
 
     def min_batch_size(self) -> int:
         """Smallest batch the gate admits next."""
-        committed = sum(len(c) for c in self.classes)
+        committed = len(self.invoked) - len(self.pending)
         return max(1, self.n_obj - self.k_obj - committed)
 
 
@@ -62,7 +67,7 @@ def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
     if any(p == pid for p, _ in st.invoked):
         raise ObjectError(f"process {pid} invoked k-IS object twice")
     invoked = tuple(sorted(st.invoked + ((pid, value),)))
-    return KisState(st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.classes)
+    return st._replace(invoked=invoked, pending=st.pending | {pid})
 
 
 def kis_commit_batch(
@@ -96,24 +101,23 @@ def kis_commit_batch(
         view |= c
     view = frozenset(view)
     releases = [(p, view) for p in pids if p not in crashed]
-    new_st = KisState(st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), classes)
+    new_st = st._replace(pending=st.pending - set(pids), classes=classes)
     return new_st, view, releases
 
 
 # ── Consensus oracle ─────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
-class ConsState:
+class ConsState(NamedTuple):
     """Consensus object: the first linearized proposal wins, atomically."""
 
     decided: object = BOTTOM
 
 
-def consensus_propose(st: ConsState, pid: int, value: object) -> tuple[ConsState, object]:
+def consensus_propose(st: ConsState, value: object) -> tuple[ConsState, object]:
     if st.decided is not BOTTOM:
         return st, st.decided
-    return ConsState(decided=value), value
+    return ConsState(value), value
 
 
 # ── Wait-free immediate snapshot from SWMR registers ────────────────────────

@@ -11,18 +11,23 @@ functions of their context, parameters, and the sequence of step results:
 exploration rebuilds a generator by replaying its step results when a
 program state is revisited with a different result, so no hidden mutable
 state is allowed.
+
+Programs yield exactly these classes. The simulator dispatches on a step's
+exact type, so any other object it is asked to run, a subclass of a step
+class included, is an unknown step: stepping it raises `SimError` rather
+than running it without its guard. The records are named tuples, cheap to
+build on every action; two of them compare equal when their fields do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Empty register cell. Serialized as JSON null.
 BOTTOM = None
 
 
-@dataclass(frozen=True, slots=True)
-class Announce:
+class Announce(NamedTuple):
     """Free trace annotation emitted by a program between steps."""
 
     kind: str  # "invoke" | "respond"
@@ -33,16 +38,14 @@ class Announce:
     pid: int | None = None  # None: the acting process
 
 
-@dataclass(frozen=True, slots=True)
-class WriteStep:
+class WriteStep(NamedTuple):
     """Atomic write of `value` to the caller's own cell of `array` (SWMR)."""
 
     array: str
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class ScanStep:
+class ScanStep(NamedTuple):
     """Atomic read of all cells of `array`; result is the cell tuple.
 
     Enabled only once at least `min_filled` cells are non-bottom, so a
@@ -54,16 +57,14 @@ class ScanStep:
     min_filled: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class WaitAnyStep:
+class WaitAnyStep(NamedTuple):
     """Blocks until some watched cell is non-bottom; result is the tuple of
     watched cell values at the wakeup instant."""
 
     watches: tuple[tuple[str, int], ...]  # (array, 1-based cell)
 
 
-@dataclass(frozen=True, slots=True)
-class KisInvokeStep:
+class KisInvokeStep(NamedTuple):
     """One-shot invocation of a k-immediate-snapshot oracle object.
 
     The step parks the process; the view arrives as the step result when
@@ -74,10 +75,8 @@ class KisInvokeStep:
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class ConsProposeStep:
+class ConsProposeStep(NamedTuple):
     """Consensus proposal, atomic: invoke and response in one step."""
 
     obj: str
     value: object
-

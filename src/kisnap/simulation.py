@@ -142,7 +142,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
 
     def pending_op(p):
         step = nodes[p].step
-        if not isinstance(step, KisInvokeStep):
+        if type(step) is not KisInvokeStep:
             raise SimError(
                 f"inner program of p{p} uses unsupported shared step {step!r}; "
                 "only k-IS invocations can be simulated"

@@ -25,7 +25,7 @@ from kisnap import (
 )
 from kisnap import core, explore
 from kisnap.core import apply_action, enabled_step_actions, initial_world
-from kisnap.primitives import Announce, WriteStep
+from kisnap.primitives import Announce, ScanStep, WriteStep
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
 
@@ -67,6 +67,35 @@ def test_reduction_collapses_independent_programs_to_one_run():
     interleaving suffices."""
     inst = toy_instance(toy_two_writes)
     assert count_runs(inst, reduced=True) == 1
+
+
+def test_reduced_alg1_explore_call_pattern(monkeypatch):
+    """The counts the benchmark's explore counters take at the
+    `kisnap.explore` bindings, pinned at a cheap cell: one
+    `enabled_step_actions` call per DFS node, one `crash_candidates` call
+    per interior node, and `action_footprint` calls at every interior node
+    that has a live action; the rest are sleep-blocked."""
+    calls = {"enabled_step_actions": 0, "crash_candidates": 0}
+    footprinted = set()  # interior nodes, by index, that took a footprint
+
+    def count(attr):
+        fn = getattr(explore, attr)
+
+        def counted(*args):
+            if attr in calls:
+                calls[attr] += 1
+            else:
+                footprinted.add(calls["crash_candidates"])
+            return fn(*args)
+
+        monkeypatch.setattr(explore, attr, counted)
+
+    for attr in ("enabled_step_actions", "crash_candidates", "action_footprint"):
+        count(attr)
+    leaves = count_runs(make_instance("alg1", 3, 2, 2), reduced=True)
+    interior = calls["crash_candidates"]
+    assert (leaves, calls["enabled_step_actions"], interior) == (2140, 7805, 5665)
+    assert interior - len(footprinted) == 1800
 
 
 def _outcome_summary(trace):
@@ -225,12 +254,38 @@ def test_action_on_unknown_pid_is_rejected(action):
         apply_action(world, action)
 
 
+@pytest.mark.parametrize("victims", [(0,), (2, 4)])
+def test_crash_victims_outside_the_pids_are_rejected(victims):
+    with pytest.raises(SimError, match="crash victims"):
+        run_random(toy_instance(toy_two_writes, n=3, t=2), 0, crash_victims=victims)
+
+
 def test_returned_process_cannot_be_crashed():
     inst = toy_instance(toy_one_write, n=2, t=1, arrays=("a",))
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("step", 1))  # p1 returns
     with pytest.raises(SimError):
         apply_action(world, ("crash", 1))
+
+
+class _ScanSubclass(ScanStep):
+    """Not one of the step classes a program may yield."""
+
+
+def _yields_scan_subclass(ctx):
+    yield _ScanSubclass("a", min_filled=ctx.n + 1)  # a guard never met
+
+
+def test_step_subclass_is_an_unknown_step():
+    """Steps dispatch on exact type: a subclass of a step class is stepped
+    as an unknown step and raises, instead of running without its guard
+    or blocking on the guard it inherits."""
+    programs = {pid: _yields_scan_subclass for pid in (1, 2)}
+    inst = Instance(2, 0, None, programs, arrays=("a",))
+    with pytest.raises(SimError, match=r"process [12] yielded an unknown step"):
+        run_random(inst, 0)
+    with pytest.raises(SimError, match=r"process [12] yielded an unknown step"):
+        count_runs(inst)
 
 
 # ── Parked processes and world equality ─────────────────────────────────────
@@ -345,7 +400,9 @@ def _replayed(node):
 
 def _assert_states_replay(world):
     for node in world.procs:
-        assert (node.announces, node.step, node.value) == _replayed(node)
+        replayed = _replayed(node)
+        assert (node.announces, node.step, node.value) == replayed
+        assert type(node.step) is type(replayed[1])  # records compare as tuples
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ and the register-level wait-free immediate snapshot routine."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from kisnap import (
     ConsState,
@@ -105,14 +107,41 @@ def test_gate_arithmetic_across_classes():
     assert len(view) == 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(hs.data())
+def test_gate_tracks_committed_invokers_under_random_operations(data):
+    """Random legal invokes and gate-respecting commits at n <= 6: every
+    invoker is pending or in exactly one class, which is the identity the
+    gate's committed count (invoked minus pending) rests on."""
+    n = data.draw(hs.integers(2, 6), label="n")
+    k = data.draw(hs.integers(1, n - 1), label="k")
+    state = KisState(n, k)
+    for _ in range(2 * n):
+        uninvoked = sorted(set(range(1, n + 1)) - {p for p, _ in state.invoked})
+        pending = sorted(state.pending)
+        need = state.min_batch_size()
+        if uninvoked and (len(pending) < need or data.draw(hs.booleans())):
+            pid = data.draw(hs.sampled_from(uninvoked))
+            state = kis_invoke(state, pid, data.draw(hs.integers(0, 9)))
+        elif pending and len(pending) >= need:
+            size = data.draw(hs.integers(need, len(pending)))
+            batch = data.draw(hs.permutations(pending))[:size]
+            state, _, _ = kis_commit_batch(state, tuple(batch), frozenset())
+        else:
+            break
+        committed = sum(len(c) for c in state.classes)
+        assert len(state.invoked) == len(state.pending) + committed
+        assert state.min_batch_size() == max(1, n - k - committed)
+
+
 # ── Consensus oracle ─────────────────────────────────────────────────────────
 
 
 def test_consensus_first_proposal_wins():
     st = ConsState()
-    st, d1 = consensus_propose(st, 2, "x")
-    st, d2 = consensus_propose(st, 1, "y")
-    st, d3 = consensus_propose(st, 3, "z")
+    st, d1 = consensus_propose(st, "x")
+    st, d2 = consensus_propose(st, "y")
+    st, d3 = consensus_propose(st, "z")
     assert d1 == d2 == d3 == "x"
     assert st.decided == "x"
 
