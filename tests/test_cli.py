@@ -263,6 +263,52 @@ def test_run_step_bound_below_1_exits_2(bound, capsys):
     assert "--step-bound: must be at least 1" in capsys.readouterr().err
 
 
+def _views(*views):
+    return [{"view": [list(pair) for pair in v]} for v in views]
+
+
+ALL, P12, P13, P1, P2 = (
+    ((1, 101), (2, 102), (3, 103)), ((1, 101), (2, 102)), ((1, 101), (3, 103)),
+    ((1, 101),), ((2, 102),),
+)
+
+# The summaries of the first 10 runs of kis_oracle at (3,1,2) in each mode.
+EXPLORE_KIS_ORACLE_3_1_2_MAX_10 = {
+    "reduced": {
+        "runs": 10,
+        "decision_sets": [
+            _views(ALL, P12, P1), _views(ALL, P12, P2), _views(ALL, P13, P1),
+            _views(ALL, P1), _views(P12, P1), _views(P13, P1),
+        ],
+        "outcomes": {"returned": 24, "crashed": 6, "blocked": 0},
+    },
+    "literal": {
+        "runs": 10,
+        "decision_sets": [
+            _views(ALL, P12, P1), _views(ALL, P13, P1), _views(ALL, P1),
+            _views(P12, P1), _views(P13, P1),
+        ],
+        "outcomes": {"returned": 23, "crashed": 7, "blocked": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EXPLORE_KIS_ORACLE_3_1_2_MAX_10))
+def test_explore_max_runs_stops_after_n_runs(mode, tmp_path, capsys):
+    out_file = tmp_path / "summary.json"
+    rc = main([
+        "explore", "--algo", "kis_oracle", "--n", "3", "--t", "1", "--k", "2",
+        "--max-runs", "10", "--check", "--out", str(out_file),
+        *(["--literal"] if mode == "literal" else []),
+    ])
+    assert rc == 0
+    assert json.loads(out_file.read_text()) == {
+        "algo": "kis_oracle", "n": 3, "t": 1, "k": 2, "mode": mode,
+        **EXPLORE_KIS_ORACLE_3_1_2_MAX_10[mode],
+        "check_failures": 0,
+    }
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_explore_max_runs_below_1_exits_2(bound, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,7 @@ from conftest import (
     toy_one_write,
     toy_two_writes,
     toy_write_scan,
+    toy_write_wait,
 )
 
 
@@ -117,6 +118,51 @@ def test_reduced_exploration_matches_literal_for_oracle_algorithm():
     literal = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=False)}
     reduced = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=True)}
     assert reduced == literal
+
+
+def _run_count_and_outcomes(traces) -> tuple[int, set]:
+    runs, outcomes = 0, set()
+    for tr in traces:
+        runs += 1
+        outcomes.add(_outcome_summary(tr))
+    return runs, outcomes
+
+
+def _assert_walks_agree(inst, runs: tuple[int, int], outcomes: int) -> None:
+    """The literal and the reduced walk of `inst` take the pinned numbers
+    of runs and reach the same `outcomes` outcome combinations."""
+    literal_runs, literal = _run_count_and_outcomes(enumerate_runs(inst))
+    reduced_runs, reduced = _run_count_and_outcomes(
+        enumerate_runs(inst, reduced=True)
+    )
+    assert (literal_runs, reduced_runs) == runs
+    assert reduced == literal
+    assert len(literal) == outcomes
+
+
+@pytest.mark.parametrize(
+    "t,runs,outcomes", [(0, (72, 10), 10), (1, (366, 31), 28)], ids=["t0", "t1"]
+)
+def test_reduced_exploration_matches_literal_for_write_then_wait(t, runs, outcomes):
+    """A write and a wait that watches its cell do not commute, so the
+    reduced walk keeps both of their orders."""
+    inst = toy_instance(toy_write_wait, n=3, t=t, arrays=("a",))
+    _assert_walks_agree(inst, runs, outcomes)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "algo,ntk,runs,outcomes",
+    [
+        ("alg2", (3, 1, 1), (20652, 306), 16),
+        ("is_impl", (3, 1, None), (89274, 4741), 37),
+    ],
+    ids=["alg2", "is_impl"],
+)
+def test_reduced_exploration_matches_literal_for_catalog(algo, ntk, runs, outcomes):
+    """Consensus proposals (alg2) and the register-level immediate snapshot
+    (both) under the reduction reach the outcomes of every interleaving."""
+    _assert_walks_agree(make_instance(algo, *ntk), runs, outcomes)
 
 
 def _checked_outcomes(traces) -> tuple[int, set]:
