@@ -35,7 +35,7 @@ from .experiments import (
     sweep,
     trial_seed,
 )
-from .explore import count_runs, enumerate_runs
+from .explore import enumerate_runs
 from .objects import (
     ConsState,
     KisState,

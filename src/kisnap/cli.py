@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .checkers import (
     check_consensus_linearizable,
@@ -112,7 +113,7 @@ def _print_failures(found) -> None:
 def _cmd_explore(args) -> int:
     inputs = _parse_inputs(args.inputs, args.n)
     inst = make_instance(args.algo, args.n, args.t, args.k, inputs)
-    runs = enumerate_runs(inst, reduced=not args.literal, max_runs=args.max_runs)
+    runs = islice(enumerate_runs(inst, reduced=not args.literal), args.max_runs)
     found = sweep(runs, standard_reports) if args.check else sweep(runs)
     _print_failures(found)
     mode = "literal" if args.literal else "reduced"

@@ -22,91 +22,75 @@ from typing import Iterator
 
 from .core import (
     Instance,
-    SimError,
     World,
     _stamp,
     apply_action,
     crash_candidates,
-    current_step,
     enabled_commit_actions,
     enabled_step_actions,
     finalize_trace,
     initial_world,
 )
-from .primitives import (
-    ConsProposeStep,
-    KisInvokeStep,
-    ScanStep,
-    WaitAnyStep,
-    WriteStep,
-)
+from .primitives import ConsProposeStep, ScanStep, WaitAnyStep, WriteStep
 from .trace import Event, Trace
 
 # ── Action footprints and independence ───────────────────────────────────────
 #
-# A footprint summarizes what an action touches; `independent` is the
-# standard requirement for sleep sets: co-enabled independent actions
-# commute and neither disables the other. Footprints are computed at the
-# node where the action is first seen and stay valid while the action sits
-# in a sleep set (the owning process cannot move, so its step is unchanged).
+# `independent` is the standard requirement for sleep sets: co-enabled
+# independent actions commute and neither disables the other. It needs to
+# know what an action touches. A commit names its object and batch and a
+# crash its pid, so only a step needs more: its footprint is the step record
+# the process waits on. The footprint is taken at the node where the action
+# is first seen and stays valid while the action sits in a sleep set (the
+# owning process cannot move, so its step is unchanged). The relation:
+#
+# * two crashes are dependent (crash order is kept explicit);
+# * a crash of p is dependent with a step of p and with a commit whose
+#   batch holds p;
+# * two commits are dependent exactly when they are on the same object, and
+#   a commit commutes with every step;
+# * a write of array A by p is dependent with a scan of A and with a wait
+#   that watches (A, p);
+# * two proposes are dependent exactly when they are on the same object;
+# * every other pair is independent.
 
 
-def action_footprint(world: World, action: tuple) -> tuple:
-    kind = action[0]
-    if kind == "step":
-        pid = action[1]
-        step = current_step(world, pid)
-        cls = type(step)
-        if cls is WriteStep:
-            return ("w", step.array, pid)
-        if cls is ScanStep:
-            return ("scan", step.array)
-        if cls is WaitAnyStep:
-            return ("r", tuple(step.watches))
-        if cls is KisInvokeStep:
-            return ("kinv", step.obj)
-        if cls is ConsProposeStep:
-            return ("cons", step.obj)
-        raise SimError(f"process {pid} yielded an unknown step {step!r}")
-    if kind == "commit":
-        return ("kcommit", action[1], frozenset(action[2]))
-    if kind == "crash":
-        return ("crash", action[1])
-    raise AssertionError(f"unexpected action {action!r}")
+def action_footprint(world: World, action: tuple):
+    """The step record of a step action; None for a commit or a crash."""
+    if action[0] == "step":
+        return world.procs[action[1] - 1].step
+    return None
 
 
-def independent(a: tuple, fa: tuple, b: tuple, fb: tuple) -> bool:
-    ka, kb = fa[0], fb[0]
+def independent(a: tuple, fa, b: tuple, fb) -> bool:
+    ka, kb = a[0], b[0]
     if ka == "crash" or kb == "crash":
-        if ka == "crash" and kb == "crash":
-            return False  # conservative: crash order kept explicit
-        crash_pid = fa[1] if ka == "crash" else fb[1]
-        other_action = b if ka == "crash" else a
-        other_fp = fb if ka == "crash" else fa
-        if other_action[0] == "step":
-            return other_action[1] != crash_pid
-        if other_action[0] == "commit":
-            return crash_pid not in other_fp[2]
-        return True
-    if ka == "kcommit" and kb == "kcommit":
-        return fa[1] != fb[1]
-    if ka == "kcommit" or kb == "kcommit":
+        if ka == kb:
+            return False
+        (_, pid), other = (a, b) if ka == "crash" else (b, a)
+        if other[0] == "step":
+            return other[1] != pid
+        return pid not in other[2]
+    if ka == "commit" or kb == "commit":
         # A commit touches only oracle state and parked processes; any
         # process with an enabled step is not parked, and a still-pending
         # invoke cannot already sit in the committed batch, so commits
         # commute with every enabled step.
+        return ka != kb or a[1] != b[1]
+    # Two steps. Writes by distinct pids fill distinct cells, and one pid
+    # never has two co-enabled steps, so a write commutes with every other
+    # write; only a read of the written cell conflicts with it.
+    if type(fb) is WriteStep:
+        a, fa, b, fb = b, fb, a, fa
+    if type(fa) is WriteStep:
+        kind = type(fb)
+        if kind is ScanStep:
+            return fb.array != fa.array
+        if kind is WaitAnyStep:
+            return (fa.array, a[1]) not in fb.watches
         return True
-    if ka == "cons" and kb == "cons":
-        return fa[1] != fb[1]
-    if ka == "w" and kb == "w":
-        return not (fa[1] == fb[1] and fa[2] == fb[2])
-    if ka == "w" or kb == "w":
-        w, r = (fa, fb) if ka == "w" else (fb, fa)
-        if r[0] == "scan":
-            return w[1] != r[1]
-        if r[0] == "r":
-            return (w[1], w[2]) not in r[1]
-        return True  # write vs object op
+    if type(fa) is ConsProposeStep and type(fb) is ConsProposeStep:
+        return fa.obj != fb.obj
     return True  # reads commute; pending-set insertions commute
 
 
@@ -122,20 +106,17 @@ def enumerate_runs(
     *,
     reduced: bool = False,
     depth_bound: int | None = None,
-    max_runs: int | None = None,
 ) -> Iterator[Trace]:
     """Yield every maximal run of `instance` (one trace per interleaving).
 
     With `reduced=True`, sleep-set pruning keeps one interleaving per
     trace-equivalence class. `depth_bound` caps the number of scheduler
-    actions per run and yields the runs it cuts off as truncated traces;
-    `max_runs` stops the walk after that many yields.
+    actions per run and yields the runs it cuts off as truncated traces.
     """
     indep = independent if reduced else _never_independent
     world0, init_events = initial_world(instance)
     events: list[Event] = []
     _stamp(events, init_events)
-    count = 0
 
     def leaf(world: World, truncated: bool) -> Trace:
         # finalize_trace appends blocked events into the shared buffer;
@@ -145,16 +126,11 @@ def enumerate_runs(
         )
 
     def dfs(world: World, sleep: dict, depth: int) -> Iterator[Trace]:
-        nonlocal count
-        if max_runs is not None and count >= max_runs:
-            return
         menu = enabled_step_actions(world) + enabled_commit_actions(world)
         if not menu:
-            count += 1
             yield leaf(world, truncated=False)
             return
         if depth_bound is not None and depth >= depth_bound:
-            count += 1
             yield leaf(world, truncated=True)
             return
         options = menu + [("crash", p) for p in crash_candidates(world)]
@@ -162,10 +138,8 @@ def enumerate_runs(
         if not live:
             return
         fps = {a: action_footprint(world, a) for a in live}
-        explored: list[tuple[tuple, tuple]] = []
+        explored: list[tuple] = []
         for a in live:
-            if max_runs is not None and count >= max_runs:
-                return
             fa = fps[a]
             child, evs = apply_action(world, a)
             mark = len(events)
@@ -182,6 +156,3 @@ def enumerate_runs(
 
     yield from dfs(world0, {}, 0)
 
-
-def count_runs(instance: Instance, **kw) -> int:
-    return sum(1 for _ in enumerate_runs(instance, **kw))

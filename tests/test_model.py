@@ -13,7 +13,6 @@ from kisnap import (
     Instance,
     ReplaySchedule,
     SimError,
-    count_runs,
     enumerate_runs,
     make_instance,
     run,
@@ -45,12 +44,12 @@ from conftest import (
 def test_two_processes_two_steps_each_gives_six_literal_runs():
     """2 processes x 2 steps: C(4,2) = 6 interleavings, enumerated literally."""
     inst = toy_instance(toy_two_writes)
-    assert count_runs(inst, reduced=False) == 6
+    assert sum(1 for _ in enumerate_runs(inst, reduced=False)) == 6
 
 
 def test_two_processes_one_step_each_gives_two_literal_runs():
     inst = toy_instance(toy_one_write)
-    assert count_runs(inst, reduced=False) == 2
+    assert sum(1 for _ in enumerate_runs(inst, reduced=False)) == 2
 
 
 def test_depth_bound_counts_actions():
@@ -67,7 +66,7 @@ def test_reduction_collapses_independent_programs_to_one_run():
     """All steps commute (distinct SWMR cells), so one representative
     interleaving suffices."""
     inst = toy_instance(toy_two_writes)
-    assert count_runs(inst, reduced=True) == 1
+    assert sum(1 for _ in enumerate_runs(inst, reduced=True)) == 1
 
 
 def test_reduced_alg1_explore_call_pattern(monkeypatch):
@@ -93,7 +92,8 @@ def test_reduced_alg1_explore_call_pattern(monkeypatch):
 
     for attr in ("enabled_step_actions", "crash_candidates", "action_footprint"):
         count(attr)
-    leaves = count_runs(make_instance("alg1", 3, 2, 2), reduced=True)
+    inst = make_instance("alg1", 3, 2, 2)
+    leaves = sum(1 for _ in enumerate_runs(inst, reduced=True))
     interior = calls["crash_candidates"]
     assert (leaves, calls["enabled_step_actions"], interior) == (2140, 7805, 5665)
     assert interior - len(footprinted) == 1800
@@ -107,10 +107,10 @@ def test_reduced_exploration_preserves_outcome_sets():
     """Order-sensitive program (write then scan): the reduced search must
     reach exactly the literal set of outcome combinations."""
     inst = toy_instance(toy_write_scan, n=3, t=1, arrays=("a",))
-    literal = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=False)}
-    reduced = {_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=True)}
-    assert reduced == literal
-    assert count_runs(inst, reduced=True) <= count_runs(inst, reduced=False)
+    literal = [_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=False)]
+    reduced = [_outcome_summary(tr) for tr in enumerate_runs(inst, reduced=True)]
+    assert set(reduced) == set(literal)
+    assert len(reduced) <= len(literal)
 
 
 def test_reduced_exploration_matches_literal_for_oracle_algorithm():
@@ -331,7 +331,7 @@ def test_step_subclass_is_an_unknown_step():
     with pytest.raises(SimError, match=r"process [12] yielded an unknown step"):
         run_random(inst, 0)
     with pytest.raises(SimError, match=r"process [12] yielded an unknown step"):
-        count_runs(inst)
+        sum(1 for _ in enumerate_runs(inst))
 
 
 # ── Parked processes and world equality ─────────────────────────────────────
