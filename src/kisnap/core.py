@@ -360,7 +360,9 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     cls = type(step)
 
     if cls is WriteStep:
-        cells = regs[step.array]
+        cells = regs.get(step.array)
+        if cells is None:
+            raise SimError(f"unknown register array {step.array!r}")
         idx = pid - 1
         regs = {**regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
         events = [Event(-1, "reg_write", pid, step.array, "write", step.value)]

@@ -334,6 +334,22 @@ def test_step_subclass_is_an_unknown_step():
         sum(1 for _ in enumerate_runs(inst))
 
 
+def _yields(ctx, step):
+    yield step
+
+
+@pytest.mark.parametrize(
+    "step", [WriteStep("nope", 1), ScanStep("nope")], ids=["write", "scan"]
+)
+def test_step_on_an_undeclared_array_is_rejected(step):
+    programs = {pid: partial(_yields, step=step) for pid in (1, 2)}
+    inst = Instance(2, 0, None, programs, arrays=("a",))
+    with pytest.raises(SimError, match="unknown register array 'nope'"):
+        run_random(inst, 0)
+    with pytest.raises(SimError, match="unknown register array 'nope'"):
+        sum(1 for _ in enumerate_runs(inst, reduced=True))
+
+
 # ── Parked processes and world equality ─────────────────────────────────────
 
 
