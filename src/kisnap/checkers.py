@@ -7,16 +7,18 @@ when it fails:
 
 * `check_is`: the five immediate-snapshot properties (Termination,
   Self-inclusion, Validity, Containment, Immediacy) plus the k-IS Output
-  size bound when `k` is given. Immediacy is evaluated both in its primal
-  form ((i,-) in view_j implies view_i subseteq view_j) and in the
+  size bound when `k` is given. Validity is real-time: a view names only
+  values invoked before its respond. Immediacy is evaluated both in its
+  primal form ((i,-) in view_j implies view_i subseteq view_j) and in the
   symmetric form (mutual membership implies equal views); whenever
   self-inclusion, validity, and containment hold the two are equivalent and
   the checker asserts they agree.
 * `check_theorem1`: the minimum-view theorem: the smallest returned view has
   at least n-k members, and each of its members either returned exactly that
   view or crashed during its invocation.
-* `check_xsa`: x-set agreement (Validity, Agreement with bound x,
-  Termination of correct processes).
+* `check_xsa`: x-set agreement (Validity: a decided value was proposed
+  before the decision, Agreement with bound x, Termination of correct
+  processes).
 * `check_consensus_linearizable`: all responses carry one common value,
   proposed by a process whose invocation does not follow the first response.
 
@@ -206,22 +208,32 @@ def _check_self_inclusion(h: ObjHistory, rows: Rows) -> Verdict:
 
 
 def _check_validity(h: ObjHistory, rows: Rows) -> Verdict:
-    invokes = h.invokes
+    """Every pair (j, v) in a view has j invoke v at a step before the
+    view's respond."""
+    invokes, responds = h.invokes, h.responds
     for pid, view, _ in rows:
+        at = responds[pid][1]
         for j, v in view:
-            if j not in invokes or invokes[j][0] != v:
+            inv = invokes.get(j)
+            if inv is None or inv[0] != v or inv[1] >= at:
                 break
         else:
             continue
         for j, v in sorted(view):  # the witness: the first bad pair in order
-            if j not in invokes:
+            inv = invokes.get(j)
+            if inv is None:
                 return _fail(
                     f"view of process {pid} contains ({j}, {v!r}) but {j} never invoked"
                 )
-            if invokes[j][0] != v:
+            if inv[0] != v:
                 return _fail(
                     f"view of process {pid} contains ({j}, {v!r}) but {j} "
-                    f"invoked with {invokes[j][0]!r}"
+                    f"invoked with {inv[0]!r}"
+                )
+            if inv[1] >= at:
+                return _fail(
+                    f"view of process {pid} contains ({j}, {v!r}) but {j} "
+                    f"invoked at step {inv[1]}, after the respond at step {at}"
                 )
     return PASS
 
@@ -362,17 +374,33 @@ def check_xsa(trace: Trace, x: int, obj: str = "xsa") -> CheckReport:
     """x-set agreement over the decision history published under `obj`."""
     h = object_history(trace, obj)
     report = CheckReport(obj=obj, kind=f"{x}-sa")
-    proposed = {args for args, _ in h.invokes.values()}
-    decisions = {pid: ret for pid, (ret, _) in h.responds.items()}
-    if proposed.issuperset(decisions.values()):
+    proposed_at: dict = {}  # value -> step of its first proposal
+    for value, step in h.invokes.values():
+        if value not in proposed_at or step < proposed_at[value]:
+            proposed_at[value] = step
+    responds = h.responds
+    invalid = [
+        pid
+        for pid, (value, step) in responds.items()
+        if value not in proposed_at or proposed_at[value] >= step
+    ]
+    if not invalid:
         report.verdicts["validity"] = PASS
     else:
-        report.verdicts["validity"] = _fail("; ".join(
-            f"process {pid} decided {v!r} which nobody proposed"
-            for pid, v in sorted(decisions.items())
-            if v not in proposed
-        ))
-    distinct = set(decisions.values())
+        witnesses = []
+        for pid in sorted(invalid):
+            value, step = responds[pid]
+            if value not in proposed_at:
+                witnesses.append(
+                    f"process {pid} decided {value!r} which nobody proposed"
+                )
+            else:
+                witnesses.append(
+                    f"process {pid} decided {value!r} at step {step} but "
+                    f"{value!r} was first proposed at step {proposed_at[value]}"
+                )
+        report.verdicts["validity"] = _fail("; ".join(witnesses))
+    distinct = {value for value, _ in responds.values()}
     if len(distinct) <= x:
         report.verdicts["agreement"] = PASS
     else:

@@ -110,6 +110,19 @@ def bad_validity_value() -> Trace:
     )
 
 
+def bad_validity_real_time() -> Trace:
+    """p1's view names p2's pair before p2 invokes: clairvoyant, though
+    every pair is eventually invoked."""
+    return mk_trace(
+        [
+            inv(1, "a"),
+            resp(1, view((1, "a"), (2, "b"))),
+            inv(2, "b"),
+            resp(2, view((1, "a"), (2, "b"))),
+        ]
+    )
+
+
 def bad_containment() -> Trace:
     """Two incomparable views (no shared responder, so immediacy is clean)."""
     return mk_trace(
@@ -172,6 +185,11 @@ def bad_xsa_validity() -> Trace:
     return mk_trace([inv(1, 7), resp(1, 99)])
 
 
+def bad_xsa_validity_real_time() -> Trace:
+    """p1 decides 7 before p2 proposes it."""
+    return mk_trace([inv(1, 8), resp(1, 7), inv(2, 7), resp(2, 7)])
+
+
 def bad_xsa_agreement() -> Trace:
     return mk_trace([inv(1, 7), inv(2, 8), resp(1, 7), resp(2, 8)])
 
@@ -200,6 +218,7 @@ IS_PROPERTY_CORPUS = [
     ("termination", bad_termination, lambda tr: check_is(tr, OBJ, k=2), "termination"),
     ("self_inclusion", bad_self_inclusion, lambda tr: check_is(tr, OBJ, k=2), "self_inclusion"),
     ("validity", bad_validity, lambda tr: check_is(tr, OBJ, k=2), "validity"),
+    ("validity_real_time", bad_validity_real_time, lambda tr: check_is(tr, OBJ, k=2), "validity"),
     ("containment", bad_containment, lambda tr: check_is(tr, OBJ, k=2), "containment"),
     ("immediacy", bad_immediacy, lambda tr: check_is(tr, OBJ, k=2), "immediacy"),
     ("output_size", bad_output_size, lambda tr: check_is(tr, OBJ, k=1), "output_size"),
@@ -209,6 +228,7 @@ AGREEMENT_CORPUS = [
     ("min_view_size", bad_output_size, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_size"),
     ("min_view_members", bad_min_view_members, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_members"),
     ("xsa_validity", bad_xsa_validity, lambda tr: check_xsa(tr, 1, obj=OBJ), "validity"),
+    ("xsa_validity_real_time", bad_xsa_validity_real_time, lambda tr: check_xsa(tr, 1, obj=OBJ), "validity"),
     ("xsa_agreement", bad_xsa_agreement, lambda tr: check_xsa(tr, 1, obj=OBJ), "agreement"),
     ("xsa_termination", bad_xsa_termination, lambda tr: check_xsa(tr, 1, obj=OBJ), "termination"),
     ("cons_agreement", bad_consensus_agreement, lambda tr: check_consensus_linearizable(tr, OBJ), "agreement"),

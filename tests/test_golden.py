@@ -162,6 +162,10 @@ CORPUS_REPORTS = {
     "validity": ("2-is", IS_VERDICTS, {
         "validity": "view of process 1 contains (2, 'b') but 2 never invoked",
     }),
+    "validity_real_time": ("2-is", IS_VERDICTS, {
+        "validity": "view of process 1 contains (2, 'b') but 2 invoked at "
+        "step 2, after the respond at step 1",
+    }),
     "containment": ("2-is", IS_VERDICTS, {
         "containment": "incomparable views [(3, 'c')] and [(1, 'a'), (2, 'b')]",
     }),
@@ -182,6 +186,10 @@ CORPUS_REPORTS = {
     }),
     "xsa_validity": ("1-sa", XSA_VERDICTS, {
         "validity": "process 1 decided 99 which nobody proposed",
+    }),
+    "xsa_validity_real_time": ("1-sa", XSA_VERDICTS, {
+        "validity": "process 1 decided 7 at step 1 but 7 was first proposed "
+        "at step 2",
     }),
     "xsa_agreement": ("1-sa", XSA_VERDICTS, {
         "agreement": "2 > x = 1 distinct decisions: [7, 8]",
