@@ -167,12 +167,6 @@ def kis_once(ctx, obj: str, value: object):
     return view
 
 
-def is_once(ctx, obj: str, value: object):
-    """Run the register-level immediate snapshot once and return its view."""
-    view = yield from is_write_snapshot(ctx, obj, value)
-    return view
-
-
 def cons_once(ctx, obj: str, value: object):
     """Propose to a consensus object once and return the decision."""
     decision = yield ConsProposeStep(obj, value)

@@ -39,7 +39,7 @@ from .checkers import (
     check_xsa,
 )
 from .core import Instance
-from .objects import cons_once, is_array, is_once, is_write_snapshot, kis_once
+from .objects import cons_once, is_array, is_write_snapshot, kis_once
 from .primitives import (
     BOTTOM,
     Announce,
@@ -126,13 +126,7 @@ def alg1_variant_xsa(ctx, value):
 
 
 def alg2_kis(ctx, value):
-    """k-IS from consensus plus register-level immediate snapshot."""
-    view = yield from alg2_kis_body(ctx, value)
-    return view
-
-
-def alg2_kis_body(ctx, value):
-    """Reusable body of the consensus-based k-IS construction.
+    """k-IS from consensus plus register-level immediate snapshot.
 
     Emits the emulated object's invoke/respond events under "ckis" so the
     produced trace contains a checkable k-IS history.
@@ -176,7 +170,7 @@ def alg1_over_alg2_xsa(ctx, value):
     carries both a k-IS history (obj ckis) and a decision history (obj xsa).
     """
     yield Announce("invoke", XSA_OBJ, "propose", args=value)
-    view = yield from alg2_kis_body(ctx, value)
+    view = yield from alg2_kis(ctx, value)
     decision = yield from _publish_and_decide(ctx, view)
     return decision
 
@@ -270,7 +264,7 @@ CATALOG: dict[str, AlgoSpec] = {
         objects=("kis",), checks=(_kis("kis"), _theorem1("kis")),
     ),
     "is_impl": AlgoSpec(
-        partial(is_once, obj="is"), arrays=(is_array("is"),),
+        partial(is_write_snapshot, obj="is"), arrays=(is_array("is"),),
         check_range=no_range, objects=("is",),
         checks=(lambda trace: check_is(trace, "is", k=trace.n - 1),),
     ),
