@@ -6,7 +6,7 @@ yields one finished trace per maximal run. Two modes:
 * literal (default): every distinct maximal interleaving exactly once;
 * reduced: sleep-set partial-order reduction, one representative per
   equivalence class of runs that differ only in the order of independent
-  adjacent actions.
+  adjacent actions (`independent`; the relation is listed above it).
 
 All checked outcomes (decision sets, object histories, crash/blocked
 status) are invariant under commuting independent actions, so the reduced
