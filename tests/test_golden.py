@@ -229,8 +229,9 @@ def test_negative_corpus_reports_match_golden(name, builder, checker):
     }
 
 
-# ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence and
-# simulate --exhaustive, pinned so a rewrite of their loops keeps them.
+# ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence,
+# simulate --exhaustive and demo-blocking, pinned so a rewrite of their loops
+# keeps them.
 
 EXPLORE_ALG1_3_2_2 = {
     "algo": "alg1", "n": 3, "t": 2, "k": 2, "mode": "reduced", "runs": 2140,
@@ -272,6 +273,25 @@ SIMULATE_EXHAUSTIVE_4_2_2 = (
     "simulation alg1_variant n=4 t=2 k=2: 113 outer schedules, 0 check failures"
 )
 
+BLOCKING_PREDICTED = (
+    "as predicted: with k < t the wait for n-k published values can never "
+    "finish once t processes crash first"
+)
+
+# case -> (CLI arguments, full stdout lines) of a demo that passes
+DEMO_BLOCKING = {
+    "default": ((), [
+        "naive k-IS attempt at n=4 t=2 k=1: 100/100 seeded runs ended with "
+        "every survivor blocked",
+        BLOCKING_PREDICTED,
+    ]),
+    "n5_t3_k2": (("--n", "5", "--t", "3", "--k", "2", "--seeds", "20"), [
+        "naive k-IS attempt at n=5 t=3 k=2: 20/20 seeded runs ended with "
+        "every survivor blocked",
+        BLOCKING_PREDICTED,
+    ]),
+}
+
 
 def test_explore_summary_matches_golden(tmp_path, capsys):
     out = tmp_path / "summary.json"
@@ -305,3 +325,21 @@ def test_simulate_exhaustive_summary_matches_golden(capsys):
     rc = main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--exhaustive"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == SIMULATE_EXHAUSTIVE_4_2_2
+
+
+@pytest.mark.parametrize("case", sorted(DEMO_BLOCKING))
+def test_demo_blocking_output_matches_golden(capsys, case):
+    args, lines = DEMO_BLOCKING[case]
+    assert main(["demo-blocking", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_demo_blocking_negative_control_count_matches_golden(capsys):
+    """With k >= t the survivors decide: every run fails, and only the
+    failure details below the count line are free to change."""
+    assert main(["demo-blocking", "--n", "4", "--t", "1", "--k", "2",
+                 "--seeds", "10"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "naive k-IS attempt at n=4 t=1 k=2: 0/10 seeded runs ended with every "
+        "survivor blocked"
+    )
