@@ -23,10 +23,10 @@ from .core import (
     run_random,
 )
 from .experiments import (
-    BlockingReport,
     EquivalenceReport,
     MatrixCell,
     MatrixReport,
+    blocking_traces,
     equivalence_zone,
     render_matrix,
     run_blocking_demo,

@@ -100,7 +100,6 @@ class ObjHistory:
     """Invoke/respond/crash record of one object in one trace."""
 
     obj: str
-    n: int
     invokes: dict[int, tuple[object, int]] = field(default_factory=dict)
     responds: dict[int, tuple[object, int]] = field(default_factory=dict)
     crashes: dict[int, int] = field(default_factory=dict)
@@ -138,7 +137,7 @@ def object_history(trace: Trace, obj: str) -> ObjHistory:
         raise ValueError(
             f"unknown object id {obj!r}: no events and not declared in trace meta"
         )
-    return ObjHistory(obj, trace.n, invokes, responds, crashes, double_invokes)
+    return ObjHistory(obj, invokes, responds, crashes, double_invokes)
 
 
 # ── Immediate snapshot / k-IS ────────────────────────────────────────────────

@@ -211,8 +211,8 @@ def _cmd_simulate(args) -> int:
     res, chk = simulate(
         args.inner_algo, args.n, args.t, args.k, q_inputs, seed=args.seed
     )
-    print(f"simulators decided: {chk.q_decisions}")
-    print(f"inner decisions:    {chk.inner_decisions}")
+    print(f"simulators decided: {res.trace.decisions()}")
+    print(f"inner decisions:    {chk.inner.decisions()}")
     for rep in chk.reports:
         print(rep)
     if args.out_prefix:
@@ -226,23 +226,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo_blocking(args) -> int:
-    report = run_blocking_demo(args.n, args.t, args.k, seeds=args.seeds)
-    blocked_all = sum(1 for r in report.runs if r["ok"])
+    found = run_blocking_demo(args.n, args.t, args.k, seeds=args.seeds)
     print(
         f"naive k-IS attempt at n={args.n} t={args.t} k={args.k}: "
-        f"{blocked_all}/{len(report.runs)} seeded runs ended with every "
+        f"{found.runs - found.failed}/{found.runs} seeded runs ended with every "
         "survivor blocked"
     )
-    if report.passed:
-        print(
-            "as predicted: with k < t the wait for n-k published values can "
-            "never finish once t processes crash first"
-        )
-    else:
-        for r in report.runs:
-            if not r["ok"]:
-                print(f"  unexpected progress at seed {r['seed']}: {r}")
-    return 0 if report.passed else 1
+    if found.failed:
+        _print_failures(found)
+        return 1
+    print(
+        "as predicted: with k < t the wait for n-k published values can "
+        "never finish once t processes crash first"
+    )
+    return 0
 
 
 def _cmd_equivalence(args) -> int:

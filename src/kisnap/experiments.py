@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .checkers import CheckReport, check_xsa
+from .checkers import PASS, CheckReport, Verdict, check_xsa
 from .core import run_random
 from .explore import enumerate_runs
 from .reductions import make_instance, standard_reports, xsa_bound
@@ -227,62 +227,41 @@ def render_matrix(report: MatrixReport) -> str:
 # ── Blocking strawman demo ───────────────────────────────────────────────────
 
 
-@dataclass
-class BlockingReport:
-    n: int
-    t: int
-    k: int
-    runs: list[dict] = field(default_factory=list)
-    passed: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "k": self.k,
-            "passed": self.passed,
-            "runs": self.runs,
-        }
-
-
-def run_blocking_demo(
-    n: int = 4, t: int = 2, k: int = 1, seeds: int = 100
-) -> BlockingReport:
-    """Demonstrate why k < t cannot be implemented without the oracle.
-
-    For each seed, t processes crash initially and the rest run the naive
-    write-then-wait k-IS attempt. With k < t the survivors wait for n-k
-    published values while only n-t < n-k can ever appear, so every run must
-    end quiescent with every survivor blocked and nothing decided.
-    """
+def blocking_traces(n: int, t: int, k: int, seeds: int) -> Iterator[Trace]:
+    """The blocking demo's runs of the naive k-IS attempt, one per seed: t
+    seeded victims crash initially, which uses up the crash budget, and the
+    survivors run under a seeded schedule."""
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
-    report = BlockingReport(n=n, t=t, k=k)
     inst = make_instance("naive", n, t, k)
     for s in range(seeds):
         rng = random.Random(trial_seed(0, "blocking", n, t, k, s))
         victims = tuple(sorted(rng.sample(range(1, n + 1), t)))
-        res = run_random(
-            inst,
-            trial_seed(0, "blocking-run", n, t, k, s),
-            crash_victims=(),
-            initial_crashes=victims,
-        )
-        tr = res.trace
-        survivors = [p for p in range(1, n + 1) if p not in victims]
-        all_blocked = all(tr.outcomes[p][0] == "blocked" for p in survivors)
-        ok = tr.quiescent and all_blocked and not tr.decisions()
-        report.runs.append(
-            {
-                "seed": s,
-                "crashed": list(victims),
-                "quiescent": tr.quiescent,
-                "blocked": sorted(tr.blocked_pids()),
-                "ok": ok,
-            }
-        )
-        report.passed = report.passed and ok
-    return report
+        yield run_random(
+            inst, trial_seed(0, "blocking-run", n, t, k, s), initial_crashes=victims
+        ).trace
+
+
+def _nothing_decided(tr: Trace) -> list[CheckReport]:
+    """The blocking demo's check: no process returned."""
+    decided = tr.decisions()
+    verdict = PASS
+    if decided:
+        returned = ", ".join(f"p{p} returned {v!r}" for p, v in decided.items())
+        verdict = Verdict(False, f"{returned}; crashed {sorted(tr.crashed_pids())}")
+    return [CheckReport("nkis", "blocking", {"nothing_decided": verdict})]
+
+
+def run_blocking_demo(n: int = 4, t: int = 2, k: int = 1, seeds: int = 100) -> Sweep:
+    """Demonstrate why k < t cannot be implemented without the oracle.
+
+    Over `blocking_traces`, the survivors wait for n-k published values
+    while only n-t < n-k can ever appear. A run fails when any process
+    returns; since `sweep` rejects truncated runs and the initial crashes
+    use up the budget, a run that passes ends quiescent with every survivor
+    blocked.
+    """
+    return sweep(blocking_traces(n, t, k, seeds), _nothing_decided)
 
 
 # ── Consensus / k-IS equivalence suite ───────────────────────────────────────

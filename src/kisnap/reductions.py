@@ -125,6 +125,14 @@ def alg1_variant_xsa(ctx, value):
     return decision
 
 
+def _write_and_wait(ctx, value):
+    """Write `value` to reg, wait until n-k cells are filled, and return the
+    view of the filled cells: the shared prefix of alg2 and the strawman."""
+    yield WriteStep("reg", value)
+    cells = yield ScanStep("reg", min_filled=ctx.n - ctx.k)
+    return frozenset((j, c) for j, c in enumerate(cells, start=1) if c is not BOTTOM)
+
+
 def alg2_kis(ctx, value):
     """k-IS from consensus plus register-level immediate snapshot.
 
@@ -132,11 +140,7 @@ def alg2_kis(ctx, value):
     produced trace contains a checkable k-IS history.
     """
     yield Announce("invoke", "ckis", "write_snapshot_k", args=value)
-    yield WriteStep("reg", value)
-    cells = yield ScanStep("reg", min_filled=ctx.n - ctx.k)
-    aux = frozenset(
-        (j, c) for j, c in enumerate(cells, start=1) if c is not BOTTOM
-    )
+    aux = yield from _write_and_wait(ctx, value)
     view = yield ConsProposeStep("cs", aux)
     if (ctx.pid, value) not in view:
         extra = yield from is_write_snapshot(ctx, "is", value)
@@ -153,11 +157,7 @@ def naive_kis(ctx, value):
     the obstruction the k-IS oracle's batch gate models away.
     """
     yield Announce("invoke", "nkis", "write_snapshot_k", args=value)
-    yield WriteStep("reg", value)
-    cells = yield ScanStep("reg", min_filled=ctx.n - ctx.k)
-    view = frozenset(
-        (j, c) for j, c in enumerate(cells, start=1) if c is not BOTTOM
-    )
+    view = yield from _write_and_wait(ctx, value)
     yield Announce("respond", "nkis", "write_snapshot_k", ret=view)
     return view
 

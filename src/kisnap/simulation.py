@@ -291,7 +291,9 @@ def extract_inner_trace(outer: Trace) -> Trace:
     prefix), synthesizes crash events for the initially crashed group and,
     at the point a simulator crashes, for its members that had not finished
     their whole program. Outcomes: returned if the member's top-level
-    respond is present, crashed as above, blocked otherwise.
+    respond is present, crashed as above, blocked otherwise. As in
+    `core.finalize_trace`, the trace is quiescent when some member is
+    blocked and the outer run was not truncated.
     """
     meta = outer.meta
     part = Partition(*(tuple(group) for group in meta["partition"]))
@@ -335,7 +337,7 @@ def extract_inner_trace(outer: Trace) -> Trace:
         events=events,
         outcomes=outcomes,
         truncated=outer.truncated,
-        quiescent=any(o[0] == BLOCKED for o in outcomes.values()),
+        quiescent=(BLOCKED,) in outcomes.values() and not outer.truncated,
         meta={
             "algo": meta.get("inner_algo"),
             "extracted_from": "simulation",
@@ -372,8 +374,6 @@ def max_concurrent_inside(trace: Trace, obj: str) -> tuple[int, int | None]:
 class SimulationCheck:
     inner: Trace
     reports: list[CheckReport]
-    q_decisions: dict[int, object]
-    inner_decisions: dict[int, object]
 
     @property
     def passed(self) -> bool:
@@ -401,17 +401,7 @@ def check_simulation_trace(outer: Trace) -> SimulationCheck:
                 f"max {peak} {'>=' if ok else '<'} n-k = {n - k} processes "
                 f"inside at once, at step {at}",
             )
-    q_decisions = {
-        e.pid: e.ret
-        for e in outer.events
-        if e.kind == "respond" and e.obj == SIM_OBJ
-    }
-    return SimulationCheck(
-        inner=inner,
-        reports=reports,
-        q_decisions=q_decisions,
-        inner_decisions=inner.decisions(),
-    )
+    return SimulationCheck(inner=inner, reports=reports)
 
 
 def simulate(

@@ -73,9 +73,6 @@ class Trace:
     def crashed_pids(self) -> set[int]:
         return {p for p, out in self.outcomes.items() if out[0] == CRASHED}
 
-    def blocked_pids(self) -> set[int]:
-        return {p for p, out in self.outcomes.items() if out[0] == BLOCKED}
-
 
 # ── Canonical value encoding ─────────────────────────────────────────────────
 #

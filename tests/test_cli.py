@@ -155,6 +155,16 @@ def test_simulate_seeded(capsys):
     assert "simulators decided" in out
 
 
+def test_simulate_prints_decisions_in_pid_order(capsys):
+    """At seed 1 simulator 2 responds before simulator 1; both decision
+    lines still list pids in ascending order, as the traces' outcomes do."""
+    assert main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "simulators decided: {1: 0, 2: 0}",
+        "inner decisions:    {1: 0, 2: 0, 3: 0, 4: 0}",
+    ]
+
+
 def test_simulate_exhaustive(capsys):
     rc = main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--exhaustive"])
     assert rc == 0

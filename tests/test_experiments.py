@@ -13,6 +13,7 @@ import pytest
 import kisnap
 from kisnap import (
     CATALOG,
+    blocking_traces,
     enumerate_runs,
     equivalence_zone,
     make_instance,
@@ -121,20 +122,24 @@ def test_matrix_auto_mode_picks_exhaustive_for_small_n():
 
 
 def test_blocking_demo_blocks_all_survivors():
-    report = run_blocking_demo(4, 2, 1, seeds=15)
-    assert report.passed
-    assert len(report.runs) == 15
-    crash_sets = {tuple(r["crashed"]) for r in report.runs}
-    assert len(crash_sets) > 1  # different seeds pick different victims
-    for r in report.runs:
-        assert r["quiescent"] and len(r["blocked"]) == 2
+    found = run_blocking_demo(4, 2, 1, seeds=15)
+    assert found.runs == 15 and found.failed == 0
+    assert found.decision_sets == {frozenset()}
+    assert found.outcomes == {"returned": 0, "crashed": 30, "blocked": 30}
+    traces = list(blocking_traces(4, 2, 1, 15))
+    # different seeds pick different victims
+    assert len({frozenset(tr.crashed_pids()) for tr in traces}) > 1
+    assert all(tr.quiescent for tr in traces)
 
 
 def test_blocking_demo_negative_control():
     """With k >= t the same strawman makes progress, so the demo must
     report failure: the blocking really is caused by k < t."""
-    report = run_blocking_demo(4, 1, 2, seeds=10)
-    assert not report.passed
+    found = run_blocking_demo(4, 1, 2, seeds=10)
+    assert found.runs == 10 and found.failed == 10
+    (rep,) = found.failures[0][1]
+    assert not rep.verdicts["nothing_decided"].ok
+    assert "returned" in rep.verdicts["nothing_decided"].witness
 
 
 # ── Equivalence suite ────────────────────────────────────────────────────────

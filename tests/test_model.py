@@ -396,7 +396,9 @@ def test_blocked_run_is_quiescent_with_blocked_events():
     res = run_random(inst, 0, crash_victims=(), initial_crashes=(1, 2))
     trace = res.trace
     assert trace.quiescent and not trace.truncated
-    assert trace.blocked_pids() == {3, 4}
+    assert trace.outcomes == {
+        1: ("crashed",), 2: ("crashed",), 3: ("blocked",), 4: ("blocked",)
+    }
     blocked_events = [e for e in trace.events if e.kind == "blocked"]
     assert sorted(e.pid for e in blocked_events) == [3, 4]
 

@@ -87,14 +87,14 @@ def test_seeded_simulations_pass_all_checks():
         assert chk.passed, (seed, [r.failures() for r in chk.reports])
         assert validate_trace(res.trace) == []
         # Whoever decided, decided an inner value.
-        for q, v in chk.q_decisions.items():
+        for v in res.trace.decisions().values():
             assert v in (0, 1)
 
 
 def test_inner_decisions_respect_agreement_bound():
     for seed in range(25):
         _, chk = simulate("alg1_variant", 4, 2, 2, seed=seed)
-        decided = set(chk.inner_decisions.values())
+        decided = set(chk.inner.decisions().values())
         assert len(decided) <= 2  # xsa bound at n=4, t=k=2
 
 
@@ -108,7 +108,7 @@ def test_simulator_crash_still_lets_other_side_finish():
     assert trace.outcomes[2] == ("crashed",)
     chk = check_simulation_trace(trace)
     assert chk.passed
-    assert set(chk.inner_decisions) <= {1, 2}  # A0 = {1, 2}
+    assert set(chk.inner.decisions()) <= {1, 2}  # A0 = {1, 2}
     assert chk.inner.crashed_pids() == {3, 4}  # A1's members died with Q2
 
 
@@ -139,6 +139,16 @@ def test_extraction_crashes_initially_dead_group_first():
     inner = extract_inner_trace(res.trace)
     head = [e for e in inner.events if e.kind == "crash" and e.step < 2]
     assert sorted(e.pid for e in head) == [3, 4]
+
+
+def test_truncated_outer_run_gives_truncated_not_quiescent_inner_trace():
+    """A cut-off outer run leaves its inner processes unfinished, not blocked
+    for good: as `core.finalize_trace` does, the inner trace is flagged
+    truncated and not quiescent."""
+    inst = build_simulation("alg1_variant", 4, 2, 2)
+    for bound in (3, 5, 8, 12):
+        inner = extract_inner_trace(run_random(inst, 0, step_bound=bound).trace)
+        assert inner.truncated and not inner.quiescent, bound
 
 
 def test_extract_single_object_history():
