@@ -18,6 +18,7 @@ import json
 import pytest
 
 from kisnap import (
+    build_simulation,
     enumerate_runs,
     make_instance,
     run_random,
@@ -72,6 +73,16 @@ EXHAUSTIVE_ALG1_3_2_2 = (
     "9a64222765ba56e4fca9fe8cd949f52556aa49e35c7868a224c2fa3c7fe03df4"
 )
 
+# Two-simulator runs of alg1_variant: the seeded runs of every (n, t, k)
+# below, case after case, and the reduced exhaustive leaves at (4, 2, 2).
+SIMULATION_CASES = ((4, 2, 2), (4, 3, 3), (5, 3, 3))
+SEEDED_SIMULATION = (
+    "ef957de2cc6e08580ed52cbc64e75cd333cead74e9645b9fb33961214427b36a"
+)
+EXHAUSTIVE_SIMULATION_4_2_2 = (
+    "3ae9a314807ee33fbe9da1f65207025f0e097831631bc08b5635aa04ce1bb98d"
+)
+
 
 def _sha(chunks) -> str:
     h = hashlib.sha256()
@@ -98,6 +109,26 @@ def test_reduced_exhaustive_leaves_match_golden_digest():
     inst = make_instance("alg1", 3, 2, 2)
     leaves = (trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True))
     assert _sha(leaves) == EXHAUSTIVE_ALG1_3_2_2
+
+
+def _simulation_chunks():
+    for n, t, k in SIMULATION_CASES:
+        inst = build_simulation("alg1_variant", n, t, k)
+        for seed in SEEDS:
+            res = run_random(inst, seed)
+            yield trace_to_jsonl(res.trace)
+            yield schedule_to_jsonl(res.actions)
+
+
+def test_seeded_simulations_match_golden_digest():
+    assert _sha(_simulation_chunks()) == SEEDED_SIMULATION
+
+
+def test_reduced_exhaustive_simulation_leaves_match_golden_digest():
+    inst = build_simulation("alg1_variant", 4, 2, 2)
+    leaves = [trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True)]
+    assert len(leaves) == 113
+    assert _sha(leaves) == EXHAUSTIVE_SIMULATION_4_2_2
 
 
 # ── Checker outputs: the standard reports and validator problems of the same
@@ -230,8 +261,8 @@ def test_negative_corpus_reports_match_golden(name, builder, checker):
 
 
 # ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence,
-# simulate --exhaustive and demo-blocking, pinned so a rewrite of their loops
-# keeps them.
+# simulate (seeded and --exhaustive) and demo-blocking, pinned so a rewrite
+# of their loops keeps them.
 
 EXPLORE_ALG1_3_2_2 = {
     "algo": "alg1", "n": 3, "t": 2, "k": 2, "mode": "reduced", "runs": 2140,
@@ -272,6 +303,22 @@ EQUIVALENCE_TRIALS_20 = {
 SIMULATE_EXHAUSTIVE_4_2_2 = (
     "simulation alg1_variant n=4 t=2 k=2: 113 outer schedules, 0 check failures"
 )
+
+IS_PASSES = [f"  {v}: pass" for v in IS_VERDICTS]
+
+# full stdout of `simulate --n 4 --t 2 --k 2 --seed 1`
+SIMULATE_SEED_1_4_2_2 = [
+    "simulators decided: {1: 0, 2: 0}",
+    "inner decisions:    {1: 0, 2: 0, 3: 0, 4: 0}",
+    "[2-is] object kis1: PASS",
+    *IS_PASSES,
+    "  concurrent_inside: pass -- max 4 >= n-k = 2 processes inside at once, "
+    "at step 7",
+    "[2-is] object kis2: PASS",
+    *IS_PASSES,
+    "  concurrent_inside: pass -- max 4 >= n-k = 2 processes inside at once, "
+    "at step 15",
+]
 
 BLOCKING_PREDICTED = (
     "as predicted: with k < t the wait for n-k published values can never "
@@ -325,6 +372,11 @@ def test_simulate_exhaustive_summary_matches_golden(capsys):
     rc = main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--exhaustive"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == SIMULATE_EXHAUSTIVE_4_2_2
+
+
+def test_simulate_seeded_output_matches_golden(capsys):
+    assert main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == SIMULATE_SEED_1_4_2_2
 
 
 @pytest.mark.parametrize("case", sorted(DEMO_BLOCKING))
