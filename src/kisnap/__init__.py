@@ -23,7 +23,6 @@ from .core import (
     run_random,
 )
 from .experiments import (
-    EquivalenceReport,
     MatrixCell,
     MatrixReport,
     blocking_traces,
@@ -63,14 +62,11 @@ from .reductions import (
     xsa_bound,
 )
 from .simulation import (
-    Partition,
-    SimulationCheck,
     build_simulation,
     check_simulation_trace,
     extract_inner_trace,
     make_partition,
     max_concurrent_inside,
-    simulate,
 )
 from .trace import (
     BLOCKED,

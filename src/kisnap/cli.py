@@ -36,11 +36,7 @@ from .experiments import (
 )
 from .explore import enumerate_runs
 from .reductions import CATALOG, make_instance, standard_reports
-from .simulation import (
-    build_simulation,
-    check_simulation_trace,
-    simulate,
-)
+from .simulation import build_simulation, check_simulation_trace, extract_inner_trace
 from .trace import (
     read_schedule,
     read_trace,
@@ -56,7 +52,7 @@ def _parse_inputs(text: str | None, n: int):
         return None
     vals = tuple(int(x) for x in text.split(","))
     if len(vals) != n:
-        raise SystemExit(f"--inputs needs {n} comma-separated values")
+        raise ValueError(f"--inputs needs {n} comma-separated values")
     return vals
 
 
@@ -85,7 +81,7 @@ def _cmd_run(args) -> int:
     elif args.schedule == "random":
         res = run_random(inst, args.seed, step_bound=args.step_bound)
     else:
-        raise SystemExit(f"unknown schedule {args.schedule!r}")
+        raise ValueError(f"unknown schedule {args.schedule!r}")
     trace = res.trace
     print(f"{args.algo} n={args.n} t={args.t} k={args.k} seed={args.seed}")
     _print_outcomes(trace)
@@ -179,11 +175,11 @@ def _cmd_check(args) -> int:
         rep = check_is(trace, args.obj, k=args.k)
     elif kind == "theorem1":
         if args.k is None:
-            raise SystemExit("theorem1 check needs --k")
+            raise ValueError("theorem1 check needs --k")
         rep = check_theorem1(trace, args.obj, k=args.k)
     elif kind == "xsa":
         if args.x is None:
-            raise SystemExit("xsa check needs --x")
+            raise ValueError("xsa check needs --x")
         rep = check_xsa(trace, args.x, obj=args.obj)
     else:  # consensus; argparse admits no other kind
         rep = check_consensus_linearizable(trace, args.obj)
@@ -196,33 +192,30 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     q_inputs = _parse_inputs(args.inputs, 2) or (0, 1)
+    inst = build_simulation(args.inner_algo, args.n, args.t, args.k, q_inputs)
     if args.exhaustive:
-        inst = build_simulation(args.inner_algo, args.n, args.t, args.k, q_inputs)
-        found = sweep(
-            enumerate_runs(inst, reduced=True),
-            lambda tr: check_simulation_trace(tr).reports,
-        )
+        found = sweep(enumerate_runs(inst, reduced=True), check_simulation_trace)
         _print_failures(found)
         print(
             f"simulation {args.inner_algo} n={args.n} t={args.t} k={args.k}: "
             f"{found.runs} outer schedules, {found.failed} check failures"
         )
         return 0 if found.failed == 0 else 1
-    res, chk = simulate(
-        args.inner_algo, args.n, args.t, args.k, q_inputs, seed=args.seed
-    )
-    print(f"simulators decided: {res.trace.decisions()}")
-    print(f"inner decisions:    {chk.inner.decisions()}")
-    for rep in chk.reports:
+    outer = run_random(inst, args.seed).trace
+    inner = extract_inner_trace(outer)
+    reports = check_simulation_trace(outer)
+    print(f"simulators decided: {outer.decisions()}")
+    print(f"inner decisions:    {inner.decisions()}")
+    for rep in reports:
         print(rep)
     if args.out_prefix:
-        write_trace(f"{args.out_prefix}.outer.jsonl", res.trace)
-        write_trace(f"{args.out_prefix}.inner.jsonl", chk.inner)
+        write_trace(f"{args.out_prefix}.outer.jsonl", outer)
+        write_trace(f"{args.out_prefix}.inner.jsonl", inner)
         print(
             f"traces written to {args.out_prefix}.outer.jsonl "
             f"and {args.out_prefix}.inner.jsonl"
         )
-    return 0 if chk.passed else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_demo_blocking(args) -> int:
@@ -243,11 +236,26 @@ def _cmd_demo_blocking(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    report = run_equivalence_suite(
+    sweeps = run_equivalence_suite(
         args.n, args.t, args.k, trials=args.trials, seed=args.seed
     )
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0 if report.passed else 1
+    failures = [
+        f"{key} trial {i}: {rep.failures()}"
+        for key, found in sweeps.items()
+        for i, reports in found.failures
+        for rep in reports
+    ]
+    report = {
+        "n": args.n,
+        "t": args.t,
+        "k": args.k,
+        "trials": args.trials,
+        "passed": not failures,
+        "checked": {key: found.runs for key, found in sweeps.items()},
+        "failures": failures[:20],
+    }
+    print(json.dumps(report, indent=2))
+    return 1 if failures else 0
 
 
 def _at_least_1(text: str) -> int:

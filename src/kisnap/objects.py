@@ -31,14 +31,14 @@ class ObjectError(ValueError):
 # ── k-immediate-snapshot oracle ──────────────────────────────────────────────
 
 
-class KisState(namedtuple("KisState", "n_obj k_obj invoked pending classes")):
+class KisState(namedtuple("KisState", "n_obj k_obj invoked pending view")):
     """Immutable state of one k-IS oracle object.
 
     `invoked` maps pid to proposed value (pid-sorted pair tuple), `pending`
-    holds invokers not yet in any committed class, and `classes` is the
-    committed concurrency-class sequence. A crashed process's pending
-    invocation stays committable but is never released. Every invoker is
-    either pending or in exactly one class.
+    holds invokers not yet in any committed class, and `view` is the union
+    of the committed concurrency classes, the view the last commit
+    released. A crashed process's pending invocation stays committable but
+    is never released. Every invoker is either pending or in `view`.
     """
 
     __slots__ = ()
@@ -49,18 +49,17 @@ class KisState(namedtuple("KisState", "n_obj k_obj invoked pending classes")):
         k_obj: int,
         invoked: tuple[tuple[int, object], ...] = (),
         pending: frozenset[int] = frozenset(),
-        classes: tuple[frozenset, ...] = (),
+        view: frozenset = frozenset(),
     ):
         if not (1 <= k_obj <= n_obj - 1):
             raise ObjectError(
                 f"k-IS object requires 1 <= k <= n-1, got n={n_obj} k={k_obj}"
             )
-        return tuple.__new__(cls, (n_obj, k_obj, invoked, pending, classes))
+        return tuple.__new__(cls, (n_obj, k_obj, invoked, pending, view))
 
     def min_batch_size(self) -> int:
         """Smallest batch the gate admits next."""
-        committed = len(self.invoked) - len(self.pending)
-        return max(1, self.n_obj - self.k_obj - committed)
+        return max(1, self.n_obj - self.k_obj - len(self.view))
 
 
 def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
@@ -94,14 +93,9 @@ def kis_commit_batch(
             f"(need cumulative >= {st.n_obj - st.k_obj})"
         )
     values = dict(st.invoked)
-    new_class = frozenset((p, values[p]) for p in pids)
-    classes = st.classes + (new_class,)
-    view: set = set()
-    for c in classes:
-        view |= c
-    view = frozenset(view)
+    view = st.view | frozenset((p, values[p]) for p in pids)
     releases = [(p, view) for p in pids if p not in crashed]
-    new_st = st._replace(pending=st.pending - set(pids), classes=classes)
+    new_st = st._replace(pending=st.pending - set(pids), view=view)
     return new_st, view, releases
 
 

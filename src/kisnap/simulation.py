@@ -32,19 +32,10 @@ is what forces information to cross between the simulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .checkers import CheckReport, Verdict, check_is, object_history
-from .core import (
-    Ctx,
-    Instance,
-    ProgramState,
-    RunResult,
-    SimError,
-    program_root,
-    run_random,
-)
+from .core import Ctx, Instance, ProgramState, SimError, program_root
 from .primitives import (
     BOTTOM,
     Announce,
@@ -69,20 +60,9 @@ def mediator(obj: str) -> str:
 # ── Partitions ───────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Split of the inner pids: two simulated groups plus initial crashes."""
-
-    a0: tuple[int, ...]
-    a1: tuple[int, ...]
-    d: tuple[int, ...] = ()
-
-    def members(self, side: int) -> tuple[int, ...]:
-        return self.a0 if side == 0 else self.a1
-
-
-def make_partition(n: int, t: int) -> Partition:
-    """Default partition: |A0| = |A1| = n-t, the last 2t-n pids in D.
+def make_partition(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Split of the inner pids into (A0, A1, D): the two simulated groups,
+    |A0| = |A1| = n-t, and the last 2t-n pids, which crash initially.
 
     Requires n <= 2t (so the two groups cover the crash budget) and
     t <= n-1 (so the groups are non-empty). For n = 2t this is the balanced
@@ -93,10 +73,11 @@ def make_partition(n: int, t: int) -> Partition:
             f"two-simulator partition needs n/2 <= t <= n-1, got n={n} t={t}"
         )
     size = n - t
-    a0 = tuple(range(1, size + 1))
-    a1 = tuple(range(size + 1, 2 * size + 1))
-    d = tuple(range(2 * size + 1, n + 1))
-    return Partition(a0, a1, d)
+    return (
+        tuple(range(1, size + 1)),
+        tuple(range(size + 1, 2 * size + 1)),
+        tuple(range(2 * size + 1, n + 1)),
+    )
 
 
 # ── The simulator program ────────────────────────────────────────────────────
@@ -121,20 +102,15 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
     decided: list = []  # first inner decision, recorded once
 
     def absorb(p, node):
-        """Bookkeeping after advancing member p; returns announces to emit."""
+        """Make `node` member p's program state and emit its announces."""
         nodes[p] = node
-        out = [
-            Announce(a.kind, INNER_PREFIX + a.obj, a.op, a.args, a.ret, pid=p)
-            for a in node.announces
-        ]
         if node.step is None and not decided:
             decided.append(node.value)
-        return out
+        for a in node.announces:
+            yield Announce(a.kind, INNER_PREFIX + a.obj, a.op, a.args, a.ret, pid=p)
 
     for p in members:
-        root = program_root(inner, Ctx(inner_n, inner_t, inner_k, p))
-        for a in absorb(p, root):
-            yield a
+        yield from absorb(p, program_root(inner, Ctx(inner_n, inner_t, inner_k, p)))
 
     prop: dict[str, dict[int, object]] = {}
     own: dict[str, frozenset | None] = {}
@@ -149,15 +125,16 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
             )
         return step.obj, step.value
 
-    def serve(p, o, view):
-        """Answer member p's invocation on o with `view`."""
-        out = [
-            Announce(
-                "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
-            )
-        ]
-        out += absorb(p, nodes[p].after(view))
-        return out
+    def publish_and_serve(p, o, v, base):
+        """Publish `base` extended by member p's pair (p, v) on o and answer
+        p's invocation with it."""
+        view = base | {(p, v)}
+        yield WriteStep(sim_array(o), view)
+        own[o] = view
+        yield Announce(
+            "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
+        )
+        yield from absorb(p, nodes[p].after(view))
 
     while any(nodes[p].step is not None for p in members):
         served = False
@@ -174,11 +151,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
                     "invoke", INNER_PREFIX + o, "write_snapshot_k", v, None, pid=p
                 )
             if own.get(o) is not None:
-                newval = frozenset(own[o] | {(p, v)})
-                yield WriteStep(sim_array(o), newval)
-                own[o] = newval
-                for a in serve(p, o, newval):
-                    yield a
+                yield from publish_and_serve(p, o, v, own[o])
                 ptr = (ptr + off + 1) % len(members)
                 served = True
                 break
@@ -204,11 +177,7 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
         for p, o, v in stuck:
             copied = observed.get((sim_array(o), other_cell), BOTTOM)
             if copied is not BOTTOM:
-                newval = frozenset(copied | {(p, v)})
-                yield WriteStep(sim_array(o), newval)
-                own[o] = newval
-                for a in serve(p, o, newval):
-                    yield a
+                yield from publish_and_serve(p, o, v, copied)
                 break
 
     result = decided[0] if decided else None
@@ -234,7 +203,7 @@ def build_simulation(
     are lifted into one outer register array and one 2-process 1-IS
     mediator per inner object.
     """
-    part = make_partition(n, t)
+    groups = make_partition(n, t)
     spec = catalog_spec(inner_algo)
     spec.check_range(n, t, k)
     if spec.arrays or spec.cons or XSA_OBJ not in spec.objects:
@@ -248,7 +217,7 @@ def build_simulation(
         1 + side: partial(
             q_simulator,
             side=side,
-            members=part.members(side),
+            members=groups[side],
             inner_n=n,
             inner_t=t,
             inner_k=k,
@@ -265,7 +234,7 @@ def build_simulation(
         "inner_k": k,
         "inner_objects": list(inner_objs),
         "inner_top": XSA_OBJ,
-        "partition": [list(part.a0), list(part.a1), list(part.d)],
+        "partition": [list(group) for group in groups],
         "q_inputs": list(q_inputs),
         "objects": [SIM_OBJ]
         + [sim_array(o) for o in inner_objs]
@@ -296,7 +265,7 @@ def extract_inner_trace(outer: Trace) -> Trace:
     blocked and the outer run was not truncated.
     """
     meta = outer.meta
-    part = Partition(*(tuple(group) for group in meta["partition"]))
+    a0, a1, d = meta["partition"]
     inner_n = meta["inner_n"]
     top = meta.get("inner_top", XSA_OBJ)
     events: list[Event] = []
@@ -306,12 +275,12 @@ def extract_inner_trace(outer: Trace) -> Trace:
     def emit(kind, pid, obj=None, op=None, args=None, ret=None):
         events.append(Event(len(events), kind, pid, obj, op, args, ret))
 
-    for p in part.d:
+    for p in d:
         crashed.add(p)
         emit("crash", p)
     for e in outer.events:
         if e.kind == "crash":
-            for p in part.members(e.pid - 1):
+            for p in (a0, a1)[e.pid - 1]:
                 if p not in returned and p not in crashed:
                     crashed.add(p)
                     emit("crash", p)
@@ -370,17 +339,7 @@ def max_concurrent_inside(trace: Trace, obj: str) -> tuple[int, int | None]:
     return best, best_step
 
 
-@dataclass
-class SimulationCheck:
-    inner: Trace
-    reports: list[CheckReport]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-
-def check_simulation_trace(outer: Trace) -> SimulationCheck:
+def check_simulation_trace(outer: Trace) -> list[CheckReport]:
     """Extract the inner trace and check every simulated k-IS object history.
     For an object with responses, its report also carries the
     concurrent-inside witness (Lemma 1, verdict `concurrent_inside`): some
@@ -401,19 +360,4 @@ def check_simulation_trace(outer: Trace) -> SimulationCheck:
                 f"max {peak} {'>=' if ok else '<'} n-k = {n - k} processes "
                 f"inside at once, at step {at}",
             )
-    return SimulationCheck(inner=inner, reports=reports)
-
-
-def simulate(
-    inner_algo: str,
-    n: int,
-    t: int,
-    k: int,
-    q_inputs: tuple = (0, 1),
-    *,
-    seed: int = 0,
-) -> tuple[RunResult, SimulationCheck]:
-    """Run one seeded simulation and check it."""
-    inst = build_simulation(inner_algo, n, t, k, q_inputs)
-    res = run_random(inst, seed)
-    return res, check_simulation_trace(res.trace)
+    return reports

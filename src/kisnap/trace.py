@@ -252,6 +252,10 @@ def trace_from_jsonl(text: str) -> Trace:
         o = _parse_line(raw, line_no)
         if not isinstance(o, dict) or "kind" not in o:
             raise TraceParseError(line_no, "missing 'kind' field")
+        if footer is not None:
+            if header is None:
+                raise TraceParseError(footer_line, "end line before config line")
+            raise TraceParseError(line_no, "line after end line")
         if o["kind"] == "config":
             if header is not None:
                 raise TraceParseError(line_no, "duplicate config line")
@@ -271,7 +275,7 @@ def trace_from_jsonl(text: str) -> Trace:
                 }
             except (AttributeError, TypeError, ValueError) as exc:
                 raise TraceParseError(line_no, f"bad outcomes: {exc}") from exc
-            footer = o
+            footer, footer_line = o, line_no
         else:
             if header is None:
                 raise TraceParseError(line_no, "event before config line")

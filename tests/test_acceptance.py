@@ -30,6 +30,7 @@ from kisnap import (
     build_simulation,
     check_simulation_trace,
     enumerate_runs,
+    extract_inner_trace,
     make_instance,
     run_blocking_demo,
     run_equivalence_suite,
@@ -138,11 +139,12 @@ def test_acceptance_4_wait_free_snapshot():
 
 
 def test_acceptance_5_equivalence_both_directions():
-    report = run_equivalence_suite(5, 2, 2, trials=1000)
-    assert report.passed, report.failures[:5]
-    assert report.checked["alg2_kis_histories"] == 1000
-    assert report.checked["alg1_single_decision"] == 1000
-    assert report.checked["composed_runs"] == 1000
+    sweeps = run_equivalence_suite(5, 2, 2, trials=1000)
+    assert list(sweeps) == [
+        "alg2_kis_histories", "alg1_single_decision", "composed_runs",
+    ]
+    for key, found in sweeps.items():
+        assert found.runs == 1000 and found.failed == 0, (key, found.failures[:5])
     ok(
         "equivalence zone n=5, t=k=2: consensus-built k-IS histories pass "
         "all checks and the k-IS-based reduction decides one value, 1000 "
@@ -164,12 +166,13 @@ def test_acceptance_7_two_simulator_emulation():
     inst = build_simulation("alg1_variant", 4, 2, 2)
     total = with_crash = 0
     for tr in enumerate_runs(inst, reduced=True):
-        chk = check_simulation_trace(tr)
-        assert chk.passed, [r.failures() for r in chk.reports]
-        for rep in chk.reports:
-            if object_history(chk.inner, rep.obj).responds:
+        reports = check_simulation_trace(tr)
+        assert all(rep.passed for rep in reports), [r.failures() for r in reports]
+        inner = extract_inner_trace(tr)
+        for rep in reports:
+            if object_history(inner, rep.obj).responds:
                 assert rep.verdicts["concurrent_inside"].ok  # peak >= n-k = 2
-        assert check_xsa(chk.inner, 2).passed
+        assert check_xsa(inner, 2).passed
         total += 1
         if tr.crashed_pids():
             with_crash += 1

@@ -210,6 +210,38 @@ def test_bad_parameters_exit_2(capsys):
     assert "cannot be simulated" in capsys.readouterr().err
 
 
+ALG1_3 = ("--algo", "alg1", "--n", "3", "--t", "1", "--k", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", *ALG1_3, "--inputs", "1,2"], "--inputs needs 3 comma-separated"),
+        (["run", *ALG1_3, "--schedule", "foo"], "unknown schedule 'foo'"),
+        (["check", "--kind", "theorem1", "--obj", "o"], "theorem1 check needs --k"),
+        (["check", "--kind", "xsa", "--obj", "o"], "xsa check needs --x"),
+        (
+            ["simulate", "--n", "4", "--t", "2", "--k", "2", "--inputs", "1"],
+            "--inputs needs 2 comma-separated",
+        ),
+    ],
+    ids=["run_inputs", "run_schedule", "check_theorem1_k", "check_xsa_x",
+         "simulate_inputs"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    """A usage error exits 2 with its message on stderr; exit 1 means a
+    check failed."""
+    if argv[0] == "check":
+        trace_file = tmp_path / "t.jsonl"
+        trace_file.write_text(
+            '{"kind":"config","n":3,"t":1,"k":1,"meta":{}}\n'
+            '{"kind":"end","outcomes":{}}\n'
+        )
+        argv = [*argv, "--trace", str(trace_file)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_matrix_modes_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--n", "3", "--exhaustive", "--random"])

@@ -160,12 +160,11 @@ def test_equivalence_suite_rejects_out_of_zone_parameters():
 
 
 def test_equivalence_suite_passes_small():
-    report = run_equivalence_suite(5, 2, 2, trials=25)
-    assert report.passed
-    assert report.checked == {
-        "alg2_kis_histories": 25,
-        "alg1_single_decision": 25,
-        "composed_runs": 25,
+    sweeps = run_equivalence_suite(5, 2, 2, trials=25)
+    assert {key: (found.runs, found.failed) for key, found in sweeps.items()} == {
+        "alg2_kis_histories": (25, 0),
+        "alg1_single_decision": (25, 0),
+        "composed_runs": (25, 0),
     }
 
 

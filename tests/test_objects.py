@@ -49,7 +49,7 @@ def test_commit_releases_cumulative_union_views():
     assert rel2 == [(3, view2)]
     assert view1 < view2
     assert st.pending == frozenset()
-    assert st.classes == (view1, frozenset({(3, "c")}))
+    assert st.view == view2
 
 
 def test_single_full_batch_gives_everyone_the_same_view():
@@ -111,8 +111,8 @@ def test_gate_arithmetic_across_classes():
 @given(hs.data())
 def test_gate_tracks_committed_invokers_under_random_operations(data):
     """Random legal invokes and gate-respecting commits at n <= 6: every
-    invoker is pending or in exactly one class, which is the identity the
-    gate's committed count (invoked minus pending) rests on."""
+    invoker is pending or has exactly one pair in the committed view, which
+    is the identity the gate's committed count (the view's size) rests on."""
     n = data.draw(hs.integers(2, 6), label="n")
     k = data.draw(hs.integers(1, n - 1), label="k")
     state = KisState(n, k)
@@ -129,9 +129,11 @@ def test_gate_tracks_committed_invokers_under_random_operations(data):
             state, _, _ = kis_commit_batch(state, tuple(batch), frozenset())
         else:
             break
-        committed = sum(len(c) for c in state.classes)
-        assert len(state.invoked) == len(state.pending) + committed
-        assert state.min_batch_size() == max(1, n - k - committed)
+        committed = [p for p, _ in state.view]
+        assert sorted(committed + sorted(state.pending)) == [
+            p for p, _ in state.invoked
+        ]
+        assert state.min_batch_size() == max(1, n - k - len(committed))
 
 
 # ── Consensus oracle ─────────────────────────────────────────────────────────

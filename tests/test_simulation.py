@@ -16,25 +16,32 @@ from kisnap import (
     make_partition,
     max_concurrent_inside,
     run_random,
-    simulate,
     validate_trace,
 )
 from kisnap.checkers import Verdict, object_history
+
+
+def seeded(n, t, k, seed):
+    """One seeded simulation of alg1_variant at (n, t, k): its outer trace,
+    the extracted inner trace and the simulation check's reports."""
+    outer = run_random(build_simulation("alg1_variant", n, t, k), seed).trace
+    return outer, extract_inner_trace(outer), check_simulation_trace(outer)
+
+
+def passed(reports) -> bool:
+    return all(rep.passed for rep in reports)
 
 
 # ── Partition arithmetic ─────────────────────────────────────────────────────
 
 
 def test_balanced_partition_when_budget_is_half():
-    part = make_partition(4, 2)
-    assert part.a0 == (1, 2) and part.a1 == (3, 4) and part.d == ()
+    assert make_partition(4, 2) == ((1, 2), (3, 4), ())
 
 
 def test_majority_budget_leaves_initially_crashed_group():
-    part = make_partition(4, 3)
-    assert part.a0 == (1,) and part.a1 == (2,) and part.d == (3, 4)
-    part = make_partition(5, 3)
-    assert part.a0 == (1, 2) and part.a1 == (3, 4) and part.d == (5,)
+    assert make_partition(4, 3) == ((1,), (2,), (3, 4))
+    assert make_partition(5, 3) == ((1, 2), (3, 4), (5,))
 
 
 def test_partition_covers_crash_budget():
@@ -42,11 +49,11 @@ def test_partition_covers_crash_budget():
     |D| + |A_i| = t: one simulator crash plus the initial crashes stay
     within the inner budget."""
     for n, t in [(4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (6, 5)]:
-        part = make_partition(n, t)
-        assert sorted(part.a0 + part.a1 + part.d) == list(range(1, n + 1))
-        assert len(part.a0) == len(part.a1) == n - t
-        assert len(part.d) == 2 * t - n
-        assert len(part.d) + len(part.a0) == t
+        a0, a1, d = make_partition(n, t)
+        assert sorted(a0 + a1 + d) == list(range(1, n + 1))
+        assert len(a0) == len(a1) == n - t
+        assert len(d) == 2 * t - n
+        assert len(d) + len(a0) == t
 
 
 def test_partition_rejects_minority_budget():
@@ -83,18 +90,18 @@ def test_simulation_rejects_register_level_inner_algorithms():
 
 def test_seeded_simulations_pass_all_checks():
     for seed in range(25):
-        res, chk = simulate("alg1_variant", 4, 2, 2, seed=seed)
-        assert chk.passed, (seed, [r.failures() for r in chk.reports])
-        assert validate_trace(res.trace) == []
+        outer, _, reports = seeded(4, 2, 2, seed)
+        assert passed(reports), (seed, [r.failures() for r in reports])
+        assert validate_trace(outer) == []
         # Whoever decided, decided an inner value.
-        for v in res.trace.decisions().values():
+        for v in outer.decisions().values():
             assert v in (0, 1)
 
 
 def test_inner_decisions_respect_agreement_bound():
     for seed in range(25):
-        _, chk = simulate("alg1_variant", 4, 2, 2, seed=seed)
-        decided = set(chk.inner.decisions().values())
+        _, inner, _ = seeded(4, 2, 2, seed)
+        decided = set(inner.decisions().values())
         assert len(decided) <= 2  # xsa bound at n=4, t=k=2
 
 
@@ -106,26 +113,25 @@ def test_simulator_crash_still_lets_other_side_finish():
     trace = res.trace
     assert trace.outcomes[1][0] == "returned"
     assert trace.outcomes[2] == ("crashed",)
-    chk = check_simulation_trace(trace)
-    assert chk.passed
-    assert set(chk.inner.decisions()) <= {1, 2}  # A0 = {1, 2}
-    assert chk.inner.crashed_pids() == {3, 4}  # A1's members died with Q2
+    assert passed(check_simulation_trace(trace))
+    inner = extract_inner_trace(trace)
+    assert set(inner.decisions()) <= {1, 2}  # A0 = {1, 2}
+    assert inner.crashed_pids() == {3, 4}  # A1's members died with Q2
 
 
 def test_majority_budget_simulation_runs():
     """n=4, t=3: groups of one, two initial crashes; still checkable."""
     for seed in range(10):
-        res, chk = simulate("alg1_variant", 4, 3, 3, seed=seed)
-        assert chk.passed, (seed, [r.failures() for r in chk.reports])
-        assert chk.inner.crashed_pids() >= {3, 4}
+        _, inner, reports = seeded(4, 3, 3, seed)
+        assert passed(reports), (seed, [r.failures() for r in reports])
+        assert inner.crashed_pids() >= {3, 4}
 
 
 # ── Inner trace extraction ───────────────────────────────────────────────────
 
 
 def test_extracted_trace_is_wellformed_inner_history():
-    res, chk = simulate("alg1_variant", 4, 2, 2, seed=5)
-    inner = chk.inner
+    _, inner, _ = seeded(4, 2, 2, 5)
     assert (inner.n, inner.t, inner.k) == (4, 2, 2)
     steps = [e.step for e in inner.events]
     assert steps == sorted(steps)
@@ -135,8 +141,7 @@ def test_extracted_trace_is_wellformed_inner_history():
 
 
 def test_extraction_crashes_initially_dead_group_first():
-    res, _ = simulate("alg1_variant", 4, 3, 3, seed=1)
-    inner = extract_inner_trace(res.trace)
+    _, inner, _ = seeded(4, 3, 3, 1)
     head = [e for e in inner.events if e.kind == "crash" and e.step < 2]
     assert sorted(e.pid for e in head) == [3, 4]
 
@@ -152,8 +157,8 @@ def test_truncated_outer_run_gives_truncated_not_quiescent_inner_trace():
 
 
 def test_extract_single_object_history():
-    res, _ = simulate("alg1_variant", 4, 2, 2, seed=5)
-    h = object_history(extract_inner_trace(res.trace), "kis1")
+    _, inner, _ = seeded(4, 2, 2, 5)
+    h = object_history(inner, "kis1")
     assert set(h.invokes) <= set(range(1, 5))
     for pid in h.responds:
         assert (pid, h.invokes[pid][0]) in h.view_of(pid)
@@ -163,12 +168,12 @@ def test_concurrent_inside_witness():
     """In a passing simulation every responding inner object had an instant
     with at least n-k processes inside their invocations."""
     for seed in range(10):
-        res, chk = simulate("alg1_variant", 4, 2, 2, seed=seed)
-        for rep in chk.reports:
-            if not object_history(chk.inner, rep.obj).responds:
+        _, inner, reports = seeded(4, 2, 2, seed)
+        for rep in reports:
+            if not object_history(inner, rep.obj).responds:
                 assert "concurrent_inside" not in rep.verdicts
                 continue
-            peak, at = max_concurrent_inside(chk.inner, rep.obj)
+            peak, at = max_concurrent_inside(inner, rep.obj)
             assert peak >= 2
             assert rep.verdicts["concurrent_inside"] == Verdict(
                 True,
@@ -192,11 +197,11 @@ def test_solo_inner_operation_fails_concurrent_inside_witness():
             "inner_objects": ["kis1"], "partition": [[1, 2], [3, 4], []],
         },
     )
-    chk = check_simulation_trace(outer)
-    assert chk.reports[0].verdicts["concurrent_inside"] == Verdict(
+    (rep,) = check_simulation_trace(outer)
+    assert rep.verdicts["concurrent_inside"] == Verdict(
         False, "max 1 < n-k = 2 processes inside at once, at step 0"
     )
-    assert not chk.passed
+    assert not rep.passed
 
 
 def test_exhaustive_outer_exploration_covers_crashes_and_passes():
@@ -204,11 +209,11 @@ def test_exhaustive_outer_exploration_covers_crashes_and_passes():
     total = crashed = 0
     for tr in enumerate_runs(inst, reduced=True):
         total += 1
-        chk = check_simulation_trace(tr)
-        assert chk.passed, [r.failures() for r in chk.reports]
+        reports = check_simulation_trace(tr)
+        assert passed(reports), [r.failures() for r in reports]
         if tr.crashed_pids():
             crashed += 1
-            inner = chk.inner
+            inner = extract_inner_trace(tr)
             h1 = object_history(inner, "kis1")
             # A dead simulator's members never respond after its crash.
             for pid in inner.crashed_pids():

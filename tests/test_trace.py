@@ -80,6 +80,9 @@ def test_malformed_schedule_line_raises_parse_error(line):
         ([CONFIG, EVENT % '{"a":1}', END], 2),
         ([CONFIG, EVENT % '{"view":[[1,2]],"x":1}', END], 2),
         ([CONFIG, EVENT % '[{"pid":1}]', END], 2),
+        ([CONFIG, END, END], 3),
+        ([CONFIG, END, EVENT % "1"], 3),
+        ([END, CONFIG, END], 1),
     ],
 )
 def test_malformed_trace_raises_parse_error(lines, line_no):
