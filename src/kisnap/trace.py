@@ -79,9 +79,12 @@ class Trace:
 # Register and view values are built from ints, strings, bools, floats, None,
 # tuples, and frozensets of (pid, value) pairs. Views encode as
 # {"view": [[pid, v], ...]} sorted by pid so that nested views (views of views)
-# stay canonical and decodable without schema knowledge. The stdlib C encoder
-# writes every line; it calls `view_to_json` for each view it meets, nested
-# ones included, and writes everything else itself.
+# stay canonical and decodable without schema knowledge. Lines are written by
+# `_writer`, which remembers the text of every tuple and view it has written,
+# so each distinct tuple or view object of a trace is encoded once per trace
+# however many events carry it (a scan re-emits every register cell). Values
+# of any other type go to the stdlib C encoder, which calls `view_to_json` for
+# each view it meets, nested ones included.
 
 _pid = itemgetter(0)
 _SCALARS = frozenset({int, str, bool, float, type(None)})
@@ -119,18 +122,62 @@ def view_to_json(v: object) -> dict:
 
 
 # No cycle check: tuples and frozensets cannot contain themselves, a list
-# that does fails with RecursionError in `_reject_dicts` before it gets here,
-# and the check costs an id-keyed dict insert and delete for every array and
-# object written (about an eighth of the encoding time).
+# that does fails with RecursionError in `enc` or `_reject_dicts` before it
+# gets here, and the check costs an id-keyed dict insert and delete for every
+# array and object written (about an eighth of the encoding time).
 _encode = json.JSONEncoder(
     separators=(",", ":"), default=view_to_json, check_circular=False
 ).encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _writer():
+    """A fresh `enc(v)`: `v` in the canonical encoding, as compact JSON text.
+
+    `enc` keeps the text of every exact tuple and frozenset it writes, keyed
+    by `id`. An id names one object only while that object is alive, so a
+    writer may be used only while every value it has been given is kept
+    alive, for example by the trace being written, and is dropped after
+    that. Lists are never remembered: they can change between writes.
+    Exact ints, strings and None are written here too. Every other type
+    (bool, float, any subclass, dict, unknown objects) is checked by
+    `_reject_dicts` and written by the C encoder, which writes the same
+    bytes for the types `enc` handles itself."""
+    memo: dict[int, str] = {}
+
+    def enc(v: object) -> str:
+        t = type(v)
+        if t is int:
+            return repr(v)
+        if v is None:
+            return "null"
+        if t is str:
+            return _encode_str(v)
+        if t is tuple or t is frozenset:
+            text = memo.get(id(v))
+            if text is None:
+                if t is tuple:
+                    text = "[" + ",".join([enc(x) for x in v]) + "]"
+                else:
+                    pairs = view_to_json(v)["view"]
+                    text = (
+                        '{"view":['
+                        + ",".join([f"[{enc(p)},{enc(x)}]" for p, x in pairs])
+                        + "]}"
+                    )
+                memo[id(v)] = text
+            return text
+        if t is list:
+            return "[" + ",".join([enc(x) for x in v]) + "]"
+        _reject_dicts(v)
+        return _encode(v)
+
+    return enc
 
 
 def value_to_json(v: object) -> str:
     """One value in the canonical trace encoding, as compact JSON text."""
-    _reject_dicts(v)
-    return _encode(v)
+    return _writer()(v)
 
 
 def decode_value(j: object) -> object:
@@ -162,22 +209,16 @@ def _parse_line(raw: str, line_no: int) -> object:
     return o
 
 
-def event_to_json(e: Event) -> str:
-    if type(e.args) not in _ATOMS:
-        _reject_dicts(e.args)
-    if type(e.ret) not in _ATOMS:
-        _reject_dicts(e.ret)
-    return _encode(
-        {
-            "step": e.step,
-            "kind": e.kind,
-            "pid": e.pid,
-            "obj": e.obj,
-            "op": e.op,
-            "args": e.args,
-            "ret": e.ret,
-        }
+def _event_line(enc, e: Event) -> str:
+    return (
+        f'{{"step":{enc(e.step)},"kind":{enc(e.kind)},"pid":{enc(e.pid)},'
+        f'"obj":{enc(e.obj)},"op":{enc(e.op)},"args":{enc(e.args)},'
+        f'"ret":{enc(e.ret)}}}'
     )
+
+
+def event_to_json(e: Event) -> str:
+    return _event_line(_writer(), e)
 
 
 def _event_from_obj(o: dict, line_no: int) -> Event:
@@ -202,8 +243,7 @@ def _event_from_obj(o: dict, line_no: int) -> Event:
 
 def trace_to_jsonl(trace: Trace) -> str:
     """Serialize a trace: config header line, event lines, outcome footer."""
-    for out in trace.outcomes.values():
-        _reject_dicts(out)
+    enc = _writer()  # the trace keeps every value it writes alive
     lines = [
         _encode(
             {
@@ -215,16 +255,13 @@ def trace_to_jsonl(trace: Trace) -> str:
             }
         )
     ]
-    lines.extend(event_to_json(e) for e in trace.events)
+    lines += [_event_line(enc, e) for e in trace.events]
+    outcomes = ",".join(
+        [f"{enc(str(p))}:{enc(out)}" for p, out in sorted(trace.outcomes.items())]
+    )
     lines.append(
-        _encode(
-            {
-                "kind": "end",
-                "outcomes": {str(p): out for p, out in sorted(trace.outcomes.items())},
-                "truncated": trace.truncated,
-                "quiescent": trace.quiescent,
-            }
-        )
+        f'{{"kind":"end","outcomes":{{{outcomes}}},'
+        f'"truncated":{enc(trace.truncated)},"quiescent":{enc(trace.quiescent)}}}'
     )
     return "\n".join(lines) + "\n"
 
@@ -312,14 +349,19 @@ def read_trace(path) -> Trace:
 # line. Replaying it against the same instance reproduces the trace exactly.
 
 
-def action_to_json(action: tuple) -> str:
-    if action[0] == "step":
-        return _encode({"a": "step", "pid": action[1]})
-    if action[0] == "commit":
-        return _encode({"a": "commit", "obj": action[1], "pids": action[2]})
-    if action[0] == "crash":
-        return _encode({"a": "crash", "pid": action[1]})
+def _action_line(enc, action: tuple) -> str:
+    kind = action[0]
+    if kind == "step":
+        return f'{{"a":"step","pid":{enc(action[1])}}}'
+    if kind == "commit":
+        return f'{{"a":"commit","obj":{enc(action[1])},"pids":{enc(action[2])}}}'
+    if kind == "crash":
+        return f'{{"a":"crash","pid":{enc(action[1])}}}'
     raise ValueError(f"unknown action {action!r}")
+
+
+def action_to_json(action: tuple) -> str:
+    return _action_line(_writer(), action)
 
 
 def action_from_json(raw: str, line_no: int) -> tuple:
@@ -334,7 +376,9 @@ def action_from_json(raw: str, line_no: int) -> tuple:
 
 
 def schedule_to_jsonl(actions: Iterable[tuple]) -> str:
-    return "".join(action_to_json(a) + "\n" for a in actions)
+    actions = list(actions)  # keeps each action alive while `enc` knows its id
+    enc = _writer()
+    return "".join([_action_line(enc, a) + "\n" for a in actions])
 
 
 def schedule_from_jsonl(text: str) -> list[tuple]:

@@ -5,6 +5,8 @@ encoder, decode back to themselves, and raise TypeError outside the format."""
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,9 +23,11 @@ from kisnap import (
     trace_to_jsonl,
 )
 from kisnap.trace import (
+    action_to_json,
     decode_value,
     event_to_json,
     schedule_from_jsonl,
+    schedule_to_jsonl,
     value_to_json,
 )
 
@@ -93,8 +97,9 @@ def test_malformed_trace_raises_parse_error(lines, line_no):
 
 # ── Value codec ──────────────────────────────────────────────────────────────
 #
-# The writer hands whole lines to the stdlib C encoder. The recursive encoder
-# it replaced is kept here as the reference for the bytes.
+# The writer formats lines itself and hands values of other types to the
+# stdlib C encoder. A recursive encoder over plain json.dumps is kept here as
+# the reference for the bytes.
 
 
 def reference_encode(v: object) -> object:
@@ -172,6 +177,74 @@ class Opaque:
     pass
 
 
+Cell = namedtuple("Cell", "value level")
+
+
+class Level(IntEnum):
+    TOP = 3
+
+
+@pytest.mark.parametrize(
+    "v",
+    [Cell(5, 2), Level.TOP, (Cell(Level.TOP, 1), frozenset({(1, Cell(7, Level.TOP))}))],
+    ids=["namedtuple", "int_subclass", "nested"],
+)
+def test_subclasses_encode_as_the_reference_does(v):
+    assert value_to_json(v) == json.dumps(reference_encode(v), separators=(",", ":"))
+    e = Event(0, "reg_write", 1, "a", "write", v, (v,))
+    assert event_to_json(e) == reference_event_line(e)
+    assert trace_to_jsonl(one_event_trace(v, (v,))).splitlines()[1] == (
+        reference_event_line(Event(0, "invoke", 1, "o", "snap", v, (v,)))
+    )
+
+
+def test_shared_objects_write_the_same_bytes_each_time():
+    """A tuple and a view object that many events carry, beside equal but
+    distinct copies of them, write the reference bytes at every occurrence."""
+    cells = tuple([None, (5, 2), (6, 1)])
+    view = frozenset({(2, 5), (3, (6, cells))})
+    cells_copy, view_copy = tuple(list(cells)), frozenset(list(view))
+    assert cells_copy is not cells and view_copy is not view
+    values = [cells, view, cells_copy, (cells, view), view_copy, (view_copy, cells)]
+    events = [
+        Event(i, "reg_read", 1, "a", "scan", values[i % 6], values[(i * 5) % 6])
+        for i in range(24)
+    ]
+    trace = Trace(
+        n=3,
+        t=0,
+        k=None,
+        events=events,
+        outcomes={1: (RETURNED, view), 2: (RETURNED, view_copy), 3: (CRASHED,)},
+    )
+    lines = trace_to_jsonl(trace).splitlines()
+    assert lines[1:-1] == [reference_event_line(e) for e in events]
+    assert lines[-1] == json.dumps(
+        {
+            "kind": "end",
+            "outcomes": {
+                str(p): reference_encode(out) for p, out in trace.outcomes.items()
+            },
+            "truncated": False,
+            "quiescent": False,
+        },
+        separators=(",", ":"),
+    )
+
+
+def test_no_text_outlives_a_write():
+    """A list inside a tuple can change between two writes of the same
+    trace; the second write shows its new content."""
+    box = [1, 2]
+    held = (0, box)
+    trace = one_event_trace(held, held, held)
+    first = trace_to_jsonl(trace)
+    box.append(3)
+    second = trace_to_jsonl(trace)
+    assert '"args":[0,[1,2]]' in first and '"args":[0,[1,2,3]]' in second
+    assert trace_from_jsonl(second).events[0].ret == (0, (1, 2, 3))
+
+
 class HashableDict(dict):
     """The only kind of dict a frozenset view can hold."""
 
@@ -188,6 +261,7 @@ NOT_ENCODABLE = {
     "dict_in_tuple": (1, {"a": 1}),
     "dict_in_view": frozenset({(1, HashableDict(a=1))}),
     "dict_in_nested_view": frozenset({(1, (2, frozenset({(3, HashableDict())})))}),
+    "dict_in_namedtuple": Cell({"a": 1}, 1),
 }
 
 
@@ -218,3 +292,20 @@ def test_trace_bytes_do_not_depend_on_the_hash_seed():
     first, second = (run_python(STRING_INPUT_RUN, seed) for seed in (0, 1))
     assert '"view":[[' in first
     assert first == second
+
+
+def test_action_lines_match_json_dumps():
+    actions = [("step", 3), ("commit", "kis", (1, 4, 6)), ("crash", 2)]
+    expected = [
+        {"a": "step", "pid": 3},
+        {"a": "commit", "obj": "kis", "pids": [1, 4, 6]},
+        {"a": "crash", "pid": 2},
+    ]
+    dumps = [json.dumps(o, separators=(",", ":")) for o in expected]
+    assert [action_to_json(a) for a in actions] == dumps
+    assert schedule_to_jsonl(actions) == "".join(d + "\n" for d in dumps)
+    # Actions made one at a time and dropped after use may reuse an id.
+    fresh = (("commit", "kis", tuple([i, i + 1])) for i in range(50))
+    assert schedule_from_jsonl(schedule_to_jsonl(fresh)) == [
+        ("commit", "kis", (i, i + 1)) for i in range(50)
+    ]
