@@ -36,7 +36,12 @@ from .experiments import (
 )
 from .explore import enumerate_runs
 from .reductions import CATALOG, make_instance, standard_reports
-from .simulation import build_simulation, check_simulation_trace, extract_inner_trace
+from .simulation import (
+    _check_inner_trace,
+    build_simulation,
+    check_simulation_trace,
+    extract_inner_trace,
+)
 from .trace import (
     read_schedule,
     read_trace,
@@ -166,20 +171,20 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    kind = args.kind
+    if kind == "theorem1" and args.k is None:
+        raise ValueError("theorem1 check needs --k")
+    if kind == "xsa" and args.x is None:
+        raise ValueError("xsa check needs --x")
     trace = read_trace(args.trace)
     problems = validate_trace(trace)
     for p in problems:
         print(f"malformed trace: {p}")
-    kind = args.kind
     if kind == "is":
         rep = check_is(trace, args.obj, k=args.k)
     elif kind == "theorem1":
-        if args.k is None:
-            raise ValueError("theorem1 check needs --k")
         rep = check_theorem1(trace, args.obj, k=args.k)
     elif kind == "xsa":
-        if args.x is None:
-            raise ValueError("xsa check needs --x")
         rep = check_xsa(trace, args.x, obj=args.obj)
     else:  # consensus; argparse admits no other kind
         rep = check_consensus_linearizable(trace, args.obj)
@@ -203,7 +208,7 @@ def _cmd_simulate(args) -> int:
         return 0 if found.failed == 0 else 1
     outer = run_random(inst, args.seed).trace
     inner = extract_inner_trace(outer)
-    reports = check_simulation_trace(outer)
+    reports = _check_inner_trace(outer, inner)
     print(f"simulators decided: {outer.decisions()}")
     print(f"inner decisions:    {inner.decisions()}")
     for rep in reports:

@@ -66,7 +66,9 @@ def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
     if any(p == pid for p, _ in st.invoked):
         raise ObjectError(f"process {pid} invoked k-IS object twice")
     invoked = tuple(sorted(st.invoked + ((pid, value),)))
-    return st._replace(invoked=invoked, pending=st.pending | {pid})
+    # `_make` skips the validating `__new__`: n_obj and k_obj are unchanged
+    # and `st` passed it.
+    return KisState._make((st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.view))
 
 
 def kis_commit_batch(
@@ -95,7 +97,9 @@ def kis_commit_batch(
     values = dict(st.invoked)
     view = st.view | frozenset((p, values[p]) for p in pids)
     releases = [(p, view) for p in pids if p not in crashed]
-    new_st = st._replace(pending=st.pending - set(pids), view=view)
+    new_st = KisState._make(
+        (st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), view)
+    )
     return new_st, view, releases
 
 

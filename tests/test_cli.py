@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from kisnap import read_schedule, read_trace
+from kisnap import cli, read_schedule, read_trace, simulation
 from kisnap.cli import main
 
 
@@ -148,11 +148,28 @@ def test_check_fails_on_wrong_claim(tmp_path, capsys):
     assert rc == 1
 
 
-def test_simulate_seeded(capsys):
-    rc = main(["simulate", "--n", "4", "--t", "2", "--k", "2", "--seed", "1"])
+def test_simulate_seeded(tmp_path, capsys, monkeypatch):
+    """The seeded run extracts its inner trace once, to check, print and
+    write it."""
+    extracted = []
+    extract = simulation.extract_inner_trace
+
+    def counted(outer):
+        extracted.append(extract(outer))
+        return extracted[-1]
+
+    monkeypatch.setattr(cli, "extract_inner_trace", counted)
+    monkeypatch.setattr(simulation, "extract_inner_trace", counted)
+    prefix = tmp_path / "sim"
+    rc = main([
+        "simulate", "--n", "4", "--t", "2", "--k", "2", "--seed", "1",
+        "--out-prefix", str(prefix),
+    ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "simulators decided" in out
+    assert len(extracted) == 1
+    assert read_trace(f"{prefix}.inner.jsonl") == extracted[0]
 
 
 def test_simulate_prints_decisions_in_pid_order(capsys):
@@ -240,6 +257,38 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
         argv = [*argv, "--trace", str(trace_file)]
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "theorem1"], "theorem1 check needs --k"),
+        (["--kind", "xsa"], "xsa check needs --x"),
+    ],
+    ids=["theorem1_k", "xsa_x"],
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        '{"kind":"config","t":1,"k":1}\n',
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["o"]}}\n'
+        '{"step":0,"kind":"respond","pid":1,"obj":"o","op":"snap","args":null,'
+        '"ret":null}\n'
+        '{"kind":"end","outcomes":{}}\n',
+    ],
+    ids=["missing", "unparsable", "invalid"],
+)
+def test_check_flags_are_checked_before_the_trace(
+    tmp_path, capsys, argv, message, text
+):
+    """A missing --k or --x is reported alone, whatever the trace file holds."""
+    trace_file = tmp_path / "t.jsonl"
+    if text is not None:
+        trace_file.write_text(text)
+    assert main(["check", "--trace", str(trace_file), "--obj", "o", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_matrix_modes_are_exclusive(capsys):
