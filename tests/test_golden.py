@@ -72,6 +72,14 @@ SEEDED = {
 EXHAUSTIVE_ALG1_3_2_2 = (
     "9a64222765ba56e4fca9fe8cd949f52556aa49e35c7868a224c2fa3c7fe03df4"
 )
+# Every leaf of the literal alg1 walk at (3,1,1), and of the reduced alg1
+# walk at (3,2,2) cut at 6 actions, truncated leaves included.
+LITERAL_ALG1_3_1_1 = (
+    "4b163df633837a341f17c04cf1896441e9259158ddc587ca46b101859be53e4a"
+)
+DEPTH_BOUNDED_ALG1_3_2_2 = (
+    "71f32c3236b1ba3103e31a5a780758147420505f5973d868ead1ea054041118d"
+)
 
 # Two-simulator runs of alg1_variant: the seeded runs of every (n, t, k)
 # below, case after case, and the reduced exhaustive leaves at (4, 2, 2).
@@ -109,6 +117,21 @@ def test_reduced_exhaustive_leaves_match_golden_digest():
     inst = make_instance("alg1", 3, 2, 2)
     leaves = (trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True))
     assert _sha(leaves) == EXHAUSTIVE_ALG1_3_2_2
+
+
+@pytest.mark.slow
+def test_literal_exhaustive_leaves_match_golden_digest():
+    inst = make_instance("alg1", 3, 1, 1)
+    leaves = [trace_to_jsonl(tr) for tr in enumerate_runs(inst)]
+    assert len(leaves) == 30120
+    assert _sha(leaves) == LITERAL_ALG1_3_1_1
+
+
+def test_depth_bounded_reduced_leaves_match_golden_digest():
+    inst = make_instance("alg1", 3, 2, 2)
+    traces = list(enumerate_runs(inst, reduced=True, depth_bound=6))
+    assert (len(traces), sum(tr.truncated for tr in traces)) == (561, 555)
+    assert _sha(trace_to_jsonl(tr) for tr in traces) == DEPTH_BOUNDED_ALG1_3_2_2
 
 
 def _simulation_chunks():

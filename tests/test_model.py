@@ -74,29 +74,35 @@ def test_reduced_alg1_explore_call_pattern(monkeypatch):
     `kisnap.explore` bindings, pinned at a cheap cell: one
     `enabled_step_actions` call per DFS node, one `crash_candidates` call
     per interior node, and `action_footprint` calls at every interior node
-    that has a live action; the rest are sleep-blocked."""
-    calls = {"enabled_step_actions": 0, "crash_candidates": 0}
+    that has a live action; the rest are sleep-blocked. The benchmark's
+    apply and finalize layers time the walk's `apply_action` calls, one per
+    transition, and its `finalize_trace` calls, one per leaf."""
+    calls = dict.fromkeys(
+        ("enabled_step_actions", "crash_candidates", "apply_action", "finalize_trace"),
+        0,
+    )
     footprinted = set()  # interior nodes, by index, that took a footprint
 
     def count(attr):
         fn = getattr(explore, attr)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             if attr in calls:
                 calls[attr] += 1
             else:
                 footprinted.add(calls["crash_candidates"])
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(explore, attr, counted)
 
-    for attr in ("enabled_step_actions", "crash_candidates", "action_footprint"):
+    for attr in (*calls, "action_footprint"):
         count(attr)
     inst = make_instance("alg1", 3, 2, 2)
     leaves = sum(1 for _ in enumerate_runs(inst, reduced=True))
     interior = calls["crash_candidates"]
     assert (leaves, calls["enabled_step_actions"], interior) == (2140, 7805, 5665)
     assert interior - len(footprinted) == 1800
+    assert (calls["apply_action"], calls["finalize_trace"]) == (7804, 2140)
 
 
 def _outcome_summary(trace):

@@ -3,6 +3,8 @@ and the register-level wait-free immediate snapshot routine."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -18,6 +20,8 @@ from kisnap import (
 )
 from kisnap.checkers import check_is, object_history
 from kisnap.objects import consensus_propose, kis_commit_batch, kis_invoke
+from kisnap.reductions import default_inputs
+from kisnap.trace import RETURNED
 
 
 def invoked(st: KisState, *pairs) -> KisState:
@@ -134,6 +138,92 @@ def test_gate_tracks_committed_invokers_under_random_operations(data):
             p for p, _ in state.invoked
         ]
         assert state.min_batch_size() == max(1, n - k - len(committed))
+
+
+# Every (n, t, k) of the paper's zone at n <= 4.
+ORACLE_CELLS = [
+    (n, t, k) for n in (3, 4) for k in range(1, n) for t in range(1, k + 1)
+]
+
+
+def _ordered_partitions(items: tuple) -> list[list[tuple]]:
+    """Every sequence of nonempty disjoint classes whose union is `items`."""
+    if not items:
+        return [[]]
+    out = []
+    for size in range(1, len(items) + 1):
+        for first in combinations(items, size):
+            rest = tuple(p for p in items if p not in first)
+            out += [[first, *tail] for tail in _ordered_partitions(rest)]
+    return out
+
+
+def _oracle_spec(n: int, t: int, k: int, inputs: tuple) -> set:
+    """The outcomes a k-IS object allows: (responders' views, silent pids).
+    At most t pids are silent; the participants (the responders plus any
+    silent pids that invoked) are ordered into classes, each responder sees
+    the union of its class and the earlier ones, and every view holds at
+    least n-k pairs."""
+    pids = tuple(range(1, n + 1))
+    out = set()
+    for silent in range(t + 1):
+        for quiet in combinations(pids, silent):
+            responders = tuple(p for p in pids if p not in quiet)
+            for extra in range(silent + 1):
+                for invoked in combinations(quiet, extra):
+                    members = tuple(sorted(responders + invoked))
+                    for classes in _ordered_partitions(members):
+                        seen, views = [], []
+                        for cls in classes:
+                            seen += [(p, inputs[p - 1]) for p in cls]
+                            views += [
+                                (p, frozenset(seen)) for p in cls if p not in quiet
+                            ]
+                        if all(len(v) >= n - k for _, v in views):
+                            out.add((frozenset(views), frozenset(quiet)))
+    return out
+
+
+def _oracle_outcomes(n: int, t: int, k: int) -> set:
+    out = set()
+    for trace in enumerate_runs(make_instance("kis_oracle", n, t, k), reduced=True):
+        views = frozenset(
+            (p, o[1]) for p, o in trace.outcomes.items() if o[0] == RETURNED
+        )
+        silent = frozenset(p for p, o in trace.outcomes.items() if o[0] != RETURNED)
+        out.add((views, silent))
+    return out
+
+
+def _oracle_mismatches() -> list[tuple[int, int, int]]:
+    """The cells where the reduced walk of `kis_oracle` does not reach
+    exactly the spec's outcomes."""
+    return [
+        (n, t, k)
+        for n, t, k in ORACLE_CELLS
+        if _oracle_outcomes(n, t, k) != _oracle_spec(n, t, k, default_inputs(n))
+    ]
+
+
+def test_kis_oracle_reaches_exactly_its_spec():
+    """Soundness and completeness of the oracle: no outcome outside the
+    spec, and every outcome of the spec reached, at every cell."""
+    assert _oracle_mismatches() == []
+
+
+@pytest.mark.parametrize(
+    "shift", [-1, 1], ids=["admits_n_minus_k_minus_1", "requires_n_minus_k_plus_1"]
+)
+def test_kis_oracle_spec_test_catches_gate_mutants(monkeypatch, shift):
+    """A gate that admits one pair fewer breaks soundness (views of size
+    n-k-1) wherever k < n-1; one that requires one more breaks completeness
+    (no view of size n-k) in every cell."""
+    monkeypatch.setattr(
+        KisState,
+        "min_batch_size",
+        lambda st: max(1, st.n_obj - st.k_obj + shift - len(st.view)),
+    )
+    assert _oracle_mismatches() != []
 
 
 # ── Consensus oracle ─────────────────────────────────────────────────────────
