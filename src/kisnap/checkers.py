@@ -144,8 +144,8 @@ def object_history(trace: Trace, obj: str) -> ObjHistory:
 #
 # The verdicts scan the responders in pid order and report the first
 # offending pid. They share one sort of the responders and one member set
-# per view (`_rows`); beyond that, only a failing verdict sorts, to write
-# its witness.
+# per distinct view (`_rows`); beyond that, only a failing verdict sorts, to
+# write its witness.
 
 
 def _check_termination(h: ObjHistory) -> Verdict:
@@ -180,14 +180,18 @@ def _rows(h: ObjHistory) -> Rows:
     whose value is not a view raises ValueError naming the event."""
     rows = []
     responds = h.responds
+    named_by_view: dict = {}  # the pids of each distinct view, found once
     for pid in sorted(responds):
         view = responds[pid][0]
-        named = _view_pids(view)
+        named = named_by_view.get(view) if isinstance(view, frozenset) else None
         if named is None:
-            raise ValueError(
-                f"respond of process {pid} on {h.obj} at step {responds[pid][1]} "
-                f"returned {view!r}, which is not a view"
-            )
+            named = _view_pids(view)
+            if named is None:
+                raise ValueError(
+                    f"respond of process {pid} on {h.obj} at step "
+                    f"{responds[pid][1]} returned {view!r}, which is not a view"
+                )
+            named_by_view[view] = named
         rows.append((pid, view, named))
     return rows
 
@@ -476,6 +480,7 @@ def validate_trace(trace: Trace) -> list[str]:
     last_step = -1
     crashed: set[int] = set()
     invoked: set[tuple[int, str]] = set()
+    views: set[frozenset] = set()  # snapshot responds found to be views
     # Each written array is a list of the cells of pids 1..n. `slot` finds a
     # pid's cell by dict lookup, as a pid-keyed dict would; a writer outside
     # 1..n lands in `stray`, seen by reads of that index but never by scans.
@@ -508,11 +513,16 @@ def validate_trace(trace: Trace) -> list[str]:
                 problems.append(
                     f"step {step}: respond by {pid} on {obj} without invoke"
                 )
-            if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
-                problems.append(
-                    f"step {step}: respond by {pid} on {obj} returned "
-                    f"{e.ret!r}, which is not a view"
-                )
+            if e.op in _SNAPSHOT_OPS:
+                ret = e.ret
+                if not (isinstance(ret, frozenset) and ret in views):
+                    if _view_pids(ret) is None:
+                        problems.append(
+                            f"step {step}: respond by {pid} on {obj} returned "
+                            f"{ret!r}, which is not a view"
+                        )
+                    else:
+                        views.add(ret)
         elif kind == "reg_write":
             at = slot.get(pid)
             if at is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -186,7 +187,7 @@ class World(NamedTuple):
     k: int | None
     procs: tuple[ProgramState, ...]
     regs: dict  # array -> tuple of n cells
-    kis: dict  # obj -> KisState
+    kis: dict  # obj -> KisState, keyed in sorted order
     cons: dict  # obj -> ConsState
     crashed: frozenset[int]
 
@@ -210,7 +211,9 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     """Build the start state; returns it with the programs' initial events."""
     n, t, k = instance.n, instance.t, instance.k
     regs = {arr: (BOTTOM,) * n for arr in instance.arrays}
-    kis = {o: KisState(n_obj, k_obj) for o, n_obj, k_obj in instance.kis_objects}
+    kis = {
+        o: KisState(n_obj, k_obj) for o, n_obj, k_obj in sorted(instance.kis_objects)
+    }
     cons = {o: ConsState() for o in instance.cons_objects}
     procs = []
     events: list[Event] = []
@@ -228,16 +231,6 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
 def _check_pid(world: World, pid: int) -> None:
     if not 1 <= pid <= world.n:
         raise SimError(f"no process {pid!r} among pids 1..{world.n}")
-
-
-def current_step(world: World, pid: int):
-    """The step `pid`'s program waits on, or None once it returned or
-    crashed. A parked process keeps its invoke step; `step_guard_ok`
-    refuses it."""
-    _check_pid(world, pid)
-    if pid in world.crashed:
-        return None
-    return world.procs[pid - 1].step
 
 
 def _cell(world: World, arr: str, cell: int):
@@ -273,38 +266,42 @@ _GUARDS = {
 }
 
 
-def step_guard_ok(world: World, pid: int, step) -> bool:
-    """Whether `pid` can take `step` now: a scan or wait has its registers
-    filled, and an invoke is not already parked in its k-IS object."""
-    guard = _GUARDS.get(type(step))
-    return guard is None or guard(world, pid, step)
+@lru_cache(maxsize=16)
+def _pid_actions(kind: str, n: int) -> tuple[tuple, ...]:
+    """(kind, pid) for pids 1..n, built once per kind and process count and
+    handed out by every enabled set."""
+    return tuple((kind, pid) for pid in range(1, n + 1))
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
-    """("step", pid) for every process with a guard-enabled step, by pid."""
+    """("step", pid) for every process with a guard-enabled step, by pid:
+    a scan or wait has its registers filled, and an invoke is not already
+    parked in its k-IS object."""
     crashed = world.crashed
     guards = _GUARDS
     out = []
-    for pid, p in enumerate(world.procs, 1):
+    for action, p in zip(_pid_actions("step", world.n), world.procs):
         step = p.step
-        if step is None or pid in crashed:
+        if step is None:
+            continue
+        pid = action[1]
+        if pid in crashed:
             continue
         guard = guards.get(type(step))
         if guard is None or guard(world, pid, step):
-            out.append(("step", pid))
+            out.append(action)
     return out
 
 
 def commit_candidates(world: World) -> list[tuple[str, tuple[int, ...], int]]:
     """Objects with a committable pending set: (obj, pending sorted, min batch)."""
     out = []
-    for obj in sorted(world.kis):
-        st = world.kis[obj]
-        if not st.pending:
-            continue
-        need = st.min_batch_size()
-        if need <= len(st.pending):
-            out.append((obj, tuple(sorted(st.pending)), need))
+    for obj, st in world.kis.items():
+        pending = st.pending
+        if pending:
+            need = st.min_batch_size()
+            if need <= len(pending):
+                out.append((obj, tuple(sorted(pending)), need))
     return out
 
 
@@ -312,29 +309,33 @@ def enabled_commit_actions(world: World) -> list[tuple]:
     out = []
     for obj, pending, need in commit_candidates(world):
         for size in range(need, len(pending) + 1):
-            for batch in combinations(pending, size):
-                out.append(("commit", obj, batch))
+            out += [("commit", obj, batch) for batch in combinations(pending, size)]
     return out
 
 
-def crash_candidates(world: World) -> list[int]:
+def crash_candidates(world: World) -> list[tuple]:
+    """("crash", pid) for every live, unreturned process, by pid, while the
+    crash budget lasts."""
     crashed = world.crashed
     if len(crashed) >= world.t:
         return []
     return [
-        pid
-        for pid, p in enumerate(world.procs, 1)
-        if p.step is not None and pid not in crashed
+        action
+        for action, p in zip(_pid_actions("crash", world.n), world.procs)
+        if p.step is not None and action[1] not in crashed
     ]
 
 
 # ── Action application ───────────────────────────────────────────────────────
 
 
-def _advance(procs: list[ProgramState], pid: int, result) -> list[Event]:
-    """Feed a step result to `pid`'s program; returns its announce events."""
+def _advance(
+    procs: list[ProgramState], pid: int, result, events: list[Event]
+) -> None:
+    """Feed a step result to `pid`'s program; append its announce events."""
     node = procs[pid - 1] = procs[pid - 1].after(result)
-    return _announce_events(node.announces, pid)
+    if node.announces:
+        events += _announce_events(node.announces, pid)
 
 
 def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
@@ -349,10 +350,13 @@ def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
 
 
 def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
-    step = current_step(world, pid)
+    _check_pid(world, pid)
+    step = None if pid in world.crashed else world.procs[pid - 1].step
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
-    if not step_guard_ok(world, pid, step):
+    # A parked process keeps its invoke step; its guard refuses it.
+    guard = _GUARDS.get(type(step))
+    if guard is not None and not guard(world, pid, step):
         raise SimError(f"step guard not satisfied for process {pid}: {step}")
     procs = list(world.procs)
     regs, kis, cons = world.regs, world.kis, world.cons
@@ -366,12 +370,12 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         idx = pid - 1
         regs = {**regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
         events = [Event(-1, "reg_write", pid, step.array, "write", step.value)]
-        events += _advance(procs, pid, None)
+        _advance(procs, pid, None, events)
 
     elif cls is ScanStep:
         cells = regs[step.array]
         events = [Event(-1, "reg_read", pid, step.array, "scan", None, cells)]
-        events += _advance(procs, pid, cells)
+        _advance(procs, pid, cells, events)
 
     elif cls is WaitAnyStep:
         vals = tuple(_cell(world, a, c) for a, c in step.watches)
@@ -379,7 +383,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             Event(-1, "reg_read", pid, a, "read", c, v)
             for (a, c), v in zip(step.watches, vals)
         ]
-        events += _advance(procs, pid, vals)
+        _advance(procs, pid, vals, events)
 
     elif cls is KisInvokeStep:
         try:
@@ -402,7 +406,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             Event(-1, "invoke", pid, step.obj, "propose", step.value),
             Event(-1, "respond", pid, step.obj, "propose", None, decided),
         ]
-        events += _advance(procs, pid, decided)
+        _advance(procs, pid, decided, events)
 
     else:
         raise SimError(f"process {pid} yielded an unknown step {step!r}")
@@ -430,7 +434,7 @@ def _apply_commit(
         events.append(
             Event(-1, "respond", pid, obj, "write_snapshot_k", None, delivered)
         )
-        events += _advance(procs, pid, delivered)
+        _advance(procs, pid, delivered, events)
     world = World(
         world.n, world.t, world.k, tuple(procs), world.regs, kis, world.cons,
         world.crashed,
@@ -446,7 +450,10 @@ def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
         raise SimError(f"process {pid} already crashed")
     if world.procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    world = world._replace(crashed=world.crashed | {pid})
+    world = World(
+        world.n, world.t, world.k, world.procs, world.regs, world.kis, world.cons,
+        world.crashed | {pid},
+    )
     return world, [Event(-1, "crash", pid)]
 
 
@@ -517,15 +524,21 @@ def _stamp(events: list[Event], new_events: list[Event]) -> None:
     events.extend(new_events)
 
 
+_CRASHED = (CRASHED,)
+_BLOCKED = (BLOCKED,)
+
+
 def outcomes_of(world: World) -> dict[int, tuple]:
+    """Each pid's outcome, in pid order."""
+    crashed = world.crashed
     out: dict[int, tuple] = {}
     for pid, p in enumerate(world.procs, 1):
-        if pid in world.crashed:
-            out[pid] = (CRASHED,)
+        if pid in crashed:
+            out[pid] = _CRASHED
         elif p.step is None:
             out[pid] = (RETURNED, p.value)
         else:
-            out[pid] = (BLOCKED,)
+            out[pid] = _BLOCKED
     return out
 
 
@@ -543,10 +556,12 @@ def finalize_trace(
     `truncated`, not `quiescent`.
     """
     outcomes = outcomes_of(world)
-    blocked = sorted(p for p, o in outcomes.items() if o[0] == BLOCKED)
-    quiescent = bool(blocked) and not truncated
-    if quiescent:
-        _stamp(events, [Event(-1, "blocked", pid) for pid in blocked])
+    quiescent = False
+    if not truncated:
+        blocked = [p for p, o in outcomes.items() if o[0] == BLOCKED]
+        if blocked:
+            quiescent = True
+            _stamp(events, [Event(-1, "blocked", pid) for pid in blocked])
     return Trace(
         n=world.n,
         t=world.t,

@@ -94,11 +94,12 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
     return True  # reads commute; pending-set insertions commute
 
 
-def _never_independent(a, fa, b, fb) -> bool:
-    return False
-
-
 # ── DFS enumeration ──────────────────────────────────────────────────────────
+#
+# One explicit-stack loop walks every mode. A frame is an interior node with
+# at least one live action: [world, live (action, footprint) pairs, sleep
+# set, index of the next child, length of the event prefix at the node].
+# Backtracking to a frame cuts the shared event buffer back to its mark.
 
 
 def enumerate_runs(
@@ -113,46 +114,48 @@ def enumerate_runs(
     trace-equivalence class. `depth_bound` caps the number of scheduler
     actions per run and yields the runs it cuts off as truncated traces.
     """
-    indep = independent if reduced else _never_independent
-    world0, init_events = initial_world(instance)
+    world, init_events = initial_world(instance)
     events: list[Event] = []
     _stamp(events, init_events)
-
-    def leaf(world: World, truncated: bool) -> Trace:
-        # finalize_trace appends blocked events into the shared buffer;
-        # give it a private copy of the prefix instead.
-        return finalize_trace(
-            world, list(events), truncated=truncated, meta=instance.meta
-        )
-
-    def dfs(world: World, sleep: dict, depth: int) -> Iterator[Trace]:
-        menu = enabled_step_actions(world) + enabled_commit_actions(world)
-        if not menu:
-            yield leaf(world, truncated=False)
+    meta = instance.meta
+    stack: list[list] = []
+    sleep: dict = {}
+    while True:
+        # Visit `world`, reached with `sleep` at depth len(stack).
+        menu = enabled_step_actions(world)
+        menu += enabled_commit_actions(world)
+        if not menu or (depth_bound is not None and len(stack) >= depth_bound):
+            # finalize_trace appends blocked events to the list it gets, so
+            # it gets a copy of the shared prefix.
+            yield finalize_trace(
+                world, events[:], truncated=bool(menu), meta=meta
+            )
+        else:
+            menu += crash_candidates(world)
+            live = [(a, action_footprint(world, a)) for a in menu if a not in sleep]
+            if live:
+                stack.append([world, live, sleep, 0, len(events)])
+        # Take the next unexplored child of the deepest open frame.
+        while stack:
+            frame = stack[-1]
+            parent, live, sleep, i, mark = frame
+            if i < len(live):
+                break
+            stack.pop()
+        else:
             return
-        if depth_bound is not None and depth >= depth_bound:
-            yield leaf(world, truncated=True)
-            return
-        options = menu + [("crash", p) for p in crash_candidates(world)]
-        live = [a for a in options if a not in sleep]
-        if not live:
-            return
-        fps = {a: action_footprint(world, a) for a in live}
-        explored: list[tuple] = []
-        for a in live:
-            fa = fps[a]
-            child, evs = apply_action(world, a)
-            mark = len(events)
-            _stamp(events, evs)
+        frame[3] = i + 1
+        del events[mark:]
+        a, fa = live[i]
+        world, evs = apply_action(parent, a)
+        _stamp(events, evs)
+        if reduced:
+            # The child sleeps on every sleeping or earlier-explored action
+            # independent of `a`.
             child_sleep = {
-                s: fs for s, fs in sleep.items() if indep(s, fs, a, fa)
+                s: fs for s, fs in sleep.items() if independent(s, fs, a, fa)
             }
-            for s, fs in explored:
-                if indep(s, fs, a, fa):
+            for s, fs in live[:i]:
+                if independent(s, fs, a, fa):
                     child_sleep[s] = fs
-            yield from dfs(child, child_sleep, depth + 1)
-            del events[mark:]
-            explored.append((a, fa))
-
-    yield from dfs(world0, {}, 0)
-
+            sleep = child_sleep

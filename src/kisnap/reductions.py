@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .checkers import (
     CheckReport,
@@ -64,10 +64,13 @@ def paper_range(n: int, t: int, k: int | None) -> None:
         raise ValueError(f"need 1 <= t <= k <= n-1, got t={t} k={k} n={n}")
 
 
+@lru_cache(maxsize=128)
 def xsa_bound(n: int, t: int, k: int) -> int:
     """Agreement degree x of the k-IS-to-x-SA reduction: max(1, t+k-(n-2)).
 
-    Preconditions: `paper_range(n, t, k)`.
+    Preconditions: `paper_range(n, t, k)`. The standard x-SA check asks for
+    the bound of every trace, so each (n, t, k) is validated once; an
+    out-of-range triple raises every time, as a raise is not remembered.
     """
     paper_range(n, t, k)
     return max(1, t + k - (n - 2))

@@ -48,7 +48,10 @@ def test_bound_reference_values():
 
 
 def test_bound_rejects_out_of_range_parameters():
-    for n, t, k in [(2, 1, 1), (3, 0, 1), (3, 1, 0), (3, 2, 1), (3, 1, 3), (5, 3, 2)]:
+    """Every call rejects, the repeated ones included: the bound is
+    remembered per (n, t, k), the rejection is not."""
+    bad = [(2, 1, 1), (3, 0, 1), (3, 1, 0), (3, 2, 1), (3, 1, 3), (5, 3, 2), (3, 1, None)]
+    for n, t, k in bad * 2:
         with pytest.raises(ValueError):
             xsa_bound(n, t, k)
 
