@@ -480,7 +480,6 @@ def validate_trace(trace: Trace) -> list[str]:
     last_step = -1
     crashed: set[int] = set()
     invoked: set[tuple[int, str]] = set()
-    views: set[frozenset] = set()  # snapshot responds found to be views
     # Each written array is a list of the cells of pids 1..n. `slot` finds a
     # pid's cell by dict lookup, as a pid-keyed dict would; a writer outside
     # 1..n lands in `stray`, seen by reads of that index but never by scans.
@@ -513,16 +512,11 @@ def validate_trace(trace: Trace) -> list[str]:
                 problems.append(
                     f"step {step}: respond by {pid} on {obj} without invoke"
                 )
-            if e.op in _SNAPSHOT_OPS:
-                ret = e.ret
-                if not (isinstance(ret, frozenset) and ret in views):
-                    if _view_pids(ret) is None:
-                        problems.append(
-                            f"step {step}: respond by {pid} on {obj} returned "
-                            f"{ret!r}, which is not a view"
-                        )
-                    else:
-                        views.add(ret)
+            if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
+                problems.append(
+                    f"step {step}: respond by {pid} on {obj} returned "
+                    f"{e.ret!r}, which is not a view"
+                )
         elif kind == "reg_write":
             at = slot.get(pid)
             if at is None:

@@ -100,6 +100,12 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
 # at least one live action: [world, live (action, footprint) pairs, sleep
 # set, index of the next child, length of the event prefix at the node].
 # Backtracking to a frame cuts the shared event buffer back to its mark.
+# The walk calls `enabled_step_actions` once per node, `crash_candidates`
+# once per interior node, `action_footprint` once per live action,
+# `apply_action` once per transition and `finalize_trace` once per leaf,
+# each through this module's globals: the benchmark counts nodes and times
+# layers by rebinding them (`test_reduced_alg1_explore_call_pattern`), so a
+# crash child recomputes its menu rather than reusing its parent's.
 
 
 def enumerate_runs(

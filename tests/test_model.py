@@ -23,7 +23,13 @@ from kisnap import (
     validate_trace,
 )
 from kisnap import core, explore
-from kisnap.core import apply_action, enabled_step_actions, initial_world
+from kisnap.core import (
+    apply_action,
+    enabled_commit_actions,
+    enabled_step_actions,
+    initial_world,
+)
+from kisnap.objects import kis_once
 from kisnap.primitives import Announce, ScanStep, WriteStep
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
@@ -377,6 +383,23 @@ def test_parked_process_is_enabled_again_only_after_its_commit():
         apply_action(world, ("step", 1))
     world, _ = apply_action(world, ("commit", "kis", (1,)))
     assert enabled_step_actions(world) == [("step", 1), ("step", 2)]
+
+
+def test_commit_actions_come_in_object_name_order():
+    """Objects declared out of name order still offer their commits by
+    name, the order the menu and the reduced walk depend on."""
+    programs = {
+        1: partial(kis_once, obj="b", value=1),
+        2: partial(kis_once, obj="a", value=2),
+    }
+    inst = Instance(2, 0, 1, programs, kis_objects=(("b", 2, 1), ("a", 2, 1)))
+    world, _ = initial_world(inst)
+    for pid in (1, 2):
+        world, _ = apply_action(world, ("step", pid))
+    assert enabled_commit_actions(world) == [
+        ("commit", "a", (2,)),
+        ("commit", "b", (1,)),
+    ]
 
 
 def test_worlds_reached_in_either_order_are_equal():
