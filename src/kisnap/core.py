@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -266,13 +265,6 @@ _GUARDS = {
 }
 
 
-@lru_cache(maxsize=16)
-def _pid_actions(kind: str, n: int) -> tuple[tuple, ...]:
-    """(kind, pid) for pids 1..n, built once per kind and process count and
-    handed out by every enabled set."""
-    return tuple((kind, pid) for pid in range(1, n + 1))
-
-
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid:
     a scan or wait has its registers filled, and an invoke is not already
@@ -280,16 +272,13 @@ def enabled_step_actions(world: World) -> list[tuple]:
     crashed = world.crashed
     guards = _GUARDS
     out = []
-    for action, p in zip(_pid_actions("step", world.n), world.procs):
+    for pid, p in enumerate(world.procs, 1):
         step = p.step
-        if step is None:
-            continue
-        pid = action[1]
-        if pid in crashed:
+        if step is None or pid in crashed:
             continue
         guard = guards.get(type(step))
         if guard is None or guard(world, pid, step):
-            out.append(action)
+            out.append(("step", pid))
     return out
 
 
@@ -320,9 +309,9 @@ def crash_candidates(world: World) -> list[tuple]:
     if len(crashed) >= world.t:
         return []
     return [
-        action
-        for action, p in zip(_pid_actions("crash", world.n), world.procs)
-        if p.step is not None and action[1] not in crashed
+        ("crash", pid)
+        for pid, p in enumerate(world.procs, 1)
+        if p.step is not None and pid not in crashed
     ]
 
 
