@@ -10,6 +10,7 @@ from .checkers import (
     check_theorem1,
     check_xsa,
     object_history,
+    trace_report,
     validate_trace,
 )
 from .core import (

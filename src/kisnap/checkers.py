@@ -30,6 +30,7 @@ register read consistency).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .primitives import BOTTOM
 from .trace import INNER_PREFIX, Trace
@@ -93,51 +94,204 @@ class CheckReport:
 
 
 # ── History extraction ───────────────────────────────────────────────────────
+#
+# The checkers read a trace through two folds, each one per-event rule over
+# persistent states: `_fold_history` keeps every object's invoke/respond
+# record and the trace's crash steps, `_fold_validation` the validator's
+# state. A feed never changes the state it starts from: it copies each
+# container at most once, before its first change, so the state of a prefix
+# is shared by every extension of it. `enumerate_runs` keeps a `TraceFold`
+# in DFS frames and gives each leaf's trace a `LeafFold` (`Trace.fold`),
+# which extends the nearest frame's state over the leaf's events when a
+# checker first asks. A checker reads it while `trace.events` is the list
+# it was made for, at that length; otherwise it folds the trace itself, and
+# only the part it reads.
 
 
 @dataclass
 class ObjHistory:
-    """Invoke/respond/crash record of one object in one trace."""
+    """Invoke/respond/crash record of one object in one trace. Its dicts may
+    be shared with the trace's fold: read them, do not change them."""
 
     obj: str
     invokes: dict[int, tuple[object, int]] = field(default_factory=dict)
     responds: dict[int, tuple[object, int]] = field(default_factory=dict)
     crashes: dict[int, int] = field(default_factory=dict)
-    double_invokes: list[int] = field(default_factory=list)
+    double_invokes: tuple[int, ...] = ()
 
     def view_of(self, pid: int):
         return self.responds[pid][0]
 
 
-def object_history(trace: Trace, obj: str) -> ObjHistory:
-    """Extract one object's history; raises on object ids the trace has
-    never heard of (neither in events nor declared in meta['objects'])."""
-    invokes: dict[int, tuple[object, int]] = {}
-    responds: dict[int, tuple[object, int]] = {}
-    crashes: dict[int, int] = {}
-    double_invokes: list[int] = []
-    mentioned = False
-    for e in trace.events:
+class ObjRecord:
+    """One object's invokes and responds (pid -> (args or ret, step)) and the
+    pids of its second invokes. Shared by every fold that extends the one
+    that made it, so it does not change once the feed that made it returns;
+    `is_verdicts` keeps `check_is`'s verdicts that read nothing else."""
+
+    __slots__ = ("invokes", "responds", "double_invokes", "is_verdicts")
+
+    def __init__(self, invokes: dict, responds: dict, double_invokes: tuple):
+        self.invokes = invokes
+        self.responds = responds
+        self.double_invokes = double_invokes
+        self.is_verdicts = None
+
+
+class _Every:
+    """Equal to every object id: `_fold_history`'s `only` when it keeps
+    every object. A fold over a whole trace keeps one object, and pays one
+    comparison per event for it; the comparisons with this stand-in cost
+    more, but fall on the few events of a walk's feeds."""
+
+    def __eq__(self, other) -> bool:
+        return True
+
+    def __ne__(self, other) -> bool:
+        return False
+
+
+_EVERY = _Every()
+_NONE = object()  # no object id
+
+
+def _fold_history(objs: dict, crashes: dict, events, only=_EVERY):
+    """`objs` (object id -> ObjRecord) and `crashes` (pid -> step of its first
+    crash) extended by `events`; with `only`, objects other than `only` are
+    left out. An object has a record once an event other than a crash
+    names it."""
+    own_objs = own_crashes = False
+    mine: tuple = ()  # objects whose record this feed made
+    last = _NONE  # the last object whose record this feed made
+    rec = invokes = responds = None  # that record and its dicts
+    for e in events:
         kind = e.kind
         if kind == "crash":
-            crashes.setdefault(e.pid, e.step)
+            pid = e.pid
+            if pid not in crashes:
+                if not own_crashes:
+                    crashes, own_crashes = dict(crashes), True
+                crashes[pid] = e.step
             continue
-        if e.obj != obj:
+        obj = e.obj
+        if obj != only:
             continue
-        mentioned = True
+        if obj != last:
+            if obj in mine:
+                rec = objs[obj]
+            else:
+                rec = objs.get(obj)
+                if rec is None:
+                    rec = ObjRecord({}, {}, ())
+                elif kind == "invoke" or kind == "respond":
+                    rec = ObjRecord(
+                        dict(rec.invokes), dict(rec.responds), rec.double_invokes
+                    )
+                else:
+                    continue
+                if not own_objs:
+                    objs, own_objs = dict(objs), True
+                objs[obj] = rec
+                mine += (obj,)
+            last, invokes, responds = obj, rec.invokes, rec.responds
         if kind == "invoke":
             pid = e.pid
             if pid in invokes:
-                double_invokes.append(pid)
+                rec.double_invokes += (pid,)
             else:
                 invokes[pid] = (e.args, e.step)
         elif kind == "respond":
             responds[e.pid] = (e.ret, e.step)
-    if not mentioned and obj not in trace.meta.get("objects", ()):
-        raise ValueError(
-            f"unknown object id {obj!r}: no events and not declared in trace meta"
+    return objs, crashes
+
+
+class TraceFold(NamedTuple):
+    """The check state after the first `length` events of a trace: every
+    object's record, the crash steps and the validator's state. `extended`
+    returns the state after more events and leaves this one as it is."""
+
+    length: int
+    objs: dict
+    crashes: dict
+    validation: tuple  # the validator's state (see `_fold_validation`)
+
+    @classmethod
+    def empty(cls, n: int) -> TraceFold:
+        """The state before the first event of a trace with `n` processes."""
+        return cls(0, {}, {}, _validation_start(n))
+
+    def extended(self, events: list, stop: int | None = None) -> TraceFold:
+        """The state after `events[:stop]` (all of `events` by default), of
+        which this is the state of a prefix."""
+        new = events[self.length : stop]
+        objs, crashes = _fold_history(self.objs, self.crashes, new)
+        return TraceFold(
+            len(events) if stop is None else stop,
+            objs,
+            crashes,
+            _fold_validation(self.validation, new),
         )
-    return ObjHistory(obj, invokes, responds, crashes, double_invokes)
+
+
+class LeafFold:
+    """The check state of a trace whose events are `events`, computed when a
+    checker first asks for it: `base`, the state of a prefix of them,
+    extended over the rest. `state` is None until then."""
+
+    __slots__ = ("events", "length", "base", "state")
+
+    def __init__(self, events: list, base: TraceFold):
+        self.events = events
+        self.length = len(events)
+        self.base = base
+        self.state: TraceFold | None = None
+
+    def resolve(self) -> TraceFold:
+        if self.state is None:
+            self.state = self.base.extended(self.events)
+            self.base = None
+        return self.state
+
+
+def _attached(trace: Trace, whole: bool) -> TraceFold | None:
+    """The state of the fold the trace carries, if it still describes the
+    trace's events: the same list, at the same length. A caller that reads
+    one object's record (`whole` false) leaves a fold that would start
+    from the first event to others: folding that one object costs less."""
+    fold = trace.fold
+    if fold is not None and fold.events is trace.events:
+        if fold.length == len(fold.events):
+            if whole or fold.state is not None or fold.base.length:
+                return fold.resolve()
+    return None
+
+
+def _record(
+    trace: Trace, obj: str, whole: bool = False
+) -> tuple[ObjRecord, dict]:
+    """`obj`'s record and the trace's crash steps; raises on object ids the
+    trace has never heard of (neither in events nor declared in
+    meta['objects']). `whole` as for `_attached`."""
+    fold = _attached(trace, whole)
+    if fold is None:
+        objs, crashes = _fold_history({}, {}, trace.events, obj)
+    else:
+        objs, crashes = fold.objs, fold.crashes
+    rec = objs.get(obj)
+    if rec is None:
+        if obj not in trace.meta.get("objects", ()):
+            raise ValueError(
+                f"unknown object id {obj!r}: no events and not declared in trace meta"
+            )
+        rec = ObjRecord({}, {}, ())
+    return rec, crashes
+
+
+def object_history(trace: Trace, obj: str) -> ObjHistory:
+    """Extract one object's history; raises on object ids the trace has
+    never heard of (neither in events nor declared in meta['objects'])."""
+    rec, crashes = _record(trace, obj)
+    return ObjHistory(obj, rec.invokes, rec.responds, crashes, rec.double_invokes)
 
 
 # ── Immediate snapshot / k-IS ────────────────────────────────────────────────
@@ -286,6 +440,27 @@ def _check_output_size(rows: Rows, n: int, k: int) -> Verdict:
     return PASS
 
 
+def _is_verdicts(h: ObjHistory) -> tuple:
+    """The `check_is` verdicts that read only the record: one_shot (None when
+    it holds, as its verdict is then left out), self_inclusion, validity,
+    containment and both immediacy forms, then the rows."""
+    rows = _rows(h)
+    one_shot = None
+    if h.double_invokes:
+        one_shot = _fail(f"processes invoked twice: {sorted(set(h.double_invokes))}")
+    base = _check_self_inclusion(h, rows)
+    validity = _check_validity(h, rows)
+    containment = _check_containment(rows)
+    primal = _check_immediacy_primal(rows)
+    symmetric = _check_immediacy_symmetric(rows)
+    if base.ok and validity.ok and containment.ok and primal.ok != symmetric.ok:
+        raise AssertionError(
+            "immediacy forms disagree on a containment-clean history: "
+            f"primal={primal}, symmetric={symmetric}"
+        )
+    return one_shot, base, validity, containment, primal, symmetric, rows
+
+
 def check_is(trace: Trace, obj: str, k: int | None = None) -> CheckReport:
     """Check the immediate-snapshot properties of `obj`'s history.
 
@@ -294,27 +469,26 @@ def check_is(trace: Trace, obj: str, k: int | None = None) -> CheckReport:
     form is evaluated as well and, whenever self-inclusion, validity, and
     containment all hold (which makes the two forms logically equivalent),
     a disagreement between them is raised as a checker defect rather than
-    reported as a property failure.
+    reported as a property failure. The verdicts that read only the
+    object's record are computed once per record, which the leaves of a
+    walk share; termination and output size are computed per call.
     """
-    h = object_history(trace, obj)
-    rows = _rows(h)
+    rec, crashes = _record(trace, obj, whole=True)
+    h = ObjHistory(obj, rec.invokes, rec.responds, crashes, rec.double_invokes)
+    found = rec.is_verdicts
+    if found is None:
+        found = rec.is_verdicts = _is_verdicts(h)
+    one_shot, base, validity, containment, primal, symmetric, rows = found
     report = CheckReport(obj=obj, kind="is" if k is None else f"{k}-is")
     verdicts = report.verdicts
-    if h.double_invokes:
-        verdicts["one_shot"] = _fail(
-            f"processes invoked twice: {sorted(set(h.double_invokes))}"
-        )
+    if one_shot is not None:
+        verdicts["one_shot"] = one_shot
     verdicts["termination"] = _check_termination(h)
-    verdicts["self_inclusion"] = base = _check_self_inclusion(h, rows)
-    verdicts["validity"] = validity = _check_validity(h, rows)
-    verdicts["containment"] = containment = _check_containment(rows)
-    verdicts["immediacy"] = primal = _check_immediacy_primal(rows)
-    verdicts["immediacy_symmetric"] = symmetric = _check_immediacy_symmetric(rows)
-    if base.ok and validity.ok and containment.ok and primal.ok != symmetric.ok:
-        raise AssertionError(
-            "immediacy forms disagree on a containment-clean history: "
-            f"primal={primal}, symmetric={symmetric}"
-        )
+    verdicts["self_inclusion"] = base
+    verdicts["validity"] = validity
+    verdicts["containment"] = containment
+    verdicts["immediacy"] = primal
+    verdicts["immediacy_symmetric"] = symmetric
     if k is not None:
         verdicts["output_size"] = _check_output_size(rows, trace.n, k)
     if not h.invokes:
@@ -467,34 +641,36 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
 _SNAPSHOT_OPS = frozenset({"write_snapshot_k", "write_snapshot"})
 
 
-def validate_trace(trace: Trace) -> list[str]:
-    """Structural invariants of a trace; returns a list of violations.
+# The validator's state after a prefix of a trace is a tuple (problems,
+# last_step, crashed, invoked, arrays, stray, fixed): the problems found,
+# the last step, the crashed pids, the (pid, object) pairs that invoked,
+# the register cells, and what is the same for every state of one fold.
+# Each written array is a list of the cells of pids 1..n. `fixed` holds
+# `slot`, which finds a pid's cell (a writer outside 1..n lands in `stray`,
+# seen by reads of that index but never by scans), the cells of an
+# unwritten array, and `inner`, a memo of the object ids embedded from a
+# simulated system, whose events carry pids of another namespace, so the
+# per-pid rules skip them.
 
-    Covers monotone step indices, event kinds, respond-after-invoke per
-    (pid, obj), views as the value of every snapshot respond, the crash
-    budget, silence of crashed processes, and SWMR
-    register semantics (every read/scan returns exactly the latest writes).
-    """
-    n = trace.n
-    problems: list[str] = []
-    last_step = -1
-    crashed: set[int] = set()
-    invoked: set[tuple[int, str]] = set()
-    # Each written array is a list of the cells of pids 1..n. `slot` finds a
-    # pid's cell by dict lookup, as a pid-keyed dict would; a writer outside
-    # 1..n lands in `stray`, seen by reads of that index but never by scans.
-    slot = {pid: pid - 1 for pid in range(1, n + 1)}
-    unwritten = (BOTTOM,) * n
-    arrays: dict[str, list] = {}
-    stray: dict[str, dict] = {}
-    # Events embedded from a simulated system carry pids of a different
-    # namespace, so the per-pid rules skip them; this remembers which
-    # object ids are theirs.
-    inner: dict[str | None, bool] = {None: False}
-    for e in trace.events:
+
+def _validation_start(n: int) -> tuple:
+    """The validator's state before the first event, for `n` processes."""
+    fixed = ({pid: pid - 1 for pid in range(1, n + 1)}, (BOTTOM,) * n, {None: False})
+    return (), -1, set(), set(), {}, {}, fixed
+
+
+def _fold_validation(v: tuple, events, own: bool = False) -> tuple:
+    """The validator's state `v` extended by `events`. With `own`, `v` is
+    the caller's to change in place (a fold from its start)."""
+    problems, last_step, crashed, invoked, arrays, stray, fixed = v
+    slot, unwritten, inner = fixed
+    own_crashed = own_invoked = own_arrays = own_stray = own
+    mine: tuple = ()  # arrays whose cells this feed made
+    found: list[str] = []  # this feed's problems
+    for e in events:
         step = e.step
         if step <= last_step:
-            problems.append(f"step {step} not increasing after {last_step}")
+            found.append(f"step {step} not increasing after {last_step}")
         last_step = step
         obj = e.obj
         skip = inner.get(obj)
@@ -504,34 +680,45 @@ def validate_trace(trace: Trace) -> list[str]:
             continue
         kind, pid = e.kind, e.pid
         if crashed and pid is not None and pid in crashed:
-            problems.append(f"step {step}: crashed process {pid} acts ({kind})")
+            found.append(f"step {step}: crashed process {pid} acts ({kind})")
         if kind == "invoke":
+            if not own_invoked:
+                invoked, own_invoked = set(invoked), True
             invoked.add((pid, obj))
         elif kind == "respond":
             if (pid, obj) not in invoked:
-                problems.append(
-                    f"step {step}: respond by {pid} on {obj} without invoke"
-                )
+                found.append(f"step {step}: respond by {pid} on {obj} without invoke")
             if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
-                problems.append(
+                found.append(
                     f"step {step}: respond by {pid} on {obj} returned "
                     f"{e.ret!r}, which is not a view"
                 )
         elif kind == "reg_write":
             at = slot.get(pid)
             if at is None:
-                stray.setdefault(obj, {})[pid] = e.args
+                if not own_stray:
+                    stray, own_stray = dict(stray), True
+                stray[obj] = {**stray.get(obj, {}), pid: e.args}
             else:
-                cells = arrays.get(obj)
-                if cells is None:
-                    cells = arrays[obj] = [BOTTOM] * n
+                if obj in mine:
+                    cells = arrays[obj]
+                else:
+                    if not own_arrays:
+                        arrays, own_arrays = dict(arrays), True
+                    cells = arrays.get(obj)
+                    if cells is None:
+                        cells = [BOTTOM] * len(unwritten)
+                    else:
+                        cells = cells[:]
+                    arrays[obj] = cells
+                    mine += (obj,)
                 cells[at] = e.args
         elif kind == "reg_read":
             cells = arrays.get(obj)
             if e.op == "scan":
                 expect = unwritten if cells is None else tuple(cells)
                 if tuple(e.ret) != expect:
-                    problems.append(
+                    found.append(
                         f"step {step}: scan of {obj} returned {e.ret}, "
                         f"registers hold {expect}"
                     )
@@ -542,14 +729,45 @@ def validate_trace(trace: Trace) -> list[str]:
                 else:
                     expect = BOTTOM if cells is None else cells[at]
                 if e.ret != expect:
-                    problems.append(
+                    found.append(
                         f"step {step}: read of {obj}[{e.args}] returned "
                         f"{e.ret!r}, register holds {expect!r}"
                     )
         elif kind == "crash":
             if pid in crashed:
-                problems.append(f"step {step}: process {pid} crashes twice")
-            crashed.add(pid)
+                found.append(f"step {step}: process {pid} crashes twice")
+            elif not own_crashed:
+                crashed, own_crashed = crashed | {pid}, True
+            else:
+                crashed.add(pid)
+    if found:
+        problems += tuple(found)
+    return problems, last_step, crashed, invoked, arrays, stray, fixed
+
+
+def validate_trace(trace: Trace) -> list[str]:
+    """Structural invariants of a trace; returns a list of violations.
+
+    Covers monotone step indices, event kinds, respond-after-invoke per
+    (pid, obj), views as the value of every snapshot respond, the crash
+    budget, silence of crashed processes, and SWMR
+    register semantics (every read/scan returns exactly the latest writes).
+    """
+    fold = _attached(trace, whole=True)
+    if fold is None:
+        v = _fold_validation(_validation_start(trace.n), trace.events, own=True)
+    else:
+        v = fold.validation
+    found, _, crashed, *_ = v
+    problems = list(found)
     if len(crashed) > trace.t:
         problems.append(f"{len(crashed)} crashes exceed budget t={trace.t}")
     return problems
+
+
+def trace_report(trace: Trace) -> CheckReport:
+    """`validate_trace` as one report: verdict `well_formed` of object
+    `trace`, whose witness joins the problems with "; "."""
+    problems = validate_trace(trace)
+    verdict = PASS if not problems else _fail("; ".join(problems))
+    return CheckReport("trace", "well-formed", {"well_formed": verdict})

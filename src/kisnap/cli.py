@@ -24,6 +24,7 @@ from .checkers import (
     check_is,
     check_theorem1,
     check_xsa,
+    trace_report,
     validate_trace,
 )
 from .core import DEFAULT_STEP_BOUND, ReplaySchedule, run, run_random
@@ -111,11 +112,16 @@ def _print_failures(found) -> None:
             print(rep)
 
 
+def _full_reports(trace) -> list:
+    """The standard reports of a trace and its well-formedness report."""
+    return [*standard_reports(trace), trace_report(trace)]
+
+
 def _cmd_explore(args) -> int:
     inputs = _parse_inputs(args.inputs, args.n)
     inst = make_instance(args.algo, args.n, args.t, args.k, inputs)
     runs = islice(enumerate_runs(inst, reduced=not args.literal), args.max_runs)
-    found = sweep(runs, standard_reports) if args.check else sweep(runs)
+    found = sweep(runs, _full_reports) if args.check else sweep(runs)
     _print_failures(found)
     mode = "literal" if args.literal else "reduced"
     print(
@@ -263,6 +269,20 @@ def _cmd_equivalence(args) -> int:
     return 1 if failures else 0
 
 
+def _seed(text: str) -> int | str:
+    """An integer literal as an int; otherwise a per-trial seed string as
+    `experiments.trial_seed` writes it, such as 0:11:3:5:12."""
+    try:
+        return int(text)
+    except ValueError:
+        if ":" not in text:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer or a trial seed such as 0:11:3:5:12, "
+                f"got {text!r}"
+            ) from None
+        return text
+
+
 def _at_least_1(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -289,7 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="one seeded or replayed run")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=_seed,
+        default=0,
+        help="an integer, or a matrix trial seed such as 0:11:3:5:12 "
+        "(seed:n:t:k:trial) to rerun that trial",
+    )
     p.add_argument(
         "--schedule",
         default="random",

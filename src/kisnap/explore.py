@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .checkers import LeafFold, TraceFold
 from .core import (
     Instance,
     World,
@@ -98,8 +99,14 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
 #
 # One explicit-stack loop walks every mode. A frame is an interior node with
 # at least one live action: [world, live (action, footprint) pairs, sleep
-# set, index of the next child, length of the event prefix at the node].
-# Backtracking to a frame cuts the shared event buffer back to its mark.
+# set, index of the next child, length of the event prefix at the node,
+# checkers' state of that prefix or None]. Backtracking to a frame cuts the
+# shared event buffer back to its mark. Each leaf's trace gets a
+# `checkers.LeafFold`: the nearest checkers' state on the path, extended
+# over the leaf's events once a checker asks. Frames get states
+# (`_path_fold`) at leaves only, and only while the leaves are being
+# checked (the last leaf's state was asked for), so a subtree without
+# leaves, or a walk nobody checks, computes none.
 # The walk calls `enabled_step_actions` once per node, `crash_candidates`
 # once per interior node, `action_footprint` once per live action,
 # `apply_action` once per transition and `finalize_trace` once per leaf,
@@ -124,6 +131,8 @@ def enumerate_runs(
     events: list[Event] = []
     _stamp(events, init_events)
     meta = instance.meta
+    root = TraceFold.empty(instance.n)
+    leaf = None  # the last leaf's LeafFold
     stack: list[list] = []
     sleep: dict = {}
     while True:
@@ -133,18 +142,24 @@ def enumerate_runs(
         if not menu or (depth_bound is not None and len(stack) >= depth_bound):
             # finalize_trace appends blocked events to the list it gets, so
             # it gets a copy of the shared prefix.
-            yield finalize_trace(
+            trace = finalize_trace(
                 world, events[:], truncated=bool(menu), meta=meta
             )
+            # Frames keep states only while the leaves are being checked,
+            # that is while the last leaf's state was asked for.
+            checked = leaf is not None and leaf.state is not None
+            base = _path_fold(stack, events, root) if checked else root
+            trace.fold = leaf = LeafFold(trace.events, base)
+            yield trace
         else:
             menu += crash_candidates(world)
             live = [(a, action_footprint(world, a)) for a in menu if a not in sleep]
             if live:
-                stack.append([world, live, sleep, 0, len(events)])
+                stack.append([world, live, sleep, 0, len(events), None])
         # Take the next unexplored child of the deepest open frame.
         while stack:
             frame = stack[-1]
-            parent, live, sleep, i, mark = frame
+            parent, live, sleep, i, mark, _ = frame
             if i < len(live):
                 break
             stack.pop()
@@ -165,3 +180,19 @@ def enumerate_runs(
                 if independent(s, fs, a, fa):
                     child_sleep[s] = fs
             sleep = child_sleep
+
+
+def _path_fold(stack: list[list], events: list[Event], root: TraceFold) -> TraceFold:
+    """The checkers' state of the deepest frame on the path that keeps one,
+    after giving one to each frame below the deepest frame that had one
+    and with children left: only those serve later leaves. A frame on its
+    last child never needs its own, so its events are folded together with
+    the next ones."""
+    i = len(stack)
+    while i and stack[i - 1][5] is None:
+        i -= 1
+    fold = stack[i - 1][5] if i else root
+    for frame in stack[i:]:
+        if frame[3] < len(frame[1]):
+            fold = frame[5] = fold.extended(events, frame[4])
+    return fold

@@ -63,6 +63,10 @@ class Trace:
     truncated: bool = False
     quiescent: bool = False
     meta: dict = field(default_factory=dict)
+    # The checkers' state of the events (`checkers.LeafFold`), set by the
+    # walk that made the trace; not part of the record: equality, repr,
+    # JSONL and `dataclasses.replace` leave it out.
+    fold: object = field(default=None, init=False, repr=False, compare=False)
 
     def decisions(self) -> dict[int, object]:
         """Values of processes that returned."""

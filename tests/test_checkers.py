@@ -3,10 +3,30 @@ witness and nothing else, plus trace well-formedness validation."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from kisnap import Event, make_instance, read_trace, run_random, validate_trace
-from kisnap.checkers import check_is, object_history
+from kisnap import (
+    Event,
+    build_simulation,
+    enumerate_runs,
+    make_instance,
+    read_trace,
+    run_random,
+    standard_reports,
+    validate_trace,
+)
+from kisnap.checkers import (
+    TraceFold,
+    Verdict,
+    check_is,
+    check_xsa,
+    object_history,
+    trace_report,
+)
+from kisnap.reductions import CATALOG
+from kisnap.simulation import check_simulation_trace
 
 from corpus import (
     AGREEMENT_CORPUS,
@@ -304,3 +324,154 @@ def test_validator_rejects_nonmonotone_steps():
     trace = mk_trace([])
     trace.events = events
     assert validate_trace(trace) == ["step 5 not increasing after 5"]
+
+
+def test_trace_report_wraps_the_validator_problems():
+    trace = mk_trace([resp(1, view((1, "a"))), crash(1), crash(2)], t=1)
+    assert trace_report(trace).to_dict() == {
+        "obj": "trace",
+        "kind": "well-formed",
+        "passed": False,
+        "verdicts": {
+            "well_formed": {
+                "ok": False,
+                "witness": "step 0: respond by 1 on o without invoke; "
+                "2 crashes exceed budget t=1",
+            },
+        },
+        "notes": [],
+    }
+    assert trace_report(mk_trace([inv(1, "a"), resp(1, view((1, "a")))])).passed
+
+
+# ── Check state folded along a walk ──────────────────────────────────────────
+#
+# Each leaf of `enumerate_runs` carries the checkers' state of its events
+# (`Trace.fold`), built along the DFS path and shared with other leaves. A
+# copy with its own events list carries none, so the checkers fold it from
+# scratch: both must give the same answers.
+
+
+def _walk(name):
+    if name == "simulation_4_2_2":
+        inst = build_simulation("alg1_variant", 4, 2, 2)
+        return enumerate_runs(inst, reduced=True)
+    algo, ntk, mode = {
+        "alg1_3_2_2_reduced": ("alg1", (3, 2, 2), {"reduced": True}),
+        "alg1_3_1_1_literal": ("alg1", (3, 1, 1), {}),
+        "alg1_3_2_2_depth_6": (
+            "alg1", (3, 2, 2), {"reduced": True, "depth_bound": 6}
+        ),
+        "kis_oracle_4_2_3": ("kis_oracle", (4, 2, 3), {"reduced": True}),
+        "alg2_3_1_1": ("alg2", (3, 1, 1), {"reduced": True}),
+    }[name]
+    return enumerate_runs(make_instance(algo, *ntk), **mode)
+
+
+def _checked(trace) -> tuple:
+    """Everything the checkers say of a trace: its standard reports (the
+    simulation's check for a simulation trace), its validator problems and
+    the history of every object it declares."""
+    if trace.meta["algo"] in CATALOG:
+        reports = standard_reports(trace)
+    else:
+        reports = check_simulation_trace(trace)
+    return (
+        [r.to_dict() for r in reports],
+        validate_trace(trace),
+        [object_history(trace, obj) for obj in trace.meta["objects"]],
+    )
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        "alg1_3_2_2_reduced",
+        pytest.param("alg1_3_1_1_literal", marks=pytest.mark.slow),
+        "alg1_3_2_2_depth_6",
+        "kis_oracle_4_2_3",
+        "alg2_3_1_1",
+        "simulation_4_2_2",
+    ],
+)
+def test_leaf_fold_agrees_with_a_fold_from_scratch(walk):
+    leaves = 0
+    for tr in _walk(walk):
+        detached = dataclasses.replace(tr, events=list(tr.events))
+        assert tr.fold is not None and detached.fold is None
+        assert _checked(tr) == _checked(detached)
+        leaves += 1
+    assert leaves > 100
+
+
+def _crashed_leaf():
+    """A reduced alg1 (3,2,2) leaf where a process crashed, and that pid."""
+    for tr in enumerate_runs(make_instance("alg1", 3, 2, 2), reduced=True):
+        crashed = tr.crashed_pids()
+        if crashed:
+            return tr, min(crashed)
+    raise AssertionError("no leaf with a crash")
+
+
+@pytest.mark.parametrize("change", ["append", "reassign"])
+def test_checkers_ignore_the_fold_once_the_events_change(change):
+    """An event added after the walk, an invoke by a crashed process that
+    already invoked, is seen by the validator and by `check_is`."""
+    tr, pid = _crashed_leaf()
+    assert validate_trace(tr) == []
+    assert "one_shot" not in check_is(tr, "kis", k=2).verdicts
+    extra = Event(len(tr.events), "invoke", pid, "kis", "write_snapshot_k", 0)
+    if change == "append":
+        tr.events.append(extra)
+    else:
+        tr.events = [*tr.events, extra]
+    assert validate_trace(tr) == [
+        f"step {extra.step}: crashed process {pid} acts (invoke)"
+    ]
+    assert check_is(tr, "kis", k=2).verdicts["one_shot"] == Verdict(
+        False, f"processes invoked twice: [{pid}]"
+    )
+
+
+def test_leaves_sharing_a_record_get_their_own_reports():
+    """Two leaves that share their `kis` record share its verdicts, never
+    their reports: a report changed by its caller leaves the other leaf's,
+    and later reports of its own leaf, as they were."""
+    by_record = {}
+    for tr in enumerate_runs(make_instance("alg1", 3, 2, 2), reduced=True):
+        first = by_record.setdefault(id(tr.fold.resolve().objs["kis"]), tr)
+        if first is not tr:
+            break
+    else:
+        raise AssertionError("no two leaves share a kis record")
+    a, b = check_is(first, "kis", k=2), check_is(tr, "kis", k=2)
+    assert a is not b and a.verdicts is not b.verdicts and a.notes is not b.notes
+    before = b.to_dict()
+    a.verdicts["extra"] = Verdict(False, "added by the caller")
+    a.notes.append("added by the caller")
+    assert b.to_dict() == before
+    assert check_is(first, "kis", k=2).to_dict() == before
+
+
+def test_walk_nobody_checks_folds_nothing(monkeypatch):
+    """Leaves get their check state only when a checker asks, and frames
+    keep states only while leaves are being checked. A checker of one
+    object's history (`check_xsa`) does not ask for a state that would
+    start from the first event: folding that object alone costs less."""
+    feeds = [0]
+    extended = TraceFold.extended
+
+    def counted(self, *args):
+        feeds[0] += 1
+        return extended(self, *args)
+
+    monkeypatch.setattr(TraceFold, "extended", counted)
+    inst = make_instance("alg1", 3, 2, 2)
+    leaves = sum(1 for _ in enumerate_runs(inst, reduced=True))
+    assert (leaves, feeds[0]) == (2140, 0)
+    for tr in enumerate_runs(inst, reduced=True):
+        check_xsa(tr, 3)
+    assert feeds[0] == 0
+    for tr in enumerate_runs(inst, reduced=True):
+        validate_trace(tr)
+    assert leaves < feeds[0] < 3 * leaves

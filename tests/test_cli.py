@@ -414,3 +414,59 @@ def test_explore_max_runs_below_1_exits_2(bound, capsys):
 def test_unknown_algorithm_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--algo", "nope", "--n", "3", "--t", "1", "--k", "1"])
+
+
+def test_run_replays_a_matrix_trial_seed(tmp_path, capsys):
+    """`run --seed` takes the string seed of a matrix trial and writes the
+    very trace that trial ran."""
+    from kisnap import make_instance, run_random, trace_to_jsonl, trial_seed
+
+    seed = trial_seed(0, 11, 3, 5, 12)
+    assert seed == "0:11:3:5:12"
+    trace_file = tmp_path / "t.jsonl"
+    assert main([
+        "run", "--algo", "alg1", "--n", "11", "--t", "3", "--k", "5",
+        "--seed", seed, "--out", str(trace_file),
+    ]) == 0
+    assert f"seed={seed}" in capsys.readouterr().out
+    inst = make_instance("alg1", 11, 3, 5)
+    assert trace_file.read_text() == trace_to_jsonl(run_random(inst, seed).trace)
+
+
+def test_run_integer_seed_stays_an_integer(tmp_path, capsys):
+    """`--seed 7` seeds with the int 7, not the string "7"."""
+    from kisnap import make_instance, run_random, trace_to_jsonl
+
+    trace_file = tmp_path / "t.jsonl"
+    assert main([
+        "run", "--algo", "alg1", "--n", "4", "--t", "2", "--k", "2",
+        "--seed", "7", "--out", str(trace_file),
+    ]) == 0
+    inst = make_instance("alg1", 4, 2, 2)
+    assert trace_file.read_text() == trace_to_jsonl(run_random(inst, 7).trace)
+    assert trace_file.read_text() != trace_to_jsonl(run_random(inst, "7").trace)
+
+
+def test_run_seed_that_is_neither_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--algo", "alg1", "--n", "4", "--t", "2", "--k", "2",
+              "--seed", "seven"])
+    assert exc.value.code == 2
+    assert "expected an integer or a trial seed" in capsys.readouterr().err
+
+
+def test_explore_check_applies_the_validator(capsys, monkeypatch):
+    """`explore --check` fails a run whose trace `validate_trace` rejects,
+    even when every standard report passes."""
+    monkeypatch.setattr(
+        "kisnap.checkers.validate_trace", lambda trace: ["stub problem"]
+    )
+    rc = main([
+        "explore", "--algo", "kis_oracle", "--n", "3", "--t", "1", "--k", "1",
+        "--check", "--max-runs", "2",
+    ])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "[well-formed] object trace: FAIL" in out
+    assert "well_formed: FAIL -- stub problem" in out
+    assert "checked runs: 2, failures: 2" in out
