@@ -95,17 +95,18 @@ class CheckReport:
 
 # ── History extraction ───────────────────────────────────────────────────────
 #
-# The checkers read a trace through two folds, each one per-event rule over
-# persistent states: `_fold_history` keeps every object's invoke/respond
-# record and the trace's crash steps, `_fold_validation` the validator's
-# state. A feed never changes the state it starts from: it copies each
-# container at most once, before its first change, so the state of a prefix
-# is shared by every extension of it. `enumerate_runs` keeps a `TraceFold`
-# in DFS frames and gives each leaf's trace a `LeafFold` (`Trace.fold`),
-# which extends the nearest frame's state over the leaf's events when a
-# checker first asks. A checker reads it while `trace.events` is the list
-# it was made for, at that length; otherwise it folds the trace itself, and
-# only the part it reads.
+# The checkers read a trace through one fold: `_feed`, one per-event rule
+# over a persistent `TraceFold` that holds every object's invoke/respond
+# record, the trace's crash steps and the validator's state. A feed never
+# changes the state it starts from: it copies each container at most once,
+# before its first change, so the state of a prefix is shared by every
+# extension of it. `enumerate_runs` keeps a `TraceFold` in DFS frames and
+# gives each leaf's trace a `LeafFold` (`Trace.fold`), which extends the
+# nearest frame's state over the leaf's events when a checker first asks.
+# A checker reads it while `trace.events` is the list it was made for, at
+# that length. Otherwise `validate_trace` feeds the whole trace from
+# `TraceFold.empty`, and a read of one object's record scans for that
+# object's events and the crashes alone (`_scan`), which costs less.
 
 
 @dataclass
@@ -138,99 +139,173 @@ class ObjRecord:
         self.is_verdicts = None
 
 
-class _Every:
-    """Equal to every object id: `_fold_history`'s `only` when it keeps
-    every object. A fold over a whole trace keeps one object, and pays one
-    comparison per event for it; the comparisons with this stand-in cost
-    more, but fall on the few events of a walk's feeds."""
-
-    def __eq__(self, other) -> bool:
-        return True
-
-    def __ne__(self, other) -> bool:
-        return False
-
-
-_EVERY = _Every()
-_NONE = object()  # no object id
-
-
-def _fold_history(objs: dict, crashes: dict, events, only=_EVERY):
-    """`objs` (object id -> ObjRecord) and `crashes` (pid -> step of its first
-    crash) extended by `events`; with `only`, objects other than `only` are
-    left out. An object has a record once an event other than a crash
-    names it."""
-    own_objs = own_crashes = False
-    mine: tuple = ()  # objects whose record this feed made
-    last = _NONE  # the last object whose record this feed made
-    rec = invokes = responds = None  # that record and its dicts
-    for e in events:
-        kind = e.kind
-        if kind == "crash":
-            pid = e.pid
-            if pid not in crashes:
-                if not own_crashes:
-                    crashes, own_crashes = dict(crashes), True
-                crashes[pid] = e.step
-            continue
-        obj = e.obj
-        if obj != only:
-            continue
-        if obj != last:
-            if obj in mine:
-                rec = objs[obj]
-            else:
-                rec = objs.get(obj)
-                if rec is None:
-                    rec = ObjRecord({}, {}, ())
-                elif kind == "invoke" or kind == "respond":
-                    rec = ObjRecord(
-                        dict(rec.invokes), dict(rec.responds), rec.double_invokes
-                    )
-                else:
-                    continue
-                if not own_objs:
-                    objs, own_objs = dict(objs), True
-                objs[obj] = rec
-                mine += (obj,)
-            last, invokes, responds = obj, rec.invokes, rec.responds
-        if kind == "invoke":
-            pid = e.pid
-            if pid in invokes:
-                rec.double_invokes += (pid,)
-            else:
-                invokes[pid] = (e.args, e.step)
-        elif kind == "respond":
-            responds[e.pid] = (e.ret, e.step)
-    return objs, crashes
-
-
 class TraceFold(NamedTuple):
-    """The check state after the first `length` events of a trace: every
-    object's record, the crash steps and the validator's state. `extended`
-    returns the state after more events and leaves this one as it is."""
+    """The check state after the first `length` events of a trace.
+    `extended` returns the state after more events and leaves this one as
+    it is."""
 
     length: int
-    objs: dict
-    crashes: dict
-    validation: tuple  # the validator's state (see `_fold_validation`)
+    objs: dict  # object id -> ObjRecord, from its first invoke or respond
+    crashes: dict  # pid -> step of its first crash
+    problems: tuple  # the validator's problems, in event order
+    last_step: int
+    arrays: dict  # array id -> list of the cells of pids 1..n, once written
+    stray: dict  # array id -> {writer outside 1..n: value}
+    # The same for every state of one fold: `slot`, which finds a pid's
+    # cell, the cells of an unwritten array, and `inner`, a memo of the
+    # object ids embedded from a simulated system, whose events carry pids
+    # of another namespace, so the validator's rules skip them.
+    fixed: tuple  # (slot, unwritten, inner)
 
     @classmethod
     def empty(cls, n: int) -> TraceFold:
         """The state before the first event of a trace with `n` processes."""
-        return cls(0, {}, {}, _validation_start(n))
+        slot = {pid: pid - 1 for pid in range(1, n + 1)}
+        return cls(0, {}, {}, (), -1, {}, {}, (slot, (BOTTOM,) * n, {None: False}))
 
     def extended(self, events: list, stop: int | None = None) -> TraceFold:
         """The state after `events[:stop]` (all of `events` by default), of
         which this is the state of a prefix."""
-        new = events[self.length : stop]
-        objs, crashes = _fold_history(self.objs, self.crashes, new)
-        return TraceFold(
-            len(events) if stop is None else stop,
-            objs,
-            crashes,
-            _fold_validation(self.validation, new),
-        )
+        return _feed(self, events[self.length : stop])
+
+
+_SNAPSHOT_OPS = frozenset({"write_snapshot_k", "write_snapshot"})
+
+
+def _feed(state: TraceFold, events: list) -> TraceFold:
+    """`state` extended by `events`, the events that follow its prefix.
+
+    The validator's rules: monotone steps, no crashed process acts or
+    crashes again, a respond follows its pid's invoke of that object and
+    a snapshot respond returns a view, and every read or scan returns what
+    the registers hold (SWMR: a write by a pid outside 1..n is seen by
+    reads of that index, never by scans). A crash counts for its pid
+    whatever object it names; the per-pid rules skip the events of inner
+    objects."""
+    length, objs, crashes, problems, last_step, arrays, stray, fixed = state
+    slot, unwritten, inner = fixed
+    own_crashes = own_stray = False
+    # What this feed made, and so may change: object id -> record, array
+    # id -> cells. `objs` and `arrays` are copies once these are not empty.
+    mine: dict = {}
+    made: dict = {}
+    found: list[str] = []  # this feed's problems
+    for e in events:
+        step = e.step
+        if step <= last_step:
+            found.append(f"step {step} not increasing after {last_step}")
+        last_step = step
+        obj = e.obj
+        skip = inner.get(obj)
+        if skip is None:
+            skip = inner[obj] = obj.startswith(INNER_PREFIX)
+        kind, pid = e.kind, e.pid
+        if not skip and crashes and pid is not None and pid in crashes:
+            found.append(f"step {step}: crashed process {pid} acts ({kind})")
+        if kind == "invoke" or kind == "respond":
+            rec = mine.get(obj)
+            if rec is None:
+                rec = objs.get(obj)
+                if rec is None:
+                    rec = ObjRecord({}, {}, ())
+                else:
+                    rec = ObjRecord(dict(rec.invokes), dict(rec.responds), rec.double_invokes)
+                if not mine:
+                    objs = dict(objs)
+                objs[obj] = mine[obj] = rec
+            if kind == "invoke":
+                if pid in rec.invokes:
+                    rec.double_invokes += (pid,)
+                else:
+                    rec.invokes[pid] = (e.args, step)
+            else:
+                if not skip:
+                    if pid not in rec.invokes:
+                        found.append(
+                            f"step {step}: respond by {pid} on {obj} without invoke"
+                        )
+                    if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
+                        found.append(
+                            f"step {step}: respond by {pid} on {obj} returned "
+                            f"{e.ret!r}, which is not a view"
+                        )
+                rec.responds[pid] = (e.ret, step)
+        elif kind == "crash":
+            if pid in crashes:
+                found.append(f"step {step}: process {pid} crashes twice")
+            else:
+                if not own_crashes:
+                    crashes, own_crashes = dict(crashes), True
+                crashes[pid] = step
+        elif skip:
+            continue  # an inner register: its writers are inner pids
+        elif kind == "reg_write":
+            at = slot.get(pid)
+            if at is None:
+                if not own_stray:
+                    stray, own_stray = dict(stray), True
+                stray[obj] = {**stray.get(obj, {}), pid: e.args}
+            else:
+                cells = made.get(obj)
+                if cells is None:
+                    if not made:
+                        arrays = dict(arrays)
+                    cells = arrays.get(obj)
+                    cells = [BOTTOM] * len(unwritten) if cells is None else cells[:]
+                    arrays[obj] = made[obj] = cells
+                cells[at] = e.args
+        elif kind == "reg_read":
+            cells = arrays.get(obj)
+            if e.op == "scan":
+                # A scan returns a tuple; a value of another type never equals one.
+                expect = unwritten if cells is None else tuple(cells)
+                if e.ret != expect:
+                    found.append(
+                        f"step {step}: scan of {obj} returned {e.ret}, "
+                        f"registers hold {expect}"
+                    )
+            elif e.op == "read":
+                at = slot.get(e.args)
+                if at is None:
+                    expect = stray.get(obj, {}).get(e.args, BOTTOM)
+                else:
+                    expect = BOTTOM if cells is None else cells[at]
+                if e.ret != expect:
+                    found.append(
+                        f"step {step}: read of {obj}[{e.args}] returned "
+                        f"{e.ret!r}, register holds {expect!r}"
+                    )
+    if found:
+        problems += tuple(found)
+    return TraceFold(
+        length + len(events), objs, crashes, problems, last_step, arrays, stray, fixed
+    )
+
+
+def _scan(events: list, obj: str) -> tuple[ObjRecord | None, dict]:
+    """`obj`'s record (None if it is never invoked and never responds) and
+    the crash steps, as `_feed` folds them, from one pass that reads
+    nothing else."""
+    invokes: dict = {}
+    responds: dict = {}
+    crashes: dict = {}
+    double_invokes: list = []
+    for e in events:
+        kind = e.kind
+        if kind == "crash":
+            crashes.setdefault(e.pid, e.step)
+        elif e.obj == obj:
+            if kind == "invoke":
+                pid = e.pid
+                if pid in invokes:
+                    double_invokes.append(pid)
+                else:
+                    invokes[pid] = (e.args, e.step)
+            elif kind == "respond":
+                responds[e.pid] = (e.ret, e.step)
+    if not invokes and not responds:
+        return None, crashes
+    return ObjRecord(invokes, responds, tuple(double_invokes)), crashes
 
 
 class LeafFold:
@@ -257,7 +332,7 @@ def _attached(trace: Trace, whole: bool) -> TraceFold | None:
     """The state of the fold the trace carries, if it still describes the
     trace's events: the same list, at the same length. A caller that reads
     one object's record (`whole` false) leaves a fold that would start
-    from the first event to others: folding that one object costs less."""
+    from the first event to others: scanning for that object costs less."""
     fold = trace.fold
     if fold is not None and fold.events is trace.events:
         if fold.length == len(fold.events):
@@ -274,12 +349,13 @@ def _record(
     meta['objects']). `whole` as for `_attached`."""
     fold = _attached(trace, whole)
     if fold is None:
-        objs, crashes = _fold_history({}, {}, trace.events, obj)
+        rec, crashes = _scan(trace.events, obj)
     else:
-        objs, crashes = fold.objs, fold.crashes
-    rec = objs.get(obj)
+        rec, crashes = fold.objs.get(obj), fold.crashes
     if rec is None:
-        if obj not in trace.meta.get("objects", ()):
+        if obj not in trace.meta.get("objects", ()) and not any(
+            e.obj == obj and e.kind != "crash" for e in trace.events
+        ):
             raise ValueError(
                 f"unknown object id {obj!r}: no events and not declared in trace meta"
             )
@@ -638,112 +714,6 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
 
 # ── Trace well-formedness ────────────────────────────────────────────────────
 
-_SNAPSHOT_OPS = frozenset({"write_snapshot_k", "write_snapshot"})
-
-
-# The validator's state after a prefix of a trace is a tuple (problems,
-# last_step, crashed, invoked, arrays, stray, fixed): the problems found,
-# the last step, the crashed pids, the (pid, object) pairs that invoked,
-# the register cells, and what is the same for every state of one fold.
-# Each written array is a list of the cells of pids 1..n. `fixed` holds
-# `slot`, which finds a pid's cell (a writer outside 1..n lands in `stray`,
-# seen by reads of that index but never by scans), the cells of an
-# unwritten array, and `inner`, a memo of the object ids embedded from a
-# simulated system, whose events carry pids of another namespace, so the
-# per-pid rules skip them.
-
-
-def _validation_start(n: int) -> tuple:
-    """The validator's state before the first event, for `n` processes."""
-    fixed = ({pid: pid - 1 for pid in range(1, n + 1)}, (BOTTOM,) * n, {None: False})
-    return (), -1, set(), set(), {}, {}, fixed
-
-
-def _fold_validation(v: tuple, events, own: bool = False) -> tuple:
-    """The validator's state `v` extended by `events`. With `own`, `v` is
-    the caller's to change in place (a fold from its start)."""
-    problems, last_step, crashed, invoked, arrays, stray, fixed = v
-    slot, unwritten, inner = fixed
-    own_crashed = own_invoked = own_arrays = own_stray = own
-    mine: tuple = ()  # arrays whose cells this feed made
-    found: list[str] = []  # this feed's problems
-    for e in events:
-        step = e.step
-        if step <= last_step:
-            found.append(f"step {step} not increasing after {last_step}")
-        last_step = step
-        obj = e.obj
-        skip = inner.get(obj)
-        if skip is None:
-            skip = inner[obj] = obj.startswith(INNER_PREFIX)
-        if skip:
-            continue
-        kind, pid = e.kind, e.pid
-        if crashed and pid is not None and pid in crashed:
-            found.append(f"step {step}: crashed process {pid} acts ({kind})")
-        if kind == "invoke":
-            if not own_invoked:
-                invoked, own_invoked = set(invoked), True
-            invoked.add((pid, obj))
-        elif kind == "respond":
-            if (pid, obj) not in invoked:
-                found.append(f"step {step}: respond by {pid} on {obj} without invoke")
-            if e.op in _SNAPSHOT_OPS and _view_pids(e.ret) is None:
-                found.append(
-                    f"step {step}: respond by {pid} on {obj} returned "
-                    f"{e.ret!r}, which is not a view"
-                )
-        elif kind == "reg_write":
-            at = slot.get(pid)
-            if at is None:
-                if not own_stray:
-                    stray, own_stray = dict(stray), True
-                stray[obj] = {**stray.get(obj, {}), pid: e.args}
-            else:
-                if obj in mine:
-                    cells = arrays[obj]
-                else:
-                    if not own_arrays:
-                        arrays, own_arrays = dict(arrays), True
-                    cells = arrays.get(obj)
-                    if cells is None:
-                        cells = [BOTTOM] * len(unwritten)
-                    else:
-                        cells = cells[:]
-                    arrays[obj] = cells
-                    mine += (obj,)
-                cells[at] = e.args
-        elif kind == "reg_read":
-            cells = arrays.get(obj)
-            if e.op == "scan":
-                expect = unwritten if cells is None else tuple(cells)
-                if tuple(e.ret) != expect:
-                    found.append(
-                        f"step {step}: scan of {obj} returned {e.ret}, "
-                        f"registers hold {expect}"
-                    )
-            elif e.op == "read":
-                at = slot.get(e.args)
-                if at is None:
-                    expect = stray.get(obj, {}).get(e.args, BOTTOM)
-                else:
-                    expect = BOTTOM if cells is None else cells[at]
-                if e.ret != expect:
-                    found.append(
-                        f"step {step}: read of {obj}[{e.args}] returned "
-                        f"{e.ret!r}, register holds {expect!r}"
-                    )
-        elif kind == "crash":
-            if pid in crashed:
-                found.append(f"step {step}: process {pid} crashes twice")
-            elif not own_crashed:
-                crashed, own_crashed = crashed | {pid}, True
-            else:
-                crashed.add(pid)
-    if found:
-        problems += tuple(found)
-    return problems, last_step, crashed, invoked, arrays, stray, fixed
-
 
 def validate_trace(trace: Trace) -> list[str]:
     """Structural invariants of a trace; returns a list of violations.
@@ -755,13 +725,10 @@ def validate_trace(trace: Trace) -> list[str]:
     """
     fold = _attached(trace, whole=True)
     if fold is None:
-        v = _fold_validation(_validation_start(trace.n), trace.events, own=True)
-    else:
-        v = fold.validation
-    found, _, crashed, *_ = v
-    problems = list(found)
-    if len(crashed) > trace.t:
-        problems.append(f"{len(crashed)} crashes exceed budget t={trace.t}")
+        fold = _feed(TraceFold.empty(trace.n), trace.events)
+    problems = list(fold.problems)
+    if len(fold.crashes) > trace.t:
+        problems.append(f"{len(fold.crashes)} crashes exceed budget t={trace.t}")
     return problems
 
 

@@ -187,13 +187,17 @@ def value_to_json(v: object) -> str:
 def decode_value(j: object) -> object:
     """Inverse of the encoding, on parsed JSON: arrays become tuples and
     {"view": [[pid, v], ...]} objects become frozensets of pairs."""
+    # Scalars decode as themselves; most values are scalars, so the callers
+    # test for them inline rather than pay a call for each.
     t = type(j)
     if t is list:
-        return tuple([decode_value(x) for x in j])
+        return tuple([x if type(x) in _SCALARS else decode_value(x) for x in j])
     if t is dict:
         if len(j) != 1 or "view" not in j:
             raise ValueError(f"unknown object value: {j!r}")
-        return frozenset([(p, decode_value(x)) for p, x in j["view"]])
+        return frozenset(
+            [(p, x if type(x) in _SCALARS else decode_value(x)) for p, x in j["view"]]
+        )
     if t in _SCALARS:
         return j
     raise ValueError(f"cannot decode value: {j!r}")
@@ -221,23 +225,34 @@ def _event_line(enc, e: Event) -> str:
     )
 
 
-def event_to_json(e: Event) -> str:
-    return _event_line(_writer(), e)
-
-
 def _event_from_obj(o: dict, line_no: int) -> Event:
     try:
         kind = o["kind"]
         if kind not in EVENT_KINDS:
             raise TraceParseError(line_no, f"unknown event kind {kind!r}")
+        step, pid, obj, op = o["step"], o.get("pid"), o.get("obj"), o.get("op")
+        # The checkers compare steps, hash pids and read object ids as text.
+        # Parsed JSON holds exact types (true is a bool, not an int), so
+        # `type(v) is int` is `_is_int(v)` here, at a fraction of its cost.
+        if not (
+            type(step) is int
+            and (pid is None or type(pid) is int)
+            and (obj is None or type(obj) is str)
+            and (op is None or type(op) is str)
+        ):
+            raise TraceParseError(
+                line_no,
+                f"bad event: step {step!r} must be an int, pid {pid!r} an int "
+                f"or null, obj {obj!r} and op {op!r} strings or null",
+            )
         return Event(  # positional: cheaper than keywords, once per event
-            o["step"],
+            step,
             kind,
-            o.get("pid"),
-            o.get("obj"),
-            o.get("op"),
-            decode_value(o.get("args")),
-            decode_value(o.get("ret")),
+            pid,
+            obj,
+            op,
+            args if type(args := o.get("args")) in _SCALARS else decode_value(args),
+            ret if type(ret := o.get("ret")) in _SCALARS else decode_value(ret),
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, TraceParseError):
@@ -362,10 +377,6 @@ def _action_line(enc, action: tuple) -> str:
     if kind == "crash":
         return f'{{"a":"crash","pid":{enc(action[1])}}}'
     raise ValueError(f"unknown action {action!r}")
-
-
-def action_to_json(action: tuple) -> str:
-    return _action_line(_writer(), action)
 
 
 def action_from_json(raw: str, line_no: int) -> tuple:

@@ -4,22 +4,26 @@ witness and nothing else, plus trace well-formedness validation."""
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 
 from kisnap import (
     Event,
+    Trace,
     build_simulation,
     enumerate_runs,
     make_instance,
     read_trace,
     run_random,
     standard_reports,
+    trace_from_jsonl,
     validate_trace,
 )
 from kisnap.checkers import (
     TraceFold,
     Verdict,
+    _scan,
     check_is,
     check_xsa,
     object_history,
@@ -191,59 +195,71 @@ def test_validator_accepts_real_runs():
         assert validate_trace(run_random(inst, 5).trace) == []
 
 
-def test_validator_rejects_single_writer_violation():
+def single_writer_violation() -> Trace:
     """A scan reporting a value nobody wrote."""
-    trace = mk_trace(
+    return mk_trace(
         [
             Event(-1, "reg_write", 1, "a", "write", 10),
             Event(-1, "reg_read", 2, "a", "scan", None, (10, 99, None)),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+def test_validator_rejects_single_writer_violation():
+    assert validate_trace(single_writer_violation()) == [
         "step 1: scan of a returned (10, 99, None), registers hold (10, None, None)"
     ]
 
 
-def test_validator_rejects_stale_read():
-    trace = mk_trace(
+def stale_read() -> Trace:
+    return mk_trace(
         [
             Event(-1, "reg_write", 1, "a", "write", 10),
             Event(-1, "reg_read", 2, "a", "read", 1, None),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+def test_validator_rejects_stale_read():
+    assert validate_trace(stale_read()) == [
         "step 1: read of a[1] returned None, register holds 10"
     ]
 
 
-def test_validator_rejects_read_of_unwritten_array():
-    trace = mk_trace(
+def read_of_unwritten_array() -> Trace:
+    return mk_trace(
         [
             Event(-1, "reg_read", 2, "a", "read", 1, 5),
             Event(-1, "reg_read", 2, "a", "read", 3, None),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+def test_validator_rejects_read_of_unwritten_array():
+    assert validate_trace(read_of_unwritten_array()) == [
         "step 0: read of a[1] returned 5, register holds None"
     ]
 
 
-def test_validator_rejects_scan_of_unwritten_array():
-    trace = mk_trace(
+def scan_of_unwritten_array() -> Trace:
+    return mk_trace(
         [
             Event(-1, "reg_read", 2, "a", "scan", None, (None, 4, None)),
             Event(-1, "reg_read", 1, "b", "scan", None, (None, None, None)),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+def test_validator_rejects_scan_of_unwritten_array():
+    assert validate_trace(scan_of_unwritten_array()) == [
         "step 0: scan of a returned (None, 4, None), registers hold (None, None, None)"
     ]
 
 
-def test_validator_out_of_range_writer_is_seen_by_reads_not_scans():
+def out_of_range_writer() -> Trace:
     """A write by a pid outside 1..n lands in a cell that scans (pids 1..n)
     never show but a read of that index does."""
-    trace = mk_trace(
+    return mk_trace(
         [
             Event(-1, "reg_write", 4, "a", "write", 9),
             Event(-1, "reg_write", 0, "a", "write", 7),
@@ -252,15 +268,18 @@ def test_validator_out_of_range_writer_is_seen_by_reads_not_scans():
             Event(-1, "reg_read", 1, "a", "read", 0, None),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+def test_validator_out_of_range_writer_is_seen_by_reads_not_scans():
+    assert validate_trace(out_of_range_writer()) == [
         "step 4: read of a[0] returned None, register holds 7"
     ]
 
 
-def test_validator_skips_inner_events():
+def inner_events() -> Trace:
     """Events embedded from a simulated system use inner pids, so the
     per-pid and register rules skip them."""
-    trace = mk_trace(
+    return mk_trace(
         [
             crash(1),
             Event(-1, "reg_read", 1, "inner.a", "scan", None, (1, 2, 3)),
@@ -268,67 +287,99 @@ def test_validator_skips_inner_events():
             Event(-1, "invoke", 4, "inner.o", "snap", 6),
         ]
     )
-    assert validate_trace(trace) == []
+
+
+def test_validator_skips_inner_events():
+    assert validate_trace(inner_events()) == []
+
+
+def crash_budget_overrun() -> Trace:
+    return mk_trace([crash(1), crash(2)], t=1)
 
 
 def test_validator_rejects_crash_budget_overrun():
-    trace = mk_trace([crash(1), crash(2)], t=1)
-    assert validate_trace(trace) == ["2 crashes exceed budget t=1"]
+    assert validate_trace(crash_budget_overrun()) == ["2 crashes exceed budget t=1"]
+
+
+def act_after_crash() -> Trace:
+    return mk_trace([inv(1, "a"), crash(1), resp(1, view((1, "a")))], t=1)
 
 
 def test_validator_rejects_act_after_crash():
-    trace = mk_trace([inv(1, "a"), crash(1), resp(1, view((1, "a")))], t=1)
-    assert validate_trace(trace) == ["step 2: crashed process 1 acts (respond)"]
+    assert validate_trace(act_after_crash()) == [
+        "step 2: crashed process 1 acts (respond)"
+    ]
+
+
+def respond_without_invoke() -> Trace:
+    return mk_trace([resp(1, view((1, "a")))])
 
 
 def test_validator_rejects_respond_without_invoke():
-    trace = mk_trace([resp(1, view((1, "a")))])
-    assert validate_trace(trace) == ["step 0: respond by 1 on o without invoke"]
+    assert validate_trace(respond_without_invoke()) == [
+        "step 0: respond by 1 on o without invoke"
+    ]
 
 
-@pytest.mark.parametrize("op", ["write_snapshot_k", "write_snapshot"])
-@pytest.mark.parametrize("ret", NON_VIEWS, ids=NON_VIEW_IDS)
-def test_validator_rejects_snapshot_respond_that_is_not_a_view(ret, op):
-    """The values `check_is` refuses as views (the table above)."""
-    trace = mk_trace(
+SNAPSHOT_OPS = ["write_snapshot_k", "write_snapshot"]
+
+
+def snapshot_respond(ret, op) -> Trace:
+    return mk_trace(
         [
             Event(-1, "invoke", 1, OBJ, op, "a"),
             Event(-1, "respond", 1, OBJ, op, None, ret),
         ]
     )
-    assert validate_trace(trace) == [
+
+
+@pytest.mark.parametrize("op", SNAPSHOT_OPS)
+@pytest.mark.parametrize("ret", NON_VIEWS, ids=NON_VIEW_IDS)
+def test_validator_rejects_snapshot_respond_that_is_not_a_view(ret, op):
+    """The values `check_is` refuses as views (the table above)."""
+    assert validate_trace(snapshot_respond(ret, op)) == [
         f"step 1: respond by 1 on o returned {ret!r}, which is not a view"
     ]
 
 
+# `"ret":[[1,5]]` decodes as the tuple ((1, 5),), not as a view.
+ARRAY_OF_PAIRS = (
+    '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
+    '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"write_snapshot_k",'
+    '"args":5,"ret":null}\n'
+    '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"write_snapshot_k",'
+    '"args":null,"ret":[[1,5]]}\n'
+    '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
+)
+
+
 def test_validator_rejects_decoded_array_of_pairs(tmp_path):
-    """`"ret":[[1,5]]` decodes as the tuple ((1, 5),), not as a view."""
     path = tmp_path / "t.jsonl"
-    path.write_text(
-        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
-        '{"step":0,"kind":"invoke","pid":1,"obj":"kis","op":"write_snapshot_k",'
-        '"args":5,"ret":null}\n'
-        '{"step":1,"kind":"respond","pid":1,"obj":"kis","op":"write_snapshot_k",'
-        '"args":null,"ret":[[1,5]]}\n'
-        '{"kind":"end","outcomes":{"1":["returned",5]}}\n'
-    )
+    path.write_text(ARRAY_OF_PAIRS)
     assert validate_trace(read_trace(str(path))) == [
         "step 1: respond by 1 on kis returned ((1, 5),), which is not a view"
     ]
 
 
-def test_validator_rejects_nonmonotone_steps():
+def nonmonotone_steps() -> Trace:
     events = [inv(1, "a"), inv(2, "b")]
     events[0].step = 5
     events[1].step = 5
     trace = mk_trace([])
     trace.events = events
-    assert validate_trace(trace) == ["step 5 not increasing after 5"]
+    return trace
+
+
+def test_validator_rejects_nonmonotone_steps():
+    assert validate_trace(nonmonotone_steps()) == ["step 5 not increasing after 5"]
+
+
+def report_wrapped() -> Trace:
+    return mk_trace([resp(1, view((1, "a"))), crash(1), crash(2)], t=1)
 
 
 def test_trace_report_wraps_the_validator_problems():
-    trace = mk_trace([resp(1, view((1, "a"))), crash(1), crash(2)], t=1)
-    assert trace_report(trace).to_dict() == {
+    assert trace_report(report_wrapped()).to_dict() == {
         "obj": "trace",
         "kind": "well-formed",
         "passed": False,
@@ -457,7 +508,7 @@ def test_walk_nobody_checks_folds_nothing(monkeypatch):
     """Leaves get their check state only when a checker asks, and frames
     keep states only while leaves are being checked. A checker of one
     object's history (`check_xsa`) does not ask for a state that would
-    start from the first event: folding that object alone costs less."""
+    start from the first event: scanning for that object costs less."""
     feeds = [0]
     extended = TraceFold.extended
 
@@ -475,3 +526,114 @@ def test_walk_nobody_checks_folds_nothing(monkeypatch):
     for tr in enumerate_runs(inst, reduced=True):
         validate_trace(tr)
     assert leaves < feeds[0] < 3 * leaves
+
+
+# ── One fold, split anywhere ─────────────────────────────────────────────────
+#
+# A fold's state is persistent: extending the state of a prefix leaves it
+# as it was, and a fold split at any event ends where one unsplit fold
+# does. The traces are the hand-built validator traces above, the negative
+# corpus and one trace that exercises every rule at once.
+
+
+def every_rule() -> Trace:
+    """Inner events, a stray writer, writes on both sides of most splits, a
+    double invoke, a double crash and a snapshot respond that is no view."""
+    return mk_trace(
+        [
+            inv(1, "a"),
+            Event(-1, "invoke", 1, "inner.o", "write_snapshot_k", 5),
+            Event(-1, "reg_write", 4, "r", "write", 9),
+            Event(-1, "reg_write", 2, "r", "write", 3),
+            Event(-1, "reg_read", 1, "r", "read", 4, 9),
+            Event(-1, "respond", 1, "inner.o", "write_snapshot_k", None, 7),
+            crash(2),
+            Event(-1, "reg_write", 3, "r", "write", 8),
+            Event(-1, "respond", 1, OBJ, "write_snapshot_k", None, (1, "a")),
+            Event(-1, "reg_read", 1, "r", "scan", None, (None, 3, 8)),
+            crash(2),
+            Event(-1, "reg_write", 4, "r", "write", 6),
+            inv(1, "b"),
+            resp(3, view((3, "c"))),
+            Event(-1, "reg_read", 3, "r", "read", 4, 6),
+        ],
+        t=1,
+    )
+
+
+SPLIT_TRACES = {
+    **{
+        build.__name__: build
+        for build in [
+            single_writer_violation,
+            stale_read,
+            read_of_unwritten_array,
+            scan_of_unwritten_array,
+            out_of_range_writer,
+            inner_events,
+            crash_budget_overrun,
+            act_after_crash,
+            respond_without_invoke,
+            nonmonotone_steps,
+            report_wrapped,
+            *[row[1] for row in IS_PROPERTY_CORPUS + AGREEMENT_CORPUS],
+            bad_validity_value,
+            every_rule,
+        ]
+    },
+    **{
+        f"{op} {name}": partial(snapshot_respond, ret, op)
+        for op in SNAPSHOT_OPS
+        for ret, name in zip(NON_VIEWS, NON_VIEW_IDS)
+    },
+    "array_of_pairs": partial(trace_from_jsonl, ARRAY_OF_PAIRS),
+}
+
+
+def _contents(fold: TraceFold) -> tuple:
+    """A copy of everything a fold holds but its `fixed` part."""
+    return (
+        fold.length,
+        {
+            obj: (dict(rec.invokes), dict(rec.responds), rec.double_invokes)
+            for obj, rec in fold.objs.items()
+        },
+        dict(fold.crashes),
+        fold.problems,
+        fold.last_step,
+        {a: tuple(cells) for a, cells in fold.arrays.items()},
+        {a: dict(writes) for a, writes in fold.stray.items()},
+    )
+
+
+@pytest.mark.parametrize("name", SPLIT_TRACES)
+def test_fold_split_at_any_event_matches_one_fold(name):
+    trace = SPLIT_TRACES[name]()
+    events = trace.events
+    whole = TraceFold.empty(trace.n).extended(events)
+    expected = _contents(whole)
+    for i in range(len(events) + 1):
+        prefix = TraceFold.empty(trace.n).extended(events, i)
+        before = _contents(prefix)
+        assert _contents(prefix.extended(events)) == expected, i
+        assert _contents(prefix) == before, i
+    for obj in {e.obj for e in events} | {"absent"}:
+        rec, crashes = _scan(events, obj)
+        assert crashes == whole.crashes
+        if obj in whole.objs:
+            got = (rec.invokes, rec.responds, rec.double_invokes)
+            assert got == expected[1][obj]
+        else:
+            assert rec is None
+
+
+def test_every_rule_trace_problems():
+    """What the validator and `object_history` make of the split test's own
+    trace: its register reads hold, every other rule it names fails."""
+    assert validate_trace(every_rule()) == [
+        "step 8: respond by 1 on o returned (1, 'a'), which is not a view",
+        "step 10: crashed process 2 acts (crash)",
+        "step 10: process 2 crashes twice",
+        "step 13: respond by 3 on o without invoke",
+    ]
+    assert object_history(every_rule(), OBJ).double_invokes == (1,)

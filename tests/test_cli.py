@@ -470,3 +470,47 @@ def test_explore_check_applies_the_validator(capsys, monkeypatch):
     assert "[well-formed] object trace: FAIL" in out
     assert "well_formed: FAIL -- stub problem" in out
     assert "checked runs: 2, failures: 2" in out
+
+
+@pytest.mark.parametrize(
+    "event,rc,message",
+    [
+        (
+            '{"step":"a","kind":"crash","pid":1}',
+            2,
+            "error: line 2: bad event: step 'a' must be an int",
+        ),
+        (
+            '{"step":0,"kind":"invoke","pid":1,"obj":5,"op":"snap","args":5}',
+            2,
+            "obj 5 and op 'snap' strings or null",
+        ),
+        (
+            '{"step":0,"kind":"invoke","pid":[1],"obj":"kis","op":"snap","args":5}',
+            2,
+            "pid [1] an int or null",
+        ),
+        (
+            '{"step":0,"kind":"reg_read","pid":1,"obj":"kis","op":"scan","ret":5}',
+            1,
+            "malformed trace: step 0: scan of kis returned 5, "
+            "registers hold (None, None, None)",
+        ),
+    ],
+    ids=["step_not_int", "obj_not_str", "pid_not_hashable", "scan_ret_not_tuple"],
+)
+def test_check_rejects_outside_input_without_a_traceback(
+    tmp_path, capsys, event, rc, message
+):
+    """A one-event trace whose fields the checkers cannot read is a parse
+    error (exit 2); a scan that returns no tuple is a malformed trace."""
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["kis"]}}\n'
+        f"{event}\n"
+        '{"kind":"end","outcomes":{}}\n'
+    )
+    argv = ["check", "--trace", str(trace_file), "--kind", "is", "--obj", "kis"]
+    assert main(argv) == rc
+    out, err = capsys.readouterr()
+    assert message in (err if rc == 2 else out)

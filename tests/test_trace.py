@@ -23,9 +23,7 @@ from kisnap import (
     trace_to_jsonl,
 )
 from kisnap.trace import (
-    action_to_json,
     decode_value,
-    event_to_json,
     schedule_from_jsonl,
     schedule_to_jsonl,
     value_to_json,
@@ -131,6 +129,12 @@ def reference_event_line(e: Event) -> str:
     )
 
 
+def event_line(e: Event) -> str:
+    """The line `trace_to_jsonl` writes for `e`."""
+    trace = Trace(n=2, t=0, k=None, events=[e], outcomes={})
+    return trace_to_jsonl(trace).splitlines()[1]
+
+
 def one_event_trace(args: object, ret: object, outcome: object = 0) -> Trace:
     return Trace(
         n=2,
@@ -164,7 +168,7 @@ def test_value_codec_matches_reference_and_round_trips(v):
     ref = json.dumps(reference_encode(v), separators=(",", ":"))
     assert value_to_json(v) == ref
     e = Event(3, "respond", 1, "o", "snap", v, (v, 1))
-    assert event_to_json(e) == reference_event_line(e)
+    assert event_line(e) == reference_event_line(e)
     assert decode_value(json.loads(ref)) == v
     text = trace_to_jsonl(one_event_trace(v, (v, 1), v))
     back = trace_from_jsonl(text)
@@ -192,7 +196,7 @@ class Level(IntEnum):
 def test_subclasses_encode_as_the_reference_does(v):
     assert value_to_json(v) == json.dumps(reference_encode(v), separators=(",", ":"))
     e = Event(0, "reg_write", 1, "a", "write", v, (v,))
-    assert event_to_json(e) == reference_event_line(e)
+    assert event_line(e) == reference_event_line(e)
     assert trace_to_jsonl(one_event_trace(v, (v,))).splitlines()[1] == (
         reference_event_line(Event(0, "invoke", 1, "o", "snap", v, (v,)))
     )
@@ -302,7 +306,7 @@ def test_action_lines_match_json_dumps():
         {"a": "crash", "pid": 2},
     ]
     dumps = [json.dumps(o, separators=(",", ":")) for o in expected]
-    assert [action_to_json(a) for a in actions] == dumps
+    assert [schedule_to_jsonl([a]) for a in actions] == [d + "\n" for d in dumps]
     assert schedule_to_jsonl(actions) == "".join(d + "\n" for d in dumps)
     # Actions made one at a time and dropped after use may reuse an id.
     fresh = (("commit", "kis", tuple([i, i + 1])) for i in range(50))
