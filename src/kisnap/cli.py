@@ -67,6 +67,8 @@ def _print_outcomes(trace) -> None:
         out = trace.outcomes[pid]
         if out[0] == "returned":
             print(f"  p{pid}: returned {out[1]!r}")
+        elif out[0] == "blocked" and trace.truncated:
+            print(f"  p{pid}: unfinished (run truncated)")
         else:
             print(f"  p{pid}: {out[0]}")
     flags = []

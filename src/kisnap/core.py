@@ -18,6 +18,7 @@ bit-identical trace.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -227,11 +228,6 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
 # ── Enabled actions ──────────────────────────────────────────────────────────
 
 
-def _check_pid(world: World, pid: int) -> None:
-    if not 1 <= pid <= world.n:
-        raise SimError(f"no process {pid!r} among pids 1..{world.n}")
-
-
 def _cell(world: World, arr: str, cell: int):
     try:
         return world.regs[arr][cell - 1]
@@ -239,45 +235,67 @@ def _cell(world: World, arr: str, cell: int):
         raise SimError(f"unknown register array {arr!r}") from None
 
 
-def _scan_ready(world: World, pid: int, step: ScanStep) -> bool:
+# A guard gives the pids its step record is refused to: every pid while a
+# scan's or a wait's registers are not filled, the parked pids for an invoke.
+_EVERY_PID = range(1, sys.maxsize)
+_NO_PID = frozenset()
+
+
+def _scan_refused(world: World, step: ScanStep):
     cells = world.regs.get(step.array)
     if cells is None:
         raise SimError(f"unknown register array {step.array!r}")
-    return len(cells) - cells.count(BOTTOM) >= step.min_filled
+    full = len(cells) - cells.count(BOTTOM) >= step.min_filled
+    return _NO_PID if full else _EVERY_PID
 
 
-def _wait_ready(world: World, pid: int, step: WaitAnyStep) -> bool:
-    return any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
+def _wait_refused(world: World, step: WaitAnyStep):
+    woken = any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
+    return _NO_PID if woken else _EVERY_PID
 
 
-def _invoke_ready(world: World, pid: int, step: KisInvokeStep) -> bool:
+def _invoke_refused(world: World, step: KisInvokeStep):
     st = world.kis.get(step.obj)
-    return st is None or pid not in st.pending
+    return _NO_PID if st is None else st.pending
 
 
-# The readiness check of each guarded step class, keyed by exact type. A
-# write, a propose and an unknown step have none: they are always ready, so
-# stepping an unknown one reaches `_apply_step`, which raises.
+# The guard of each guarded step class, keyed by exact type, with the number
+# of leading record fields it reads: (array, min_filled) of a scan, the
+# watches of a wait, the object of an invoke. A write, a propose and an
+# unknown step have no guard: they are always ready, so stepping an unknown
+# one reaches `_apply_step`, which raises.
 _GUARDS = {
-    ScanStep: _scan_ready,
-    WaitAnyStep: _wait_ready,
-    KisInvokeStep: _invoke_ready,
+    ScanStep: (_scan_refused, 2),
+    WaitAnyStep: (_wait_refused, 1),
+    KisInvokeStep: (_invoke_refused, 1),
 }
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid:
     a scan or wait has its registers filled, and an invoke is not already
-    parked in its k-IS object."""
+    parked in its k-IS object. A process whose record has the class of the
+    previous guarded process's and agrees with it on the fields the guard
+    reads takes that process's refused pids."""
     crashed = world.crashed
     guards = _GUARDS
     out = []
+    cls = key = None
+    width = 0
     for pid, p in enumerate(world.procs, 1):
         step = p.step
         if step is None or pid in crashed:
             continue
-        guard = guards.get(type(step))
-        if guard is None or guard(world, pid, step):
+        if type(step) is not cls or step[:width] != key:
+            entry = guards.get(type(step))
+            if entry is None:
+                out.append(("step", pid))
+                continue
+            guard, width = entry
+            cls = type(step)
+            key = step[:width]
+            refused = guard(world, step)
+        if pid not in refused:
             out.append(("step", pid))
     return out
 
@@ -339,18 +357,18 @@ def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
 
 
 def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
-    _check_pid(world, pid)
-    step = None if pid in world.crashed else world.procs[pid - 1].step
+    n, t, k, procs, regs, kis, cons, crashed = world
+    if not 1 <= pid <= n:
+        raise SimError(f"no process {pid!r} among pids 1..{n}")
+    step = None if pid in crashed else procs[pid - 1].step
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
-    # A parked process keeps its invoke step; its guard refuses it.
-    guard = _GUARDS.get(type(step))
-    if guard is not None and not guard(world, pid, step):
-        raise SimError(f"step guard not satisfied for process {pid}: {step}")
-    procs = list(world.procs)
-    regs, kis, cons = world.regs, world.kis, world.cons
-    events: list[Event]
     cls = type(step)
+    # A parked process keeps its invoke step; its guard refuses it.
+    entry = _GUARDS.get(cls)
+    if entry is not None and pid in entry[0](world, step):
+        raise SimError(f"step guard not satisfied for process {pid}: {step}")
+    events: list[Event]
 
     if cls is WriteStep:
         cells = regs.get(step.array)
@@ -359,20 +377,18 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         idx = pid - 1
         regs = {**regs, step.array: cells[:idx] + (step.value,) + cells[idx + 1 :]}
         events = [Event(-1, "reg_write", pid, step.array, "write", step.value)]
-        _advance(procs, pid, None, events)
+        result = None
 
     elif cls is ScanStep:
-        cells = regs[step.array]
-        events = [Event(-1, "reg_read", pid, step.array, "scan", None, cells)]
-        _advance(procs, pid, cells, events)
+        result = regs[step.array]
+        events = [Event(-1, "reg_read", pid, step.array, "scan", None, result)]
 
     elif cls is WaitAnyStep:
-        vals = tuple(_cell(world, a, c) for a, c in step.watches)
+        result = tuple(_cell(world, a, c) for a, c in step.watches)
         events = [
             Event(-1, "reg_read", pid, a, "read", c, v)
-            for (a, c), v in zip(step.watches, vals)
+            for (a, c), v in zip(step.watches, result)
         ]
-        _advance(procs, pid, vals, events)
 
     elif cls is KisInvokeStep:
         try:
@@ -383,27 +399,27 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         events = [
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
+        # The process parks: its program state stays as it is.
+        return World(n, t, k, procs, regs, kis, cons, crashed), events
 
     elif cls is ConsProposeStep:
         try:
             st = cons[step.obj]
         except KeyError:
             raise SimError(f"unknown consensus object {step.obj!r}") from None
-        new_st, decided = consensus_propose(st, step.value)
+        new_st, result = consensus_propose(st, step.value)
         cons = {**cons, step.obj: new_st}
         events = [
             Event(-1, "invoke", pid, step.obj, "propose", step.value),
-            Event(-1, "respond", pid, step.obj, "propose", None, decided),
+            Event(-1, "respond", pid, step.obj, "propose", None, result),
         ]
-        _advance(procs, pid, decided, events)
 
     else:
         raise SimError(f"process {pid} yielded an unknown step {step!r}")
 
-    world = World(
-        world.n, world.t, world.k, tuple(procs), regs, kis, cons, world.crashed
-    )
-    return world, events
+    slots = list(procs)
+    _advance(slots, pid, result, events)
+    return World(n, t, k, tuple(slots), regs, kis, cons, crashed), events
 
 
 def _apply_commit(
@@ -432,17 +448,16 @@ def _apply_commit(
 
 
 def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
-    _check_pid(world, pid)
-    if len(world.crashed) >= world.t:
+    n, t, k, procs, regs, kis, cons, crashed = world
+    if not 1 <= pid <= n:
+        raise SimError(f"no process {pid!r} among pids 1..{n}")
+    if len(crashed) >= t:
         raise SimError("crash budget exhausted")
-    if pid in world.crashed:
+    if pid in crashed:
         raise SimError(f"process {pid} already crashed")
-    if world.procs[pid - 1].step is None:
+    if procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    world = World(
-        world.n, world.t, world.k, world.procs, world.regs, world.kis, world.cons,
-        world.crashed | {pid},
-    )
+    world = World(n, t, k, procs, regs, kis, cons, crashed | {pid})
     return world, [Event(-1, "crash", pid)]
 
 
@@ -453,18 +468,30 @@ class RandomSchedule:
     """Seeded adversary: uniform over enabled non-crash actions plus the
     pending crashes of its designated victims, pids of the world it runs.
     Commit batches are sampled (object, then size, then members) rather
-    than enumerated."""
+    than enumerated.
+
+    The commit part of the menu depends on `world.kis` alone, and every
+    transition that leaves the k-IS state alone passes the same dict on,
+    so it is rebuilt only when `world.kis` is a different object."""
 
     def __init__(self, rng: random.Random, crash_victims: tuple[int, ...]):
         self.rng = rng
         self.victims = tuple(crash_victims)
+        self.kis = None  # the `world.kis` that `commits` was built from
+        self.commits: list[tuple] = []
 
     def choose(self, world: World) -> tuple | None:
         menu = enabled_step_actions(world)
-        commits = commit_candidates(world)
+        if world.kis is not self.kis:
+            self.kis = world.kis
+            self.commits = [
+                ("commit?", obj, pending, need)
+                for obj, pending, need in commit_candidates(world)
+            ]
+        commits = self.commits
         if not menu and not commits:
             return None
-        menu += [("commit?", obj, pending, need) for obj, pending, need in commits]
+        menu += commits
         crashed = world.crashed
         if len(crashed) < world.t:
             procs = world.procs
@@ -596,7 +623,11 @@ def run(
             truncated = True
             break
         world, evs = apply_action(world, action)
-        _stamp(events, evs)
+        step = len(events)
+        for e in evs:
+            e.step = step
+            step += 1
+        events += evs
         actions.append(action)
     trace = finalize_trace(
         world, events, truncated=truncated, meta=instance.meta
@@ -623,6 +654,8 @@ def run_random(
         raise SimError(
             f"crash victims {crash_victims} not among pids 1..{instance.n}"
         )
+    elif len(set(crash_victims)) != len(crash_victims):
+        raise SimError(f"crash victims {crash_victims} name a pid twice")
     schedule = RandomSchedule(rng, crash_victims)
     return run(
         instance,

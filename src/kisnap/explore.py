@@ -112,7 +112,12 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
 # `apply_action` once per transition and `finalize_trace` once per leaf,
 # each through this module's globals: the benchmark counts nodes and times
 # layers by rebinding them (`test_reduced_alg1_explore_call_pattern`), so a
-# crash child recomputes its menu rather than reusing its parent's.
+# crash child recomputes its step menu rather than reusing its parent's.
+# The commit menu depends on `world.kis` alone and every transition that
+# leaves the k-IS state alone passes the same dict on, so the walk calls
+# `enabled_commit_actions` only when `world.kis` is a different object:
+# crash children and register steps reuse it. The reused list is never
+# mutated (`menu` is the fresh list of `enabled_step_actions`).
 
 
 def enumerate_runs(
@@ -135,10 +140,14 @@ def enumerate_runs(
     leaf = None  # the last leaf's LeafFold
     stack: list[list] = []
     sleep: dict = {}
+    kis = commits = None  # the `world.kis` that `commits` was built from
     while True:
         # Visit `world`, reached with `sleep` at depth len(stack).
         menu = enabled_step_actions(world)
-        menu += enabled_commit_actions(world)
+        if world.kis is not kis:
+            kis = world.kis
+            commits = enabled_commit_actions(world)
+        menu += commits
         if not menu or (depth_bound is not None and len(stack) >= depth_bound):
             # finalize_trace appends blocked events to the list it gets, so
             # it gets a copy of the shared prefix.

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from kisnap import cli, read_schedule, read_trace, simulation
+from kisnap import cli, read_schedule, read_trace, simulation, write_schedule
 from kisnap.cli import main
 
 
@@ -50,6 +50,26 @@ def test_run_replays_saved_schedule(tmp_path, capsys):
         "--schedule", f"replay:{prefix}",
     ]) == 1
     assert "flags: truncated" in capsys.readouterr().out
+
+
+def test_truncated_run_prints_unscheduled_processes_as_unfinished(tmp_path, capsys):
+    """One step of p1 leaves every process able to move: the CLI says they
+    are unfinished, while the trace's end line keeps `blocked`, the only
+    outcome the format has for them."""
+    prefix = tmp_path / "one_step.jsonl"
+    write_schedule(str(prefix), [("step", 1)])
+    trace_file = tmp_path / "t.jsonl"
+    assert main([
+        "run", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+        "--schedule", f"replay:{prefix}", "--out", str(trace_file),
+    ]) == 1
+    out = capsys.readouterr().out
+    for pid in (1, 2, 3):
+        assert f"p{pid}: unfinished (run truncated)" in out
+    assert "blocked" not in out
+    trace = read_trace(str(trace_file))
+    assert trace.truncated and not trace.quiescent
+    assert trace.outcomes == {1: ("blocked",), 2: ("blocked",), 3: ("blocked",)}
 
 
 def test_explore_reports_counts_and_summary(tmp_path, capsys):

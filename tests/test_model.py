@@ -24,7 +24,9 @@ from kisnap import (
 )
 from kisnap import core, explore
 from kisnap.core import (
+    RandomSchedule,
     apply_action,
+    commit_candidates,
     enabled_commit_actions,
     enabled_step_actions,
     initial_world,
@@ -318,6 +320,13 @@ def test_crash_victims_outside_the_pids_are_rejected(victims):
         run_random(toy_instance(toy_two_writes, n=3, t=2), 0, crash_victims=victims)
 
 
+def test_repeated_crash_victim_is_rejected():
+    """A victim named twice would have its crash offered twice per menu,
+    doubling its weight in the schedule's uniform choice."""
+    with pytest.raises(SimError, match="crash victims"):
+        run_random(toy_instance(toy_two_writes, n=3, t=2), 0, crash_victims=(2, 2))
+
+
 def test_returned_process_cannot_be_crashed():
     inst = toy_instance(toy_one_write, n=2, t=1, arrays=("a",))
     world, _ = initial_world(inst)
@@ -591,3 +600,109 @@ def test_replay_of_a_program_that_ends_early_names_the_process():
     assert root.after("first").step is None
     with pytest.raises(SimError, match="program of p2 ended before consuming"):
         root.after("second")
+
+
+# ── Per-decision reuse: shared guard verdicts and the commit menu ────────────
+
+
+def _step_actions_by_definition(world):
+    """`enabled_step_actions` with every process's guard run on its own."""
+    out = []
+    for pid, p in enumerate(world.procs, 1):
+        step = p.step
+        if step is None or pid in world.crashed:
+            continue
+        entry = core._GUARDS.get(type(step))
+        if entry is None or pid not in entry[0](world, step):
+            out.append(("step", pid))
+    return out
+
+
+def _toy_two_scans(ctx, value):
+    """Write, then scan `a`: odd pids once one cell is filled, even pids
+    once every cell is, so neighbours wait on records that share the
+    array and differ in `min_filled`."""
+    yield WriteStep("a", value)
+    cells = yield ScanStep("a", 1 if ctx.pid % 2 else ctx.n)
+    return cells
+
+
+@pytest.fixture
+def step_menus_by_definition(monkeypatch):
+    """Compare every `enabled_step_actions` result the schedule asks for
+    with the per-process reference; gives the number of worlds compared."""
+    compared = [0]
+    shared = core.enabled_step_actions
+
+    def both(world):
+        got = shared(world)
+        assert got == _step_actions_by_definition(world)
+        compared[0] += 1
+        return got
+
+    monkeypatch.setattr(core, "enabled_step_actions", both)
+    return lambda: compared[0]
+
+
+@pytest.mark.parametrize("algo", sorted(SEEDED_CELLS))
+def test_shared_guard_verdicts_match_per_process_guards(algo, step_menus_by_definition):
+    inst = make_instance(algo, *SEEDED_CELLS[algo])
+    for seed in range(12):
+        run_random(inst, seed)
+    assert step_menus_by_definition() > 12
+
+
+def test_shared_guard_verdicts_match_for_the_simulator(step_menus_by_definition):
+    """Two simulators wait on `WaitAnyStep` records over the lifted arrays."""
+    inst = build_simulation("alg1_variant", 4, 2, 2)
+    for seed in range(6):
+        run_random(inst, seed)
+    assert step_menus_by_definition() > 6
+
+
+def test_shared_guard_verdicts_tell_scans_of_one_array_apart(step_menus_by_definition):
+    inst = toy_instance(_toy_two_scans, n=5, t=1, arrays=("a",))
+    outcomes = set()
+    for seed in range(40):
+        trace = run_random(inst, seed).trace
+        outcomes.add(tuple(o[0] for o in trace.outcomes.values()))
+    assert step_menus_by_definition() > 40
+    # Runs where a victim crashed before its write end with the even pids
+    # blocked: their scans were refused while their odd neighbours' were not.
+    assert any("blocked" in o for o in outcomes)
+
+
+class _CommitsEveryCall(RandomSchedule):
+    """`RandomSchedule` by its definition: the commit candidates of every
+    world, asked for afresh on every call."""
+
+    def choose(self, world):
+        menu = enabled_step_actions(world)
+        commits = commit_candidates(world)
+        if not menu and not commits:
+            return None
+        menu += [("commit?", obj, pending, need) for obj, pending, need in commits]
+        crashed = world.crashed
+        if len(crashed) < world.t:
+            procs = world.procs
+            menu += [
+                ("crash", p)
+                for p in self.victims
+                if p not in crashed and procs[p - 1].step is not None
+            ]
+        pick = menu[self.rng.randrange(len(menu))]
+        if pick[0] != "commit?":
+            return pick
+        _, obj, pending, need = pick
+        size = self.rng.randint(need, len(pending))
+        return ("commit", obj, tuple(sorted(self.rng.sample(pending, size))))
+
+
+@pytest.mark.parametrize("algo", ["alg1", "alg1_variant", "kis_oracle"])
+def test_reused_commit_menu_chooses_as_a_fresh_one(algo, monkeypatch):
+    inst = make_instance(algo, *SEEDED_CELLS[algo])
+    reused = [run_random(inst, seed).actions for seed in range(200)]
+    monkeypatch.setattr(core, "RandomSchedule", _CommitsEveryCall)
+    fresh = [run_random(inst, seed).actions for seed in range(200)]
+    assert reused == fresh
+    assert sum(a[0] == "commit" for run in fresh for a in run) > 200
