@@ -23,8 +23,9 @@ when it fails:
   proposed by a process whose invocation does not follow the first response.
 
 `validate_trace` checks trace well-formedness itself (monotone steps,
-respond-after-invoke, views in snapshot responds, crash budget, SWMR
-register read consistency).
+respond-after-invoke, views in snapshot responds, crash budget, and the
+registers as n SWMR cells: writes by pids 1..n, reads of cells 1..n, and
+every read and scan consistent with the writes).
 """
 
 from __future__ import annotations
@@ -96,47 +97,35 @@ class CheckReport:
 # ── History extraction ───────────────────────────────────────────────────────
 #
 # The checkers read a trace through one fold: `_feed`, one per-event rule
-# over a persistent `TraceFold` that holds every object's invoke/respond
-# record, the trace's crash steps and the validator's state. A feed never
-# changes the state it starts from: it copies each container at most once,
-# before its first change, so the state of a prefix is shared by every
-# extension of it. `enumerate_runs` keeps a `TraceFold` in DFS frames and
-# gives each leaf's trace a `LeafFold` (`Trace.fold`), which extends the
-# nearest frame's state over the leaf's events when a checker first asks.
-# A checker reads it while `trace.events` is the list it was made for, at
-# that length. Otherwise `validate_trace` feeds the whole trace from
-# `TraceFold.empty`, and a read of one object's record scans for that
-# object's events and the crashes alone (`_scan`), which costs less.
+# over a persistent `TraceFold` that holds every object's record, the
+# trace's crash steps and the validator's state. A feed never changes the
+# state it starts from: it copies each container at most once, before its
+# first change, so the state of a prefix is shared by every extension of
+# it. `enumerate_runs` keeps a `TraceFold` in DFS frames and gives each
+# leaf's trace a `LeafFold` (`Trace.fold`), whose state is the nearest
+# frame's until a checker first asks, and then covers the leaf's events.
+# A checker reads it while `trace.events` is the list it was made for;
+# events appended to that list are folded in when it is read. Otherwise
+# `validate_trace` feeds the whole trace from `TraceFold.empty`, and a read
+# of one object's record scans for that object's events and the crashes
+# alone (`_scan`), which costs less.
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjHistory:
-    """Invoke/respond/crash record of one object in one trace. Its dicts may
-    be shared with the trace's fold: read them, do not change them."""
+    """One object's invokes and responds (pid -> (args or ret, step)) and
+    the pids of its second invokes. A fold's records are shared by every
+    fold that extends it: read them, do not change them. `is_verdicts`
+    keeps `check_is`'s verdicts that read nothing else."""
 
     obj: str
-    invokes: dict[int, tuple[object, int]] = field(default_factory=dict)
-    responds: dict[int, tuple[object, int]] = field(default_factory=dict)
-    crashes: dict[int, int] = field(default_factory=dict)
-    double_invokes: tuple[int, ...] = ()
+    invokes: dict[int, tuple[object, int]]
+    responds: dict[int, tuple[object, int]]
+    double_invokes: tuple[int, ...]
+    is_verdicts: tuple | None = field(default=None, compare=False, repr=False)
 
     def view_of(self, pid: int):
         return self.responds[pid][0]
-
-
-class ObjRecord:
-    """One object's invokes and responds (pid -> (args or ret, step)) and the
-    pids of its second invokes. Shared by every fold that extends the one
-    that made it, so it does not change once the feed that made it returns;
-    `is_verdicts` keeps `check_is`'s verdicts that read nothing else."""
-
-    __slots__ = ("invokes", "responds", "double_invokes", "is_verdicts")
-
-    def __init__(self, invokes: dict, responds: dict, double_invokes: tuple):
-        self.invokes = invokes
-        self.responds = responds
-        self.double_invokes = double_invokes
-        self.is_verdicts = None
 
 
 class TraceFold(NamedTuple):
@@ -145,23 +134,21 @@ class TraceFold(NamedTuple):
     it is."""
 
     length: int
-    objs: dict  # object id -> ObjRecord, from its first invoke or respond
+    objs: dict  # object id -> ObjHistory, from its first invoke or respond
     crashes: dict  # pid -> step of its first crash
     problems: tuple  # the validator's problems, in event order
     last_step: int
     arrays: dict  # array id -> list of the cells of pids 1..n, once written
-    stray: dict  # array id -> {writer outside 1..n: value}
-    # The same for every state of one fold: `slot`, which finds a pid's
-    # cell, the cells of an unwritten array, and `inner`, a memo of the
-    # object ids embedded from a simulated system, whose events carry pids
-    # of another namespace, so the validator's rules skip them.
-    fixed: tuple  # (slot, unwritten, inner)
+    # The same for every state of one fold: the cells of an unwritten
+    # array, and `inner`, a memo of the object ids embedded from a
+    # simulated system, whose events carry pids of another namespace, so
+    # the validator's rules skip them.
+    fixed: tuple  # (unwritten, inner)
 
     @classmethod
     def empty(cls, n: int) -> TraceFold:
         """The state before the first event of a trace with `n` processes."""
-        slot = {pid: pid - 1 for pid in range(1, n + 1)}
-        return cls(0, {}, {}, (), -1, {}, {}, (slot, (BOTTOM,) * n, {None: False}))
+        return cls(0, {}, {}, (), -1, {}, ((BOTTOM,) * n, {None: False}))
 
     def extended(self, events: list, stop: int | None = None) -> TraceFold:
         """The state after `events[:stop]` (all of `events` by default), of
@@ -177,14 +164,15 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
 
     The validator's rules: monotone steps, no crashed process acts or
     crashes again, a respond follows its pid's invoke of that object and
-    a snapshot respond returns a view, and every read or scan returns what
-    the registers hold (SWMR: a write by a pid outside 1..n is seen by
-    reads of that index, never by scans). A crash counts for its pid
-    whatever object it names; the per-pid rules skip the events of inner
-    objects."""
-    length, objs, crashes, problems, last_step, arrays, stray, fixed = state
-    slot, unwritten, inner = fixed
-    own_crashes = own_stray = False
+    a snapshot respond returns a view, and the registers are n SWMR cells:
+    a write is by a pid in 1..n, a read names a cell in 1..n, and every
+    read or scan returns what the cells hold. A crash counts for its pid
+    whatever object it names; the per-pid and register rules skip the
+    events of inner objects."""
+    length, objs, crashes, problems, last_step, arrays, fixed = state
+    unwritten, inner = fixed
+    n = len(unwritten)
+    own_crashes = False
     # What this feed made, and so may change: object id -> record, array
     # id -> cells. `objs` and `arrays` are copies once these are not empty.
     mine: dict = {}
@@ -207,9 +195,11 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
             if rec is None:
                 rec = objs.get(obj)
                 if rec is None:
-                    rec = ObjRecord({}, {}, ())
+                    rec = ObjHistory(obj, {}, {}, ())
                 else:
-                    rec = ObjRecord(dict(rec.invokes), dict(rec.responds), rec.double_invokes)
+                    rec = ObjHistory(
+                        obj, dict(rec.invokes), dict(rec.responds), rec.double_invokes
+                    )
                 if not mine:
                     objs = dict(objs)
                 objs[obj] = mine[obj] = rec
@@ -240,20 +230,17 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
         elif skip:
             continue  # an inner register: its writers are inner pids
         elif kind == "reg_write":
-            at = slot.get(pid)
-            if at is None:
-                if not own_stray:
-                    stray, own_stray = dict(stray), True
-                stray[obj] = {**stray.get(obj, {}), pid: e.args}
-            else:
+            if type(pid) is int and 0 < pid <= n:
                 cells = made.get(obj)
                 if cells is None:
                     if not made:
                         arrays = dict(arrays)
                     cells = arrays.get(obj)
-                    cells = [BOTTOM] * len(unwritten) if cells is None else cells[:]
+                    cells = [BOTTOM] * n if cells is None else cells[:]
                     arrays[obj] = made[obj] = cells
-                cells[at] = e.args
+                cells[pid - 1] = e.args
+            else:
+                found.append(f"step {step}: write to {obj} by {pid!r}, outside 1..{n}")
         elif kind == "reg_read":
             cells = arrays.get(obj)
             if e.op == "scan":
@@ -265,24 +252,24 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
                         f"registers hold {expect}"
                     )
             elif e.op == "read":
-                at = slot.get(e.args)
-                if at is None:
-                    expect = stray.get(obj, {}).get(e.args, BOTTOM)
+                at = e.args
+                if type(at) is int and 0 < at <= n:
+                    expect = BOTTOM if cells is None else cells[at - 1]
+                    if e.ret != expect:
+                        found.append(
+                            f"step {step}: read of {obj}[{at}] returned "
+                            f"{e.ret!r}, register holds {expect!r}"
+                        )
                 else:
-                    expect = BOTTOM if cells is None else cells[at]
-                if e.ret != expect:
-                    found.append(
-                        f"step {step}: read of {obj}[{e.args}] returned "
-                        f"{e.ret!r}, register holds {expect!r}"
-                    )
+                    found.append(f"step {step}: read of {obj}[{at!r}], outside 1..{n}")
     if found:
         problems += tuple(found)
     return TraceFold(
-        length + len(events), objs, crashes, problems, last_step, arrays, stray, fixed
+        length + len(events), objs, crashes, problems, last_step, arrays, fixed
     )
 
 
-def _scan(events: list, obj: str) -> tuple[ObjRecord | None, dict]:
+def _scan(events: list, obj: str) -> tuple[ObjHistory | None, dict]:
     """`obj`'s record (None if it is never invoked and never responds) and
     the crash steps, as `_feed` folds them, from one pass that reads
     nothing else."""
@@ -305,45 +292,42 @@ def _scan(events: list, obj: str) -> tuple[ObjRecord | None, dict]:
                 responds[e.pid] = (e.ret, e.step)
     if not invokes and not responds:
         return None, crashes
-    return ObjRecord(invokes, responds, tuple(double_invokes)), crashes
+    return ObjHistory(obj, invokes, responds, tuple(double_invokes)), crashes
 
 
 class LeafFold:
-    """The check state of a trace whose events are `events`, computed when a
-    checker first asks for it: `base`, the state of a prefix of them,
-    extended over the rest. `state` is None until then."""
+    """The check state of a trace whose events are `events`: the state of a
+    prefix of them until a checker asks (`resolve`), which extends it over
+    the rest, events appended since included."""
 
-    __slots__ = ("events", "length", "base", "state")
+    __slots__ = ("events", "state")
 
-    def __init__(self, events: list, base: TraceFold):
+    def __init__(self, events: list, state: TraceFold):
         self.events = events
-        self.length = len(events)
-        self.base = base
-        self.state: TraceFold | None = None
+        self.state = state
 
     def resolve(self) -> TraceFold:
-        if self.state is None:
-            self.state = self.base.extended(self.events)
-            self.base = None
-        return self.state
+        state = self.state
+        if state.length < len(self.events):
+            state = self.state = state.extended(self.events)
+        return state
 
 
 def _attached(trace: Trace, whole: bool) -> TraceFold | None:
-    """The state of the fold the trace carries, if it still describes the
-    trace's events: the same list, at the same length. A caller that reads
-    one object's record (`whole` false) leaves a fold that would start
-    from the first event to others: scanning for that object costs less."""
+    """The state of the fold the trace carries, if it was made for the
+    trace's events list. A caller that reads one object's record (`whole`
+    false) leaves a fold that would start from the first event to others:
+    scanning for that object costs less."""
     fold = trace.fold
     if fold is not None and fold.events is trace.events:
-        if fold.length == len(fold.events):
-            if whole or fold.state is not None or fold.base.length:
-                return fold.resolve()
+        if whole or fold.state.length:
+            return fold.resolve()
     return None
 
 
 def _record(
     trace: Trace, obj: str, whole: bool = False
-) -> tuple[ObjRecord, dict]:
+) -> tuple[ObjHistory, dict]:
     """`obj`'s record and the trace's crash steps; raises on object ids the
     trace has never heard of (neither in events nor declared in
     meta['objects']). `whole` as for `_attached`."""
@@ -359,15 +343,14 @@ def _record(
             raise ValueError(
                 f"unknown object id {obj!r}: no events and not declared in trace meta"
             )
-        rec = ObjRecord({}, {}, ())
+        rec = ObjHistory(obj, {}, {}, ())
     return rec, crashes
 
 
 def object_history(trace: Trace, obj: str) -> ObjHistory:
     """Extract one object's history; raises on object ids the trace has
     never heard of (neither in events nor declared in meta['objects'])."""
-    rec, crashes = _record(trace, obj)
-    return ObjHistory(obj, rec.invokes, rec.responds, crashes, rec.double_invokes)
+    return _record(trace, obj)[0]
 
 
 # ── Immediate snapshot / k-IS ────────────────────────────────────────────────
@@ -378,8 +361,8 @@ def object_history(trace: Trace, obj: str) -> ObjHistory:
 # write its witness.
 
 
-def _check_termination(h: ObjHistory) -> Verdict:
-    responds, crashes = h.responds, h.crashes
+def _check_termination(h: ObjHistory, crashes: dict) -> Verdict:
+    responds = h.responds
     for pid in h.invokes:
         if pid not in responds and pid not in crashes:
             hung = [p for p in h.invokes if p not in responds and p not in crashes]
@@ -549,17 +532,16 @@ def check_is(trace: Trace, obj: str, k: int | None = None) -> CheckReport:
     object's record are computed once per record, which the leaves of a
     walk share; termination and output size are computed per call.
     """
-    rec, crashes = _record(trace, obj, whole=True)
-    h = ObjHistory(obj, rec.invokes, rec.responds, crashes, rec.double_invokes)
-    found = rec.is_verdicts
+    h, crashes = _record(trace, obj, whole=True)
+    found = h.is_verdicts
     if found is None:
-        found = rec.is_verdicts = _is_verdicts(h)
+        found = h.is_verdicts = _is_verdicts(h)
     one_shot, base, validity, containment, primal, symmetric, rows = found
     report = CheckReport(obj=obj, kind="is" if k is None else f"{k}-is")
     verdicts = report.verdicts
     if one_shot is not None:
         verdicts["one_shot"] = one_shot
-    verdicts["termination"] = _check_termination(h)
+    verdicts["termination"] = _check_termination(h, crashes)
     verdicts["self_inclusion"] = base
     verdicts["validity"] = validity
     verdicts["containment"] = containment
@@ -579,7 +561,7 @@ def check_theorem1(trace: Trace, obj: str, k: int) -> CheckReport:
     process appearing in S either returned exactly S or crashed during its
     invocation (invoked, never responded, crash event present).
     """
-    h = object_history(trace, obj)
+    h, crashes = _record(trace, obj)
     report = CheckReport(obj=obj, kind="theorem1")
     if not h.responds:
         report.notes.append("no responses: theorem holds vacuously")
@@ -610,7 +592,7 @@ def check_theorem1(trace: Trace, obj: str, k: int) -> CheckReport:
                     f"{pid} returned {sorted(h.view_of(pid))} != smallest view"
                 )
         elif pid in h.invokes:
-            if pid not in h.crashes:
+            if pid not in crashes:
                 bad.append(f"{pid} is in the smallest view, alive, unreturned")
         else:
             bad.append(f"{pid} is in the smallest view but never invoked")
@@ -625,7 +607,7 @@ def check_theorem1(trace: Trace, obj: str, k: int) -> CheckReport:
 
 def check_xsa(trace: Trace, x: int, obj: str = "xsa") -> CheckReport:
     """x-set agreement over the decision history published under `obj`."""
-    h = object_history(trace, obj)
+    h, crashes = _record(trace, obj)
     report = CheckReport(obj=obj, kind=f"{x}-sa")
     proposed_at: dict = {}  # value -> step of its first proposal
     for value, step in h.invokes.values():
@@ -661,7 +643,7 @@ def check_xsa(trace: Trace, x: int, obj: str = "xsa") -> CheckReport:
             f"{len(distinct)} > x = {x} distinct decisions: "
             f"{sorted(distinct, key=repr)}"
         )
-    report.verdicts["termination"] = _check_termination(h)
+    report.verdicts["termination"] = _check_termination(h, crashes)
     return report
 
 
@@ -674,9 +656,9 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
     invocation that does not come after the first response, so the decision
     point can be placed inside every operation's interval.
     """
-    h = object_history(trace, obj)
+    h, crashes = _record(trace, obj)
     report = CheckReport(obj=obj, kind="consensus")
-    report.verdicts["termination"] = _check_termination(h)
+    report.verdicts["termination"] = _check_termination(h, crashes)
     if not h.responds:
         report.verdicts["agreement"] = PASS
         report.verdicts["validity"] = PASS
@@ -718,10 +700,11 @@ def check_consensus_linearizable(trace: Trace, obj: str) -> CheckReport:
 def validate_trace(trace: Trace) -> list[str]:
     """Structural invariants of a trace; returns a list of violations.
 
-    Covers monotone step indices, event kinds, respond-after-invoke per
-    (pid, obj), views as the value of every snapshot respond, the crash
-    budget, silence of crashed processes, and SWMR
-    register semantics (every read/scan returns exactly the latest writes).
+    Covers monotone step indices, respond-after-invoke per (pid, obj),
+    views as the value of every snapshot respond, the crash budget,
+    silence of crashed processes, and SWMR registers of n cells: a write
+    by a pid outside 1..n and a read of a cell outside 1..n are problems,
+    and every other read and every scan returns exactly the latest writes.
     """
     fold = _attached(trace, whole=True)
     if fold is None:

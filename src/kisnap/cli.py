@@ -184,7 +184,11 @@ def _cmd_check(args) -> int:
         raise ValueError("theorem1 check needs --k")
     if kind == "xsa" and args.x is None:
         raise ValueError("xsa check needs --x")
+    if args.x is not None and args.x < 1:
+        raise ValueError(f"--x must be at least 1, got {args.x}")
     trace = read_trace(args.trace)
+    if args.k is not None and not 1 <= args.k <= trace.n - 1:
+        raise ValueError(f"--k must be in 1..n-1 = 1..{trace.n - 1}, got {args.k}")
     problems = validate_trace(trace)
     for p in problems:
         print(f"malformed trace: {p}")

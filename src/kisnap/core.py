@@ -229,10 +229,12 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
 
 
 def _cell(world: World, arr: str, cell: int):
-    try:
-        return world.regs[arr][cell - 1]
-    except KeyError:
-        raise SimError(f"unknown register array {arr!r}") from None
+    cells = world.regs.get(arr)
+    if cells is None:
+        raise SimError(f"unknown register array {arr!r}")
+    if type(cell) is not int or not 0 < cell <= len(cells):
+        raise SimError(f"no cell {cell!r} of array {arr!r} among 1..{len(cells)}")
+    return cells[cell - 1]
 
 
 # A guard gives the pids its step record is refused to: every pid while a

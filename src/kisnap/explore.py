@@ -105,8 +105,8 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
 # `checkers.LeafFold`: the nearest checkers' state on the path, extended
 # over the leaf's events once a checker asks. Frames get states
 # (`_path_fold`) at leaves only, and only while the leaves are being
-# checked (the last leaf's state was asked for), so a subtree without
-# leaves, or a walk nobody checks, computes none.
+# checked (the last leaf's state covers all its events), so a subtree
+# without leaves, or a walk nobody checks, computes none.
 # The walk calls `enabled_step_actions` once per node, `crash_candidates`
 # once per interior node, `action_footprint` once per live action,
 # `apply_action` once per transition and `finalize_trace` once per leaf,
@@ -155,8 +155,8 @@ def enumerate_runs(
                 world, events[:], truncated=bool(menu), meta=meta
             )
             # Frames keep states only while the leaves are being checked,
-            # that is while the last leaf's state was asked for.
-            checked = leaf is not None and leaf.state is not None
+            # that is while the last leaf's state covers all its events.
+            checked = leaf is not None and leaf.state.length == len(leaf.events)
             base = _path_fold(stack, events, root) if checked else root
             trace.fold = leaf = LeafFold(trace.events, base)
             yield trace

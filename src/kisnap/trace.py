@@ -64,8 +64,10 @@ class Trace:
     quiescent: bool = False
     meta: dict = field(default_factory=dict)
     # The checkers' state of the events (`checkers.LeafFold`), set by the
-    # walk that made the trace; not part of the record: equality, repr,
-    # JSONL and `dataclasses.replace` leave it out.
+    # walk that made the trace. It serves while `events` is the list it was
+    # made for and folds in events appended to it; give a trace whose
+    # events change otherwise a new list. Not part of the record: equality,
+    # repr, JSONL and `dataclasses.replace` leave it out.
     fold: object = field(default=None, init=False, repr=False, compare=False)
 
     def decisions(self) -> dict[int, object]:

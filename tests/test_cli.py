@@ -311,6 +311,37 @@ def test_check_flags_are_checked_before_the_trace(
     assert (out, err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "theorem1", "--k", "9"], "--k must be in 1..n-1 = 1..3, got 9"),
+        (["--kind", "is", "--k", "9"], "--k must be in 1..n-1 = 1..3, got 9"),
+        (["--kind", "is", "--k", "4"], "--k must be in 1..n-1 = 1..3, got 4"),
+        (["--kind", "theorem1", "--k", "0"], "--k must be in 1..n-1 = 1..3, got 0"),
+        (["--kind", "is", "--k", "-3"], "--k must be in 1..n-1 = 1..3, got -3"),
+        (["--kind", "xsa", "--x", "0"], "--x must be at least 1, got 0"),
+    ],
+    ids=["theorem1_k_9", "is_k_9", "is_k_n", "theorem1_k_0", "is_k_-3", "xsa_x_0"],
+)
+def test_check_rejects_out_of_range_parameters(tmp_path, capsys, argv, message):
+    """On an n=4 trace, a --k outside 1..n-1 or an --x below 1 is a usage
+    error, not a vacuous pass or an invented property failure."""
+    trace_file = tmp_path / "t.jsonl"
+    assert main([
+        "run", "--algo", "alg1", "--n", "4", "--t", "2", "--k", "2",
+        "--seed", "1", "--out", str(trace_file),
+    ]) == 0
+    capsys.readouterr()
+    obj = "xsa" if "xsa" in argv else "kis"
+    assert main(["check", "--trace", str(trace_file), "--obj", obj, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    assert main([
+        "check", "--trace", str(trace_file), "--obj", "kis", "--kind", "is",
+        "--k", "3",
+    ]) == 0
+
+
 def test_matrix_modes_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--n", "3", "--exhaustive", "--random"])

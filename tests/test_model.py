@@ -32,7 +32,7 @@ from kisnap.core import (
     initial_world,
 )
 from kisnap.objects import kis_once
-from kisnap.primitives import Announce, ScanStep, WriteStep
+from kisnap.primitives import Announce, ScanStep, WaitAnyStep, WriteStep
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
 
@@ -368,6 +368,26 @@ def test_step_on_an_undeclared_array_is_rejected(step):
     with pytest.raises(SimError, match="unknown register array 'nope'"):
         run_random(inst, 0)
     with pytest.raises(SimError, match="unknown register array 'nope'"):
+        sum(1 for _ in enumerate_runs(inst, reduced=True))
+
+
+def _write_then_wait_on(ctx, value, cell):
+    yield WriteStep("a", value)
+    return (yield WaitAnyStep((("a", cell),)))
+
+
+@pytest.mark.parametrize("cell", [0, 3], ids=["zero", "n_plus_1"])
+def test_wait_on_a_cell_outside_the_pids_is_rejected(cell):
+    """Cell 0 would read cell n through a negative index, and cell n+1
+    would raise a bare IndexError."""
+    programs = {
+        pid: partial(_write_then_wait_on, value=pid, cell=cell) for pid in (1, 2)
+    }
+    inst = Instance(2, 0, None, programs, arrays=("a",))
+    message = rf"no cell {cell} of array 'a' among 1\.\.2"
+    with pytest.raises(SimError, match=message):
+        run_random(inst, 0)
+    with pytest.raises(SimError, match=message):
         sum(1 for _ in enumerate_runs(inst, reduced=True))
 
 
