@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .explore import enumerate_runs
 from .objects import (
-    ConsState,
     KisState,
     ObjectError,
     consensus_propose,

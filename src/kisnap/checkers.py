@@ -393,18 +393,14 @@ def _rows(h: ObjHistory) -> Rows:
     whose value is not a view raises ValueError naming the event."""
     rows = []
     responds = h.responds
-    named_by_view: dict = {}  # the pids of each distinct view, found once
     for pid in sorted(responds):
         view = responds[pid][0]
-        named = named_by_view.get(view) if isinstance(view, frozenset) else None
+        named = _view_pids(view)
         if named is None:
-            named = _view_pids(view)
-            if named is None:
-                raise ValueError(
-                    f"respond of process {pid} on {h.obj} at step "
-                    f"{responds[pid][1]} returned {view!r}, which is not a view"
-                )
-            named_by_view[view] = named
+            raise ValueError(
+                f"respond of process {pid} on {h.obj} at step "
+                f"{responds[pid][1]} returned {view!r}, which is not a view"
+            )
         rows.append((pid, view, named))
     return rows
 

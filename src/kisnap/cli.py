@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
     _print_outcomes(trace)
     ok = not trace.truncated
     if args.check:
-        for rep in standard_reports(trace):
+        for rep in _full_reports(trace):
             print(rep)
             ok = ok and rep.passed
     if args.out:
@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the trace to this JSONL file")
     p.add_argument("--save-schedule", help="write the adversary choices here")
-    p.add_argument("--check", action="store_true", help="run standard checks")
+    p.add_argument(
+        "--check", action="store_true", help="run standard checks and validate_trace"
+    )
     p.add_argument(
         "--step-bound",
         type=_at_least_1,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .objects import ConsState, KisState, consensus_propose, kis_commit_batch, kis_invoke
+from .objects import KisState, consensus_propose, kis_commit_batch, kis_invoke
 from .primitives import (
     BOTTOM,
     Announce,
@@ -62,14 +62,16 @@ Program = Callable[[Ctx], Iterator]
 class Instance:
     """A complete system description the simulator can run. `programs`
     maps each pid to its program: a generator function of the process's
-    `Ctx`, its parameters bound (`functools.partial`)."""
+    `Ctx`, its parameters bound (`functools.partial`). Each k-IS object is
+    declared by its name and its k, 1 <= k <= n-1: it is shared by all n
+    processes, so its views must hold at least n-k pairs."""
 
     n: int
     t: int
     k: int | None
     programs: dict[int, Program]
     arrays: tuple[str, ...] = ()
-    kis_objects: tuple[tuple[str, int, int], ...] = ()  # (obj, n_obj, k_obj)
+    kis_objects: tuple[tuple[str, int], ...] = ()  # (obj, k)
     cons_objects: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
 
@@ -80,9 +82,15 @@ class Instance:
             raise SimError(f"crash budget must satisfy 0 <= t < n, got t={self.t}")
         if set(self.programs) != set(range(1, self.n + 1)):
             raise SimError("programs must cover exactly pids 1..n")
-        names = [o for o, _, _ in self.kis_objects]
+        names = [o for o, _ in self.kis_objects]
         if len(set(names)) != len(names):
             raise SimError("duplicate k-IS object ids")
+        for obj, k in self.kis_objects:
+            if not 1 <= k <= self.n - 1:
+                raise SimError(
+                    f"k-IS object {obj!r} requires 1 <= k <= n-1, "
+                    f"got n={self.n} k={k}"
+                )
 
 
 # ── Program states ───────────────────────────────────────────────────────────
@@ -177,18 +185,18 @@ def program_root(program: Program, ctx: Ctx) -> ProgramState:
 
 
 class World(NamedTuple):
-    """The system state. `procs[pid - 1]` is `pid`'s program state: its step
-    is None once the program returned, and an invoke step stays in place
-    while the process is parked in its k-IS object's `pending` set. A crash
-    leaves the program state as it was and is recorded in `crashed`."""
+    """The system state: only what a transition changes, plus the crash
+    budget `t`. `procs[pid - 1]` is `pid`'s program state, so n is
+    `len(procs)`: its step is None once the program returned, and an invoke
+    step stays in place while the process is parked in its k-IS object's
+    `pending` map. A crash leaves the program state as it was and is
+    recorded in `crashed`."""
 
-    n: int
     t: int
-    k: int | None
     procs: tuple[ProgramState, ...]
     regs: dict  # array -> tuple of n cells
     kis: dict  # obj -> KisState, keyed in sorted order
-    cons: dict  # obj -> ConsState
+    cons: dict  # obj -> decided value, BOTTOM until the first propose
     crashed: frozenset[int]
 
 
@@ -211,17 +219,15 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     """Build the start state; returns it with the programs' initial events."""
     n, t, k = instance.n, instance.t, instance.k
     regs = {arr: (BOTTOM,) * n for arr in instance.arrays}
-    kis = {
-        o: KisState(n_obj, k_obj) for o, n_obj, k_obj in sorted(instance.kis_objects)
-    }
-    cons = {o: ConsState() for o in instance.cons_objects}
+    kis = {o: KisState(n - k_obj) for o, k_obj in sorted(instance.kis_objects)}
+    cons = dict.fromkeys(instance.cons_objects, BOTTOM)
     procs = []
     events: list[Event] = []
     for pid in range(1, n + 1):
         node = program_root(instance.programs[pid], Ctx(n, t, k, pid))
         events.extend(_announce_events(node.announces, pid))
         procs.append(node)
-    world = World(n, t, k, tuple(procs), regs, kis, cons, frozenset())
+    world = World(t, tuple(procs), regs, kis, cons, frozenset())
     return world, events
 
 
@@ -359,9 +365,9 @@ def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
 
 
 def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
-    n, t, k, procs, regs, kis, cons, crashed = world
-    if not 1 <= pid <= n:
-        raise SimError(f"no process {pid!r} among pids 1..{n}")
+    t, procs, regs, kis, cons, crashed = world
+    if not 1 <= pid <= len(procs):
+        raise SimError(f"no process {pid!r} among pids 1..{len(procs)}")
     step = None if pid in crashed else procs[pid - 1].step
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
@@ -402,15 +408,15 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
         # The process parks: its program state stays as it is.
-        return World(n, t, k, procs, regs, kis, cons, crashed), events
+        return World(t, procs, regs, kis, cons, crashed), events
 
     elif cls is ConsProposeStep:
         try:
-            st = cons[step.obj]
+            decided = cons[step.obj]
         except KeyError:
             raise SimError(f"unknown consensus object {step.obj!r}") from None
-        new_st, result = consensus_propose(st, step.value)
-        cons = {**cons, step.obj: new_st}
+        decided, result = consensus_propose(decided, step.value)
+        cons = {**cons, step.obj: decided}
         events = [
             Event(-1, "invoke", pid, step.obj, "propose", step.value),
             Event(-1, "respond", pid, step.obj, "propose", None, result),
@@ -421,7 +427,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
 
     slots = list(procs)
     _advance(slots, pid, result, events)
-    return World(n, t, k, tuple(slots), regs, kis, cons, crashed), events
+    return World(t, tuple(slots), regs, kis, cons, crashed), events
 
 
 def _apply_commit(
@@ -442,24 +448,21 @@ def _apply_commit(
             Event(-1, "respond", pid, obj, "write_snapshot_k", None, delivered)
         )
         _advance(procs, pid, delivered, events)
-    world = World(
-        world.n, world.t, world.k, tuple(procs), world.regs, kis, world.cons,
-        world.crashed,
-    )
+    world = World(world.t, tuple(procs), world.regs, kis, world.cons, world.crashed)
     return world, events
 
 
 def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
-    n, t, k, procs, regs, kis, cons, crashed = world
-    if not 1 <= pid <= n:
-        raise SimError(f"no process {pid!r} among pids 1..{n}")
+    t, procs, regs, kis, cons, crashed = world
+    if not 1 <= pid <= len(procs):
+        raise SimError(f"no process {pid!r} among pids 1..{len(procs)}")
     if len(crashed) >= t:
         raise SimError("crash budget exhausted")
     if pid in crashed:
         raise SimError(f"process {pid} already crashed")
     if procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    world = World(n, t, k, procs, regs, kis, cons, crashed | {pid})
+    world = World(t, procs, regs, kis, cons, crashed | {pid})
     return world, [Event(-1, "crash", pid)]
 
 
@@ -561,13 +564,10 @@ def outcomes_of(world: World) -> dict[int, tuple]:
 
 
 def finalize_trace(
-    world: World,
-    events: list[Event],
-    *,
-    truncated: bool = False,
-    meta: dict | None = None,
+    instance: Instance, world: World, events: list[Event], *, truncated: bool
 ) -> Trace:
-    """Close a run: compute outcomes, emit blocked events on quiescence.
+    """Close a run of `instance`: compute outcomes, emit blocked events on
+    quiescence.
 
     A truncated run (cut off with actions still enabled) also marks
     unfinished processes as blocked in the outcomes but is flagged
@@ -581,14 +581,14 @@ def finalize_trace(
             quiescent = True
             _stamp(events, [Event(-1, "blocked", pid) for pid in blocked])
     return Trace(
-        n=world.n,
-        t=world.t,
-        k=world.k,
+        n=instance.n,
+        t=instance.t,
+        k=instance.k,
         events=events,
         outcomes=outcomes,
         truncated=truncated,
         quiescent=quiescent,
-        meta=dict(meta or {}),
+        meta=dict(instance.meta),
     )
 
 
@@ -631,9 +631,7 @@ def run(
             step += 1
         events += evs
         actions.append(action)
-    trace = finalize_trace(
-        world, events, truncated=truncated, meta=instance.meta
-    )
+    trace = finalize_trace(instance, world, events, truncated=truncated)
     return RunResult(trace=trace, actions=actions)
 
 

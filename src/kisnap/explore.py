@@ -135,7 +135,6 @@ def enumerate_runs(
     world, init_events = initial_world(instance)
     events: list[Event] = []
     _stamp(events, init_events)
-    meta = instance.meta
     root = TraceFold.empty(instance.n)
     leaf = None  # the last leaf's LeafFold
     stack: list[list] = []
@@ -151,9 +150,7 @@ def enumerate_runs(
         if not menu or (depth_bound is not None and len(stack) >= depth_bound):
             # finalize_trace appends blocked events to the list it gets, so
             # it gets a copy of the shared prefix.
-            trace = finalize_trace(
-                world, events[:], truncated=bool(menu), meta=meta
-            )
+            trace = finalize_trace(instance, world, events[:], truncated=bool(menu))
             # Frames keep states only while the leaves are being checked,
             # that is while the last leaf's state covers all its events.
             checked = leaf is not None and leaf.state.length == len(leaf.events)

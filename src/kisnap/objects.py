@@ -1,17 +1,18 @@
 """Shared-memory objects: k-immediate-snapshot oracle, consensus oracle, and
 a wait-free immediate-snapshot routine built from SWMR registers.
 
-The oracles are model primitives driven by the scheduler: the k-IS oracle
+The oracles are model primitives driven by the scheduler. The k-IS oracle
 buffers pending invocations and releases them in adversary-chosen batches
-(concurrency classes), the consensus oracle decides atomically for the first
-linearized proposer. The register-level routine is an ordinary program that
-implements one-shot immediate snapshot without any oracle, by descending
-levels: it is wait-free, so it cannot enforce any minimum view size.
+(concurrency classes), each cumulative view at least n-k pairs. A consensus
+object's whole state is its decided value: BOTTOM until the first
+linearized proposal, which wins atomically and is every proposer's result.
+The register-level routine is an ordinary program that implements one-shot
+immediate snapshot without any oracle, by descending levels: it is
+wait-free, so it cannot enforce any minimum view size.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
 from .primitives import (
@@ -31,44 +32,31 @@ class ObjectError(ValueError):
 # ── k-immediate-snapshot oracle ──────────────────────────────────────────────
 
 
-class KisState(namedtuple("KisState", "n_obj k_obj invoked pending view")):
+class KisState(NamedTuple):
     """Immutable state of one k-IS oracle object.
 
-    `invoked` maps pid to proposed value (pid-sorted pair tuple), `pending`
-    holds invokers not yet in any committed class, and `view` is the union
-    of the committed concurrency classes, the view the last commit
-    released. A crashed process's pending invocation stays committable but
-    is never released. Every invoker is either pending or in `view`.
+    `floor` is n-k, the size every released view must reach. `pending`
+    maps each invoker not yet in any committed class to its proposal, and
+    `view` is the union of the committed concurrency classes, the view the
+    last commit released. A crashed process's pending invocation stays
+    committable but is never released. Every invoker is either pending or
+    in `view`. Transitions build new `pending` dicts and never mutate one,
+    the shared empty default included.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n_obj: int,
-        k_obj: int,
-        invoked: tuple[tuple[int, object], ...] = (),
-        pending: frozenset[int] = frozenset(),
-        view: frozenset = frozenset(),
-    ):
-        if not (1 <= k_obj <= n_obj - 1):
-            raise ObjectError(
-                f"k-IS object requires 1 <= k <= n-1, got n={n_obj} k={k_obj}"
-            )
-        return tuple.__new__(cls, (n_obj, k_obj, invoked, pending, view))
+    floor: int
+    pending: dict = {}
+    view: frozenset = frozenset()
 
     def min_batch_size(self) -> int:
         """Smallest batch the gate admits next."""
-        return max(1, self.n_obj - self.k_obj - len(self.view))
+        return max(1, self.floor - len(self.view))
 
 
 def kis_invoke(st: KisState, pid: int, value: object) -> KisState:
-    if any(p == pid for p, _ in st.invoked):
+    if pid in st.pending or any(p == pid for p, _ in st.view):
         raise ObjectError(f"process {pid} invoked k-IS object twice")
-    invoked = tuple(sorted(st.invoked + ((pid, value),)))
-    # `_make` skips the validating `__new__`: n_obj and k_obj are unchanged
-    # and `st` passed it.
-    return KisState._make((st.n_obj, st.k_obj, invoked, st.pending | {pid}, st.view))
+    return KisState(st.floor, {**st.pending, pid: value}, st.view)
 
 
 def kis_commit_batch(
@@ -83,39 +71,33 @@ def kis_commit_batch(
     set-linearization.
     """
     pids = tuple(sorted(batch))
+    pending = st.pending
     if not pids:
         raise ObjectError("empty commit batch")
     if len(set(pids)) != len(pids):
         raise ObjectError(f"duplicate pids in batch {pids}")
-    if not set(pids) <= st.pending:
-        raise ObjectError(f"batch {pids} not a subset of pending {sorted(st.pending)}")
+    if not all(p in pending for p in pids):
+        raise ObjectError(f"batch {pids} not a subset of pending {sorted(pending)}")
     if len(pids) < st.min_batch_size():
         raise ObjectError(
             f"batch of {len(pids)} violates output-size gate "
-            f"(need cumulative >= {st.n_obj - st.k_obj})"
+            f"(need cumulative >= {st.floor})"
         )
-    values = dict(st.invoked)
-    view = st.view | frozenset((p, values[p]) for p in pids)
+    view = st.view | frozenset((p, pending[p]) for p in pids)
     releases = [(p, view) for p in pids if p not in crashed]
-    new_st = KisState._make(
-        (st.n_obj, st.k_obj, st.invoked, st.pending - set(pids), view)
-    )
-    return new_st, view, releases
+    rest = {p: v for p, v in pending.items() if p not in pids}
+    return KisState(st.floor, rest, view), view, releases
 
 
 # ── Consensus oracle ─────────────────────────────────────────────────────────
 
 
-class ConsState(NamedTuple):
-    """Consensus object: the first linearized proposal wins, atomically."""
-
-    decided: object = BOTTOM
-
-
-def consensus_propose(st: ConsState, value: object) -> tuple[ConsState, object]:
-    if st.decided is not BOTTOM:
-        return st, st.decided
-    return ConsState(value), value
+def consensus_propose(decided: object, value: object) -> tuple[object, object]:
+    """(decided value after the proposal, its result): the first linearized
+    proposal wins, atomically. An undecided object holds BOTTOM."""
+    if decided is not BOTTOM:
+        return decided, decided
+    return value, value
 
 
 # ── Wait-free immediate snapshot from SWMR registers ────────────────────────

@@ -306,7 +306,7 @@ def make_instance(
     return Instance(
         n, t, k, programs,
         arrays=spec.arrays,
-        kis_objects=tuple((obj, n, k) for obj in spec.kis),
+        kis_objects=tuple((obj, k) for obj in spec.kis),
         cons_objects=spec.cons,
         meta={"algo": algo, "inputs": list(inputs), "objects": list(spec.objects)},
     )

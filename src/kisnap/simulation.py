@@ -248,7 +248,7 @@ def build_simulation(
         k=None,
         programs=programs,
         arrays=tuple(sim_array(o) for o in inner_objs),
-        kis_objects=tuple((mediator(o), 2, 1) for o in inner_objs),
+        kis_objects=tuple((mediator(o), 1) for o in inner_objs),
         meta=meta,
     )
 

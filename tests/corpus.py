@@ -181,6 +181,32 @@ def bad_min_view_members() -> Trace:
     )
 
 
+def bad_min_view_alive_unreturned() -> Trace:
+    """The smallest view contains p2, who invoked but neither returned nor
+    crashed."""
+    return mk_trace(
+        [
+            inv(1, "a"),
+            inv(2, "b"),
+            inv(3, "c"),
+            resp(1, view((1, "a"), (2, "b"))),
+            resp(3, view((1, "a"), (2, "b"), (3, "c"))),
+        ]
+    )
+
+
+def bad_min_view_never_invoked() -> Trace:
+    """The smallest view contains p2, who never invoked."""
+    return mk_trace(
+        [
+            inv(1, "a"),
+            inv(3, "c"),
+            resp(1, view((1, "a"), (2, "b"))),
+            resp(3, view((1, "a"), (2, "b"), (3, "c"))),
+        ]
+    )
+
+
 def bad_xsa_validity() -> Trace:
     return mk_trace([inv(1, 7), resp(1, 99)])
 
@@ -227,6 +253,8 @@ IS_PROPERTY_CORPUS = [
 AGREEMENT_CORPUS = [
     ("min_view_size", bad_output_size, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_size"),
     ("min_view_members", bad_min_view_members, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_members"),
+    ("min_view_alive_unreturned", bad_min_view_alive_unreturned, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_members"),
+    ("min_view_never_invoked", bad_min_view_never_invoked, lambda tr: check_theorem1(tr, OBJ, k=1), "min_view_members"),
     ("xsa_validity", bad_xsa_validity, lambda tr: check_xsa(tr, 1, obj=OBJ), "validity"),
     ("xsa_validity_real_time", bad_xsa_validity_real_time, lambda tr: check_xsa(tr, 1, obj=OBJ), "validity"),
     ("xsa_agreement", bad_xsa_agreement, lambda tr: check_xsa(tr, 1, obj=OBJ), "agreement"),

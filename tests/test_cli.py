@@ -523,6 +523,22 @@ def test_explore_check_applies_the_validator(capsys, monkeypatch):
     assert "checked runs: 2, failures: 2" in out
 
 
+def test_run_check_applies_the_validator(capsys, monkeypatch):
+    """`run --check` fails a run whose trace `validate_trace` rejects, even
+    when every standard report passes."""
+    monkeypatch.setattr(
+        "kisnap.checkers.validate_trace", lambda trace: ["stub problem"]
+    )
+    rc = main([
+        "run", "--algo", "kis_oracle", "--n", "3", "--t", "1", "--k", "1",
+        "--seed", "0", "--check",
+    ])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "[well-formed] object trace: FAIL" in out
+    assert "well_formed: FAIL -- stub problem" in out
+
+
 @pytest.mark.parametrize(
     "event,rc,message",
     [

@@ -238,6 +238,12 @@ CORPUS_REPORTS = {
     "min_view_members": ("theorem1", THEOREM1_VERDICTS, {
         "min_view_members": "2 returned [(1, 'a'), (2, 'b'), (3, 'c')] != smallest view",
     }),
+    "min_view_alive_unreturned": ("theorem1", THEOREM1_VERDICTS, {
+        "min_view_members": "2 is in the smallest view, alive, unreturned",
+    }),
+    "min_view_never_invoked": ("theorem1", THEOREM1_VERDICTS, {
+        "min_view_members": "2 is in the smallest view but never invoked",
+    }),
     "xsa_validity": ("1-sa", XSA_VERDICTS, {
         "validity": "process 1 decided 99 which nobody proposed",
     }),

@@ -398,7 +398,7 @@ def test_parked_process_is_enabled_again_only_after_its_commit():
     """A process that invoked a k-IS object keeps its invoke step but cannot
     take it until the adversary commits a batch that includes it."""
     programs = {pid: partial(toy_kis_then_write, value=pid) for pid in (1, 2)}
-    inst = Instance(2, 0, 1, programs, arrays=("a",), kis_objects=(("kis", 2, 1),))
+    inst = Instance(2, 0, 1, programs, arrays=("a",), kis_objects=(("kis", 1),))
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("step", 1))
     assert enabled_step_actions(world) == [("step", 2)]
@@ -421,7 +421,7 @@ def test_commit_actions_come_in_object_name_order():
         1: partial(kis_once, obj="b", value=1),
         2: partial(kis_once, obj="a", value=2),
     }
-    inst = Instance(2, 0, 1, programs, kis_objects=(("b", 2, 1), ("a", 2, 1)))
+    inst = Instance(2, 0, 1, programs, kis_objects=(("b", 1), ("a", 1)))
     world, _ = initial_world(inst)
     for pid in (1, 2):
         world, _ = apply_action(world, ("step", pid))

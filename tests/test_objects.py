@@ -3,6 +3,7 @@ and the register-level wait-free immediate snapshot routine."""
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -10,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from kisnap import (
-    ConsState,
+    BOTTOM,
+    Instance,
     KisState,
     ObjectError,
     ReplaySchedule,
+    SimError,
+    build_simulation,
     enumerate_runs,
     make_instance,
     run,
 )
 from kisnap.checkers import check_is, object_history
-from kisnap.objects import consensus_propose, kis_commit_batch, kis_invoke
+from kisnap.core import initial_world
+from kisnap.objects import consensus_propose, kis_commit_batch, kis_invoke, kis_once
 from kisnap.reductions import default_inputs
 from kisnap.trace import RETURNED
 
@@ -35,14 +40,14 @@ def invoked(st: KisState, *pairs) -> KisState:
 
 def test_first_batch_must_reach_output_size_floor():
     """n=3, k=1: the first concurrency class needs n-k = 2 members."""
-    st = invoked(KisState(3, 1), (1, "a"), (2, "b"), (3, "c"))
+    st = invoked(KisState(2), (1, "a"), (2, "b"), (3, "c"))
     assert st.min_batch_size() == 2
     with pytest.raises(ObjectError):
         kis_commit_batch(st, (1,), frozenset())
 
 
 def test_commit_releases_cumulative_union_views():
-    st = invoked(KisState(3, 1), (1, "a"), (2, "b"), (3, "c"))
+    st = invoked(KisState(2), (1, "a"), (2, "b"), (3, "c"))
     st, view1, rel1 = kis_commit_batch(st, (1, 2), frozenset())
     assert view1 == frozenset({(1, "a"), (2, "b")})
     assert rel1 == [(1, view1), (2, view1)]
@@ -52,12 +57,12 @@ def test_commit_releases_cumulative_union_views():
     assert view2 == frozenset({(1, "a"), (2, "b"), (3, "c")})
     assert rel2 == [(3, view2)]
     assert view1 < view2
-    assert st.pending == frozenset()
+    assert st.pending == {}
     assert st.view == view2
 
 
 def test_single_full_batch_gives_everyone_the_same_view():
-    st = invoked(KisState(3, 2), (1, 10), (2, 20), (3, 30))
+    st = invoked(KisState(1), (1, 10), (2, 20), (3, 30))
     st, view, rel = kis_commit_batch(st, (1, 2, 3), frozenset())
     assert view == frozenset({(1, 10), (2, 20), (3, 30)})
     assert [p for p, _ in rel] == [1, 2, 3]
@@ -67,20 +72,26 @@ def test_single_full_batch_gives_everyone_the_same_view():
 def test_crashed_batch_member_contributes_but_is_not_released():
     """A crashed pending invocation stays committable: its value enters the
     class (so survivor views satisfy the size floor) but it gets no view."""
-    st = invoked(KisState(3, 1), (1, "a"), (2, "b"))
+    st = invoked(KisState(2), (1, "a"), (2, "b"))
     st, view, rel = kis_commit_batch(st, (1, 2), frozenset({1}))
     assert view == frozenset({(1, "a"), (2, "b")})
     assert rel == [(2, view)]
 
 
 def test_double_invoke_raises():
-    st = invoked(KisState(3, 1), (1, "a"))
+    """A second invoke raises whether the pid is pending or already
+    committed (in `view`, no longer pending)."""
+    st = invoked(KisState(2), (1, "a"), (2, "b"))
+    with pytest.raises(ObjectError):
+        kis_invoke(st, 1, "again")
+    st, _, _ = kis_commit_batch(st, (1, 2), frozenset())
+    assert 1 not in st.pending
     with pytest.raises(ObjectError):
         kis_invoke(st, 1, "again")
 
 
 def test_commit_batch_must_be_pending():
-    st = invoked(KisState(3, 1), (1, "a"), (2, "b"))
+    st = invoked(KisState(2), (1, "a"), (2, "b"))
     with pytest.raises(ObjectError):
         kis_commit_batch(st, (2, 3), frozenset())
     with pytest.raises(ObjectError):
@@ -91,17 +102,39 @@ def test_commit_batch_must_be_pending():
 
 
 def test_object_parameter_bounds():
-    with pytest.raises(ObjectError):
-        KisState(3, 0)
-    with pytest.raises(ObjectError):
-        KisState(3, 3)
-    KisState(3, 1)
-    KisState(3, 2)
+    """An instance declares each k-IS object with a k in 1..n-1."""
+    programs = {pid: partial(kis_once, obj="kis", value=pid) for pid in (1, 2, 3)}
+    for k in (0, 3):
+        with pytest.raises(SimError, match="requires 1 <= k <= n-1"):
+            Instance(3, 1, k, programs, kis_objects=(("kis", k),))
+    for k in (1, 2):
+        Instance(3, 1, k, programs, kis_objects=(("kis", k),))
+
+
+@pytest.mark.parametrize(
+    "inst, floors",
+    [
+        (
+            Instance(
+                3, 1, 1,
+                {pid: partial(kis_once, obj="a", value=pid) for pid in (1, 2, 3)},
+                kis_objects=(("a", 1), ("b", 2)),
+            ),
+            {"a": 2, "b": 1},
+        ),
+        (build_simulation("alg1_variant", 4, 2, 2), {"med.kis1": 1, "med.kis2": 1}),
+    ],
+    ids=["toy", "two_simulators"],
+)
+def test_initial_world_gives_each_object_the_floor_n_minus_k(inst, floors):
+    world, _ = initial_world(inst)
+    assert {obj: st.floor for obj, st in world.kis.items()} == floors
+    assert all(st == KisState(st.floor) for st in world.kis.values())
 
 
 def test_gate_arithmetic_across_classes():
     """n=5, k=2: floor is 3, so min batch 3, then 1 forever after."""
-    st = invoked(KisState(5, 2), *((p, p) for p in range(1, 6)))
+    st = invoked(KisState(3), *((p, p) for p in range(1, 6)))
     assert st.min_batch_size() == 3
     with pytest.raises(ObjectError):
         kis_commit_batch(st, (1, 2), frozenset())
@@ -119,14 +152,17 @@ def test_gate_tracks_committed_invokers_under_random_operations(data):
     is the identity the gate's committed count (the view's size) rests on."""
     n = data.draw(hs.integers(2, 6), label="n")
     k = data.draw(hs.integers(1, n - 1), label="k")
-    state = KisState(n, k)
+    state = KisState(n - k)
+    invokers = []
     for _ in range(2 * n):
-        uninvoked = sorted(set(range(1, n + 1)) - {p for p, _ in state.invoked})
+        seen = {p for p, _ in state.view} | state.pending.keys()
+        uninvoked = sorted(set(range(1, n + 1)) - seen)
         pending = sorted(state.pending)
         need = state.min_batch_size()
         if uninvoked and (len(pending) < need or data.draw(hs.booleans())):
             pid = data.draw(hs.sampled_from(uninvoked))
             state = kis_invoke(state, pid, data.draw(hs.integers(0, 9)))
+            invokers.append(pid)
         elif pending and len(pending) >= need:
             size = data.draw(hs.integers(need, len(pending)))
             batch = data.draw(hs.permutations(pending))[:size]
@@ -134,9 +170,7 @@ def test_gate_tracks_committed_invokers_under_random_operations(data):
         else:
             break
         committed = [p for p, _ in state.view]
-        assert sorted(committed + sorted(state.pending)) == [
-            p for p, _ in state.invoked
-        ]
+        assert sorted(committed + sorted(state.pending)) == sorted(invokers)
         assert state.min_batch_size() == max(1, n - k - len(committed))
 
 
@@ -221,7 +255,7 @@ def test_kis_oracle_spec_test_catches_gate_mutants(monkeypatch, shift):
     monkeypatch.setattr(
         KisState,
         "min_batch_size",
-        lambda st: max(1, st.n_obj - st.k_obj + shift - len(st.view)),
+        lambda st: max(1, st.floor + shift - len(st.view)),
     )
     assert _oracle_mismatches() != []
 
@@ -230,12 +264,12 @@ def test_kis_oracle_spec_test_catches_gate_mutants(monkeypatch, shift):
 
 
 def test_consensus_first_proposal_wins():
-    st = ConsState()
-    st, d1 = consensus_propose(st, "x")
-    st, d2 = consensus_propose(st, "y")
-    st, d3 = consensus_propose(st, "z")
+    decided = BOTTOM
+    decided, d1 = consensus_propose(decided, "x")
+    decided, d2 = consensus_propose(decided, "y")
+    decided, d3 = consensus_propose(decided, "z")
     assert d1 == d2 == d3 == "x"
-    assert st.decided == "x"
+    assert decided == "x"
 
 
 def test_consensus_oracle_runs_agree():

@@ -70,8 +70,7 @@ def test_simulation_instance_shape():
     inst = build_simulation("alg1_variant", 4, 2, 2)
     assert inst.n == 2 and inst.t == 1
     assert set(inst.arrays) == {"sim.kis1", "sim.kis2"}
-    assert {o for o, _, _ in inst.kis_objects} == {"med.kis1", "med.kis2"}
-    assert all(n_o == 2 and k_o == 1 for _, n_o, k_o in inst.kis_objects)
+    assert dict(inst.kis_objects) == {"med.kis1": 1, "med.kis2": 1}
     assert inst.meta["inner_objects"] == ["kis1", "kis2"]
     assert inst.meta["inner_n"] == 4
 
