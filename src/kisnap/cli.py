@@ -38,6 +38,7 @@ from .experiments import (
 from .explore import enumerate_runs
 from .reductions import CATALOG, make_instance, standard_reports
 from .simulation import (
+    INNER_ALGO,
     _check_inner_trace,
     build_simulation,
     check_simulation_trace,
@@ -209,12 +210,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     q_inputs = _parse_inputs(args.inputs, 2) or (0, 1)
-    inst = build_simulation(args.inner_algo, args.n, args.t, args.k, q_inputs)
+    inst = build_simulation(args.n, args.t, args.k, q_inputs)
     if args.exhaustive:
         found = sweep(enumerate_runs(inst, reduced=True), check_simulation_trace)
         _print_failures(found)
         print(
-            f"simulation {args.inner_algo} n={args.n} t={args.t} k={args.k}: "
+            f"simulation {INNER_ALGO} n={args.n} t={args.t} k={args.k}: "
             f"{found.runs} outer schedules, {found.failed} check failures"
         )
         return 0 if found.failed == 0 else 1
@@ -377,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("simulate", help="two-simulator emulation")
-    p.add_argument("--inner-algo", default="alg1_variant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

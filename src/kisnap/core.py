@@ -82,9 +82,10 @@ class Instance:
             raise SimError(f"crash budget must satisfy 0 <= t < n, got t={self.t}")
         if set(self.programs) != set(range(1, self.n + 1)):
             raise SimError("programs must cover exactly pids 1..n")
-        names = [o for o, _ in self.kis_objects]
-        if len(set(names)) != len(names):
-            raise SimError("duplicate k-IS object ids")
+        ids = [*self.arrays, *(o for o, _ in self.kis_objects), *self.cons_objects]
+        twice = sorted({o for o in ids if ids.count(o) > 1})
+        if twice:
+            raise SimError(f"object ids declared twice: {twice}")
         for obj, k in self.kis_objects:
             if not 1 <= k <= self.n - 1:
                 raise SimError(
@@ -639,27 +640,20 @@ def run_random(
     instance: Instance,
     seed: int,
     *,
-    crash_victims: tuple[int, ...] | None = None,
     initial_crashes: tuple[int, ...] = (),
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> RunResult:
-    """Seeded random run; samples crash count and victims unless given."""
+    """Seeded random run. The seed first samples how many processes may
+    crash, up to the budget `initial_crashes` leave, and which of the
+    others; then it drives `RandomSchedule`."""
     rng = random.Random(seed)
-    if crash_victims is None:
-        budget = instance.t - len(initial_crashes)
-        count = rng.randint(0, budget) if budget > 0 else 0
-        pool = [p for p in range(1, instance.n + 1) if p not in initial_crashes]
-        crash_victims = tuple(sorted(rng.sample(pool, count))) if count else ()
-    elif not all(1 <= p <= instance.n for p in crash_victims):
-        raise SimError(
-            f"crash victims {crash_victims} not among pids 1..{instance.n}"
-        )
-    elif len(set(crash_victims)) != len(crash_victims):
-        raise SimError(f"crash victims {crash_victims} name a pid twice")
-    schedule = RandomSchedule(rng, crash_victims)
+    budget = instance.t - len(initial_crashes)
+    count = rng.randint(0, budget) if budget > 0 else 0
+    pool = [p for p in range(1, instance.n + 1) if p not in initial_crashes]
+    victims = tuple(sorted(rng.sample(pool, count))) if count else ()
     return run(
         instance,
-        schedule,
+        RandomSchedule(rng, victims),
         initial_crashes=initial_crashes,
         step_bound=step_bound,
     )

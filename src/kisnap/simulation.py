@@ -1,7 +1,8 @@
 """Two-simulator emulation of a k-IS-based algorithm.
 
 Two simulators Q0, Q1 (outer pids 1, 2; at most one may crash) jointly run
-an inner n-process algorithm whose only shared objects are k-IS objects.
+`INNER_ALGO`, an inner n-process algorithm whose only shared objects are
+k-IS objects.
 The inner processes are split into A0 and A1 with |A0| = |A1| = n-t; when
 2t > n the remaining 2t-n processes are initially crashed. Each simulator
 round-robins over its members and, per inner k-IS object o, maintains a
@@ -43,10 +44,14 @@ from .primitives import (
     WaitAnyStep,
     WriteStep,
 )
-from .reductions import XSA_OBJ, catalog_spec
+from .reductions import CATALOG, XSA_OBJ
 from .trace import BLOCKED, CRASHED, INNER_PREFIX, RETURNED, Event, Trace
 
 SIM_OBJ = "sim"
+
+# The simulated algorithm: of the catalog, only it uses k-IS objects alone
+# and decides through XSA_OBJ, as the simulation requires.
+INNER_ALGO = "alg1_variant"
 
 
 def sim_array(obj: str) -> str:
@@ -83,7 +88,7 @@ def make_partition(n: int, t: int) -> tuple[tuple[int, ...], ...]:
 # ── The simulator program ────────────────────────────────────────────────────
 
 
-def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value):
+def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
     """One simulator: round-robin member service, publish-or-copy protocol.
 
     All members run `inner_prog`, the inner algorithm's generator function
@@ -188,35 +193,24 @@ def q_simulator(ctx, side, members, inner_n, inner_t, inner_k, inner_prog, value
 # ── Building and running simulations ─────────────────────────────────────────
 
 
-def build_simulation(
-    inner_algo: str,
-    n: int,
-    t: int,
-    k: int,
-    q_inputs: tuple = (0, 1),
-) -> Instance:
-    """Outer 2-process instance simulating `inner_algo` at (n, t, k).
+def build_simulation(n: int, t: int, k: int, q_inputs: tuple = (0, 1)) -> Instance:
+    """Outer 2-process instance simulating `INNER_ALGO` at (n, t, k), the
+    simulators proposing `q_inputs`, one value each.
 
-    The inner algorithm must interact only through k-IS objects and decide
-    through the XSA_OBJ object, whose responses are the inner decisions
-    (e.g. `alg1_variant`); anything else raises SimError. Its k-IS objects
-    are lifted into one outer register array and one 2-process 1-IS
-    mediator per inner object.
+    The program is read from the catalog at each call. Its k-IS objects are
+    lifted into one outer register array and one 2-process 1-IS mediator
+    per inner object, and its decisions are the responses of its XSA_OBJ
+    object.
     """
+    if len(q_inputs) != 2:
+        raise SimError(f"two simulators need two inputs, got {len(q_inputs)}")
     groups = make_partition(n, t)
-    spec = catalog_spec(inner_algo)
+    spec = CATALOG[INNER_ALGO]
     spec.check_range(n, t, k)
-    if spec.arrays or spec.cons or XSA_OBJ not in spec.objects:
-        raise SimError(
-            f"inner algorithm {inner_algo!r} cannot be simulated: only "
-            f"algorithms that use k-IS objects alone and decide through "
-            f"{XSA_OBJ!r} can"
-        )
     inner_objs = spec.kis
     programs = {
         1 + side: partial(
             q_simulator,
-            side=side,
             members=groups[side],
             inner_n=n,
             inner_t=t,
@@ -228,7 +222,7 @@ def build_simulation(
     }
     meta = {
         "algo": "simulation",
-        "inner_algo": inner_algo,
+        "inner_algo": INNER_ALGO,
         "inner_n": n,
         "inner_t": t,
         "inner_k": k,

@@ -163,7 +163,7 @@ def test_acceptance_6_blocking_strawman():
 
 
 def test_acceptance_7_two_simulator_emulation():
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     total = with_crash = 0
     for tr in enumerate_runs(inst, reduced=True):
         reports = check_simulation_trace(tr)

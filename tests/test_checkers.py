@@ -200,7 +200,7 @@ def test_validator_accepts_real_runs():
             for seed in range(3):
                 trace = run_random(inst, seed).trace
                 assert validate_trace(trace) == [], (algo, ntk, seed)
-    outer = run_random(build_simulation("alg1_variant", 4, 2, 2), 5).trace
+    outer = run_random(build_simulation(4, 2, 2), 5).trace
     assert validate_trace(outer) == []
     assert validate_trace(extract_inner_trace(outer)) == []
 
@@ -419,7 +419,7 @@ def test_trace_report_wraps_the_validator_problems():
 
 def _walk(name):
     if name == "simulation_4_2_2":
-        inst = build_simulation("alg1_variant", 4, 2, 2)
+        inst = build_simulation(4, 2, 2)
         return enumerate_runs(inst, reduced=True)
     algo, ntk, mode = {
         "alg1_3_2_2_reduced": ("alg1", (3, 2, 2), {"reduced": True}),

@@ -239,12 +239,6 @@ def test_bad_parameters_exit_2(capsys):
     ):
         assert main(argv) == 2, argv
         assert "error" in capsys.readouterr().err
-    # an inner algorithm that does not decide through xsa cannot be simulated
-    rc = main([
-        "simulate", "--inner-algo", "kis_oracle", "--n", "4", "--t", "2", "--k", "2",
-    ])
-    assert rc == 2
-    assert "cannot be simulated" in capsys.readouterr().err
 
 
 ALG1_3 = ("--algo", "alg1", "--n", "3", "--t", "1", "--k", "1")

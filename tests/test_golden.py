@@ -136,7 +136,7 @@ def test_depth_bounded_reduced_leaves_match_golden_digest():
 
 def _simulation_chunks():
     for n, t, k in SIMULATION_CASES:
-        inst = build_simulation("alg1_variant", n, t, k)
+        inst = build_simulation(n, t, k)
         for seed in SEEDS:
             res = run_random(inst, seed)
             yield trace_to_jsonl(res.trace)
@@ -148,7 +148,7 @@ def test_seeded_simulations_match_golden_digest():
 
 
 def test_reduced_exhaustive_simulation_leaves_match_golden_digest():
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     leaves = [trace_to_jsonl(tr) for tr in enumerate_runs(inst, reduced=True)]
     assert len(leaves) == 113
     assert _sha(leaves) == EXHAUSTIVE_SIMULATION_4_2_2

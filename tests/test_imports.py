@@ -1,6 +1,8 @@
 """Dead-code guards: every name a module of the package imports is used in
-that module (`__init__.py` is skipped, since it imports to re-export), and
-every module-level definition is read somewhere in the package."""
+that module (`__init__.py` is skipped, since it imports to re-export),
+every module-level definition is read somewhere in the package, and every
+function parameter is read by its function unless a calling convention
+fixes it."""
 
 from __future__ import annotations
 
@@ -95,3 +97,76 @@ def test_every_definition_is_read():
     package = Path(kisnap.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unused_definitions(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`qualified.name(parameter)` of every parameter of a function in
+    `source`, methods and nested functions included, that the function's
+    body never reads. A closure's read counts for the function that binds
+    the name; `x += ...` reads x; `self` and `cls` are exempt."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+                read = {"self", "cls"}
+                for stmt in child.body:
+                    for n in ast.walk(stmt):
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                            read.add(n.id)
+                        elif isinstance(n, ast.AugAssign):
+                            read.add(ast.unparse(n.target))
+                found.extend(
+                    f"{prefix}{child.name}({p.arg})"
+                    for p in params
+                    if p is not None and p.arg not in read
+                )
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_guard_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, *c, d, **e):\n    return a + d\n"
+        "def g(x, y, u):\n    def h(z):\n        return y\n    x += 1\n    u = 0\n"
+        "class C:\n    def m(self, w):\n        pass\n"
+        "    @classmethod\n    def k(cls, v):\n        return v\n"
+    )
+    assert unread_parameters(source) == [
+        "f(b)", "f(c)", "f(e)", "g(u)", "g.h(z)", "C.m(w)",
+    ]
+
+
+# Parameters that a calling convention fixes, though these functions need
+# none of them.
+UNREAD_BY_PROTOCOL = {
+    # `run` asks every schedule `choose(world)`; a replay reads its list.
+    "core.ReplaySchedule.choose(world)",
+    # A program is a generator function of (ctx, value); these three need
+    # neither the pid nor n, t or k.
+    "objects.cons_once(ctx)",
+    "objects.kis_once(ctx)",
+    "reductions.alg1_variant_xsa(ctx)",
+    # `AlgoSpec.check_range` is called with (n, t, k); these ranges read
+    # fewer of them.
+    "reductions.no_range(k)",
+    "reductions.no_range(n)",
+    "reductions.no_range(t)",
+    "reductions.strawman_range(t)",
+}
+
+
+def test_every_parameter_is_read():
+    found = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in unread_parameters(path.read_text())
+    }
+    assert found == UNREAD_BY_PROTOCOL

@@ -299,11 +299,17 @@ def test_crashed_process_cannot_step_or_crash_again():
 
 def test_crashed_process_emits_no_further_events():
     inst = make_instance("alg1", 4, 2, 2)
-    trace = run_random(inst, 5, crash_victims=(2, 3)).trace
-    for pid in trace.crashed_pids():
-        crash_step = next(e.step for e in trace.events if e.kind == "crash" and e.pid == pid)
-        later = [e for e in trace.events if e.pid == pid and e.step > crash_step]
-        assert later == []
+    crashes = 0
+    for seed in range(20):
+        trace = run_random(inst, seed).trace
+        for pid in trace.crashed_pids():
+            crashes += 1
+            crash_step = next(
+                e.step for e in trace.events if e.kind == "crash" and e.pid == pid
+            )
+            later = [e for e in trace.events if e.pid == pid and e.step > crash_step]
+            assert later == []
+    assert crashes > 0
 
 
 @pytest.mark.parametrize("action", [("step", 0), ("step", 4), ("crash", 0), ("crash", 4)])
@@ -312,19 +318,6 @@ def test_action_on_unknown_pid_is_rejected(action):
     world, _ = initial_world(toy_instance(toy_two_writes, n=3, t=2))
     with pytest.raises(SimError):
         apply_action(world, action)
-
-
-@pytest.mark.parametrize("victims", [(0,), (2, 4)])
-def test_crash_victims_outside_the_pids_are_rejected(victims):
-    with pytest.raises(SimError, match="crash victims"):
-        run_random(toy_instance(toy_two_writes, n=3, t=2), 0, crash_victims=victims)
-
-
-def test_repeated_crash_victim_is_rejected():
-    """A victim named twice would have its crash offered twice per menu,
-    doubling its weight in the schedule's uniform choice."""
-    with pytest.raises(SimError, match="crash victims"):
-        run_random(toy_instance(toy_two_writes, n=3, t=2), 0, crash_victims=(2, 2))
 
 
 def test_returned_process_cannot_be_crashed():
@@ -451,7 +444,7 @@ def test_blocked_run_is_quiescent_with_blocked_events():
     """k < t naive attempt: crash t processes first, survivors block forever;
     the run must end quiescent with explicit blocked events, not truncated."""
     inst = make_instance("naive", 4, 2, 1)
-    res = run_random(inst, 0, crash_victims=(), initial_crashes=(1, 2))
+    res = run_random(inst, 0, initial_crashes=(1, 2))
     trace = res.trace
     assert trace.quiescent and not trace.truncated
     assert trace.outcomes == {
@@ -578,7 +571,7 @@ def test_seeded_program_states_match_replay(algo, checked_worlds):
 
 
 def test_simulator_program_states_match_replay(checked_worlds):
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     for seed in range(4):
         run_random(inst, seed)
     assert checked_worlds() > 4
@@ -674,7 +667,7 @@ def test_shared_guard_verdicts_match_per_process_guards(algo, step_menus_by_defi
 
 def test_shared_guard_verdicts_match_for_the_simulator(step_menus_by_definition):
     """Two simulators wait on `WaitAnyStep` records over the lifted arrays."""
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     for seed in range(6):
         run_random(inst, seed)
     assert step_menus_by_definition() > 6

@@ -112,6 +112,25 @@ def test_object_parameter_bounds():
 
 
 @pytest.mark.parametrize(
+    "objects",
+    [
+        {"arrays": ("a", "a")},
+        {"kis_objects": (("a", 1), ("a", 2))},
+        {"cons_objects": ("a", "a")},
+        {"arrays": ("a",), "cons_objects": ("a",)},
+        {"arrays": ("a",), "kis_objects": (("a", 1),)},
+        {"kis_objects": (("a", 1),), "cons_objects": ("a",)},
+    ],
+    ids=["arrays", "kis", "cons", "array_and_cons", "array_and_kis", "kis_and_cons"],
+)
+def test_object_id_declared_twice_is_rejected(objects):
+    """Two declarations of one id would share, or overwrite, one state."""
+    programs = {pid: partial(kis_once, obj="a", value=pid) for pid in (1, 2, 3)}
+    with pytest.raises(SimError, match=r"object ids declared twice: \['a'\]"):
+        Instance(3, 1, 1, programs, **objects)
+
+
+@pytest.mark.parametrize(
     "inst, floors",
     [
         (
@@ -122,7 +141,7 @@ def test_object_parameter_bounds():
             ),
             {"a": 2, "b": 1},
         ),
-        (build_simulation("alg1_variant", 4, 2, 2), {"med.kis1": 1, "med.kis2": 1}),
+        (build_simulation(4, 2, 2), {"med.kis1": 1, "med.kis2": 1}),
     ],
     ids=["toy", "two_simulators"],
 )

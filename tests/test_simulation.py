@@ -3,6 +3,8 @@ crash tolerance, and the concurrent-inside witness."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from kisnap import (
@@ -17,14 +19,17 @@ from kisnap import (
     max_concurrent_inside,
     run_random,
     validate_trace,
+    WriteStep,
 )
 from kisnap.checkers import Verdict, object_history
+from kisnap.reductions import CATALOG
+from kisnap.simulation import INNER_ALGO
 
 
 def seeded(n, t, k, seed):
     """One seeded simulation of alg1_variant at (n, t, k): its outer trace,
     the extracted inner trace and the simulation check's reports."""
-    outer = run_random(build_simulation("alg1_variant", n, t, k), seed).trace
+    outer = run_random(build_simulation(n, t, k), seed).trace
     return outer, extract_inner_trace(outer), check_simulation_trace(outer)
 
 
@@ -67,7 +72,7 @@ def test_partition_rejects_minority_budget():
 
 
 def test_simulation_instance_shape():
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     assert inst.n == 2 and inst.t == 1
     assert set(inst.arrays) == {"sim.kis1", "sim.kis2"}
     assert dict(inst.kis_objects) == {"med.kis1": 1, "med.kis2": 1}
@@ -75,13 +80,25 @@ def test_simulation_instance_shape():
     assert inst.meta["inner_n"] == 4
 
 
-def test_simulation_rejects_register_level_inner_algorithms():
-    with pytest.raises(SimError):
-        build_simulation("alg1", 4, 2, 2)  # uses a plain register array
-    with pytest.raises(SimError):
-        build_simulation("alg2", 4, 2, 2)  # uses a consensus object
-    with pytest.raises(SimError):
-        build_simulation("kis_oracle", 4, 2, 2)  # decides through no xsa object
+@pytest.mark.parametrize("q_inputs", [(0,), (0, 1, 2)])
+def test_simulation_needs_one_input_per_simulator(q_inputs):
+    with pytest.raises(SimError, match="two simulators need two inputs"):
+        build_simulation(4, 2, 2, q_inputs)
+
+
+def _writes_a_register(ctx, value):
+    yield WriteStep("view", value)
+    return value
+
+
+def test_simulation_runs_the_catalog_entry_and_refuses_register_steps(monkeypatch):
+    """The simulated program is read from the catalog when the instance is
+    built, so a patched entry is what runs; a step other than a k-IS
+    invocation cannot be simulated."""
+    spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_writes_a_register)
+    monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
+    with pytest.raises(SimError, match="only k-IS invocations can be simulated"):
+        run_random(build_simulation(4, 2, 2), 0)
 
 
 # ── End-to-end runs ──────────────────────────────────────────────────────────
@@ -107,7 +124,7 @@ def test_inner_decisions_respect_agreement_bound():
 def test_simulator_crash_still_lets_other_side_finish():
     """Q2 crashes immediately: Q1 must finish alone via the mediator, and
     the extracted inner trace crashes exactly A1's unreturned members."""
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     res = run_random(inst, 0, initial_crashes=(2,))
     trace = res.trace
     assert trace.outcomes[1][0] == "returned"
@@ -149,7 +166,7 @@ def test_truncated_outer_run_gives_truncated_not_quiescent_inner_trace():
     """A cut-off outer run leaves its inner processes unfinished, not blocked
     for good: as `core.finalize_trace` does, the inner trace is flagged
     truncated and not quiescent."""
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     for bound in (3, 5, 8, 12):
         inner = extract_inner_trace(run_random(inst, 0, step_bound=bound).trace)
         assert inner.truncated and not inner.quiescent, bound
@@ -204,7 +221,7 @@ def test_solo_inner_operation_fails_concurrent_inside_witness():
 
 
 def test_exhaustive_outer_exploration_covers_crashes_and_passes():
-    inst = build_simulation("alg1_variant", 4, 2, 2)
+    inst = build_simulation(4, 2, 2)
     total = crashed = 0
     for tr in enumerate_runs(inst, reduced=True):
         total += 1
