@@ -50,7 +50,6 @@ from .primitives import (
     ConsProposeStep,
     KisInvokeStep,
     ScanStep,
-    WaitAnyStep,
     WriteStep,
 )
 from .reductions import (

@@ -262,6 +262,10 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
                         )
                 else:
                     found.append(f"step {step}: read of {obj}[{at!r}], outside 1..{n}")
+            else:
+                found.append(
+                    f"step {step}: read of {obj} by op {e.op!r}, not a scan or read"
+                )
     if found:
         problems += tuple(found)
     return TraceFold(
@@ -699,8 +703,9 @@ def validate_trace(trace: Trace) -> list[str]:
     Covers monotone step indices, respond-after-invoke per (pid, obj),
     views as the value of every snapshot respond, the crash budget,
     silence of crashed processes, and SWMR registers of n cells: a write
-    by a pid outside 1..n and a read of a cell outside 1..n are problems,
-    and every other read and every scan returns exactly the latest writes.
+    by a pid outside 1..n, a read of a cell outside 1..n and a register
+    read by an op other than scan or read are problems, and every other
+    read and every scan returns exactly the latest writes.
     """
     fold = _attached(trace, whole=True)
     if fold is None:

@@ -31,7 +31,6 @@ from .primitives import (
     ConsProposeStep,
     KisInvokeStep,
     ScanStep,
-    WaitAnyStep,
     WriteStep,
 )
 from .trace import BLOCKED, CRASHED, RETURNED, Event, Trace
@@ -111,7 +110,7 @@ class Instance:
 
 class ProgramState:
     """One state of a process's program: the announces it makes on entering
-    it, then the step it waits on, or the value it returned (`step` None).
+    it, then the step it takes next, or the value it returned (`step` None).
 
     `succ` maps a step result to the state it leads to; `gen` is the
     program's generator paused here, until the first result takes it."""
@@ -235,17 +234,8 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
 # ── Enabled actions ──────────────────────────────────────────────────────────
 
 
-def _cell(world: World, arr: str, cell: int):
-    cells = world.regs.get(arr)
-    if cells is None:
-        raise SimError(f"unknown register array {arr!r}")
-    if type(cell) is not int or not 0 < cell <= len(cells):
-        raise SimError(f"no cell {cell!r} of array {arr!r} among 1..{len(cells)}")
-    return cells[cell - 1]
-
-
 # A guard gives the pids its step record is refused to: every pid while a
-# scan's or a wait's registers are not filled, the parked pids for an invoke.
+# scan's registers are not filled, the parked pids for an invoke.
 _EVERY_PID = range(1, sys.maxsize)
 _NO_PID = frozenset()
 
@@ -258,11 +248,6 @@ def _scan_refused(world: World, step: ScanStep):
     return _NO_PID if full else _EVERY_PID
 
 
-def _wait_refused(world: World, step: WaitAnyStep):
-    woken = any(_cell(world, a, c) is not BOTTOM for a, c in step.watches)
-    return _NO_PID if woken else _EVERY_PID
-
-
 def _invoke_refused(world: World, step: KisInvokeStep):
     st = world.kis.get(step.obj)
     return _NO_PID if st is None else st.pending
@@ -270,19 +255,18 @@ def _invoke_refused(world: World, step: KisInvokeStep):
 
 # The guard of each guarded step class, keyed by exact type, with the number
 # of leading record fields it reads: (array, min_filled) of a scan, the
-# watches of a wait, the object of an invoke. A write, a propose and an
-# unknown step have no guard: they are always ready, so stepping an unknown
-# one reaches `_apply_step`, which raises.
+# object of an invoke. A write, a propose and an unknown step have no
+# guard: they are always ready, so stepping an unknown one reaches
+# `_apply_step`, which raises.
 _GUARDS = {
     ScanStep: (_scan_refused, 2),
-    WaitAnyStep: (_wait_refused, 1),
     KisInvokeStep: (_invoke_refused, 1),
 }
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid:
-    a scan or wait has its registers filled, and an invoke is not already
+    a scan has its registers filled, and an invoke is not already
     parked in its k-IS object. A process whose record has the class of the
     previous guarded process's and agrees with it on the fields the guard
     reads takes that process's refused pids."""
@@ -391,13 +375,6 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     elif cls is ScanStep:
         result = regs[step.array]
         events = [Event(-1, "reg_read", pid, step.array, "scan", None, result)]
-
-    elif cls is WaitAnyStep:
-        result = tuple(_cell(world, a, c) for a, c in step.watches)
-        events = [
-            Event(-1, "reg_read", pid, a, "read", c, v)
-            for (a, c), v in zip(step.watches, result)
-        ]
 
     elif cls is KisInvokeStep:
         try:

@@ -32,7 +32,7 @@ from .core import (
     finalize_trace,
     initial_world,
 )
-from .primitives import ConsProposeStep, ScanStep, WaitAnyStep, WriteStep
+from .primitives import ConsProposeStep, ScanStep, WriteStep
 from .trace import Event, Trace
 
 # ── Action footprints and independence ───────────────────────────────────────
@@ -41,7 +41,7 @@ from .trace import Event, Trace
 # independent actions commute and neither disables the other. It needs to
 # know what an action touches. A commit names its object and batch and a
 # crash its pid, so only a step needs more: its footprint is the step record
-# the process waits on. The footprint is taken at the node where the action
+# the process takes. The footprint is taken at the node where the action
 # is first seen and stays valid while the action sits in a sleep set (the
 # owning process cannot move, so its step is unchanged). The relation:
 #
@@ -50,8 +50,7 @@ from .trace import Event, Trace
 #   batch holds p;
 # * two commits are dependent exactly when they are on the same object, and
 #   a commit commutes with every step;
-# * a write of array A by p is dependent with a scan of A and with a wait
-#   that watches (A, p);
+# * a write of array A is dependent with a scan of A;
 # * two proposes are dependent exactly when they are on the same object;
 # * every other pair is independent.
 
@@ -80,16 +79,11 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
         return ka != kb or a[1] != b[1]
     # Two steps. Writes by distinct pids fill distinct cells, and one pid
     # never has two co-enabled steps, so a write commutes with every other
-    # write; only a read of the written cell conflicts with it.
+    # write; only a scan of the written array conflicts with it.
     if type(fb) is WriteStep:
-        a, fa, b, fb = b, fb, a, fa
+        fa, fb = fb, fa
     if type(fa) is WriteStep:
-        kind = type(fb)
-        if kind is ScanStep:
-            return fb.array != fa.array
-        if kind is WaitAnyStep:
-            return (fa.array, a[1]) not in fb.watches
-        return True
+        return type(fb) is not ScanStep or fb.array != fa.array
     if type(fa) is ConsProposeStep and type(fb) is ConsProposeStep:
         return fa.obj != fb.obj
     return True  # reads commute; pending-set insertions commute

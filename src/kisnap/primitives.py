@@ -57,13 +57,6 @@ class ScanStep(NamedTuple):
     min_filled: int = 0
 
 
-class WaitAnyStep(NamedTuple):
-    """Blocks until some watched cell is non-bottom; result is the tuple of
-    watched cell values at the wakeup instant."""
-
-    watches: tuple[tuple[str, int], ...]  # (array, 1-based cell)
-
-
 class KisInvokeStep(NamedTuple):
     """One-shot invocation of a k-immediate-snapshot oracle object.
 

@@ -8,15 +8,20 @@ The inner processes are split into A0 and A1 with |A0| = |A1| = n-t; when
 round-robins over its members and, per inner k-IS object o, maintains a
 proposal buffer and an outer SWMR register REG[i][o] (array "sim.o"):
 
-* if its own REG[i][o] is already published, a member's invocation is
-  answered with REG[i][o] extended by the member's pair (the union is
-  re-published first);
-* if not, but the other simulator's REG[1-i][o] is published, that value is
-  copied, extended, re-published, and used as the answer;
 * once all its members' invocations on o are buffered and nothing is
   published yet, the simulator runs the buffered proposal set through a
   shared one-shot 1-immediate-snapshot object ("med.o", 2 processes), takes
-  the union of the proposal sets in the returned view, and publishes it.
+  the union of the proposal sets in the returned view, and publishes it;
+* once REG[i][o] is published, a member's invocation is answered with
+  REG[i][o] extended by the member's pair (the union is re-published
+  first).
+
+Information crosses between the simulators only through the mediators:
+a simulator never reads the other's registers. Every member of
+`INNER_ALGO` invokes the same objects in the same order, so a pass over
+the members in which none can be answered from REG[i] ends with all of
+them buffered on one unpublished object, and the mediator runs; a program
+whose members wait on different unpublished objects raises `SimError`.
 
 A simulator records the first decision any of its members reaches as its
 own decision and returns it once every member has finished. The crash of a
@@ -37,13 +42,7 @@ from functools import partial
 
 from .checkers import CheckReport, Verdict, check_is, object_history
 from .core import Ctx, Instance, ProgramState, SimError, program_root
-from .primitives import (
-    BOTTOM,
-    Announce,
-    KisInvokeStep,
-    WaitAnyStep,
-    WriteStep,
-)
+from .primitives import Announce, KisInvokeStep, WriteStep
 from .reductions import CATALOG, XSA_OBJ
 from .trace import BLOCKED, CRASHED, INNER_PREFIX, RETURNED, Event, Trace
 
@@ -89,7 +88,7 @@ def make_partition(n: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
-    """One simulator: round-robin member service, publish-or-copy protocol.
+    """One simulator: round-robin member service, publish-or-mediate protocol.
 
     All members run `inner_prog`, the inner algorithm's generator function
     of (ctx, value), and propose the simulator's own input `value` (the
@@ -99,8 +98,6 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
     and `ProgramState.after`, the mechanism the core uses for processes,
     with its own graph that lives as long as this generator.
     """
-    me = ctx.pid
-    other_cell = 3 - me
     yield Announce("invoke", SIM_OBJ, "simulate", args=value)
     inner = partial(inner_prog, value=value)
     nodes: dict[int, ProgramState] = {}
@@ -118,7 +115,7 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
         yield from absorb(p, program_root(inner, Ctx(inner_n, inner_t, inner_k, p)))
 
     prop: dict[str, dict[int, object]] = {}
-    own: dict[str, frozenset | None] = {}
+    own: dict[str, frozenset] = {}
     ptr = 0
 
     def pending_op(p):
@@ -130,21 +127,7 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
             )
         return step.obj, step.value
 
-    def publish_and_serve(p, o, v, base):
-        """Publish `base` extended by member p's pair (p, v) on o and answer
-        p's invocation with it."""
-        view = base | {(p, v)}
-        yield WriteStep(sim_array(o), view)
-        own[o] = view
-        yield Announce(
-            "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
-        )
-        yield from absorb(p, nodes[p].after(view))
-
     while any(nodes[p].step is not None for p in members):
-        served = False
-        watches: list[tuple[str, int]] = []
-        stuck: list[tuple[int, str, object]] = []
         for off in range(len(members)):
             p = members[(ptr + off) % len(members)]
             if nodes[p].step is None:
@@ -155,10 +138,15 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
                 yield Announce(
                     "invoke", INNER_PREFIX + o, "write_snapshot_k", v, None, pid=p
                 )
-            if own.get(o) is not None:
-                yield from publish_and_serve(p, o, v, own[o])
+            if o in own:
+                # Publish the value extended by p's pair and answer p with it.
+                view = own[o] = own[o] | {(p, v)}
+                yield WriteStep(sim_array(o), view)
+                yield Announce(
+                    "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
+                )
+                yield from absorb(p, nodes[p].after(view))
                 ptr = (ptr + off + 1) % len(members)
-                served = True
                 break
             if len(prop[o]) == len(members):
                 # Every member points at o and nothing is published: push the
@@ -168,22 +156,13 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
                 flat: frozenset = frozenset().union(*(s for _, s in med_view))
                 yield WriteStep(sim_array(o), flat)
                 own[o] = flat
-                served = True
                 break
-            watches.append((sim_array(o), other_cell))
-            stuck.append((p, o, v))
-        if served:
-            continue
-        if not stuck:
-            raise AssertionError("unfinished members but nothing to wait for")
-        watch_list = tuple(dict.fromkeys(watches))
-        vals = yield WaitAnyStep(watch_list)
-        observed = dict(zip(watch_list, vals))
-        for p, o, v in stuck:
-            copied = observed.get((sim_array(o), other_cell), BOTTOM)
-            if copied is not BOTTOM:
-                yield from publish_and_serve(p, o, v, copied)
-                break
+        else:
+            waits = {p: nodes[p].step.obj for p in members if nodes[p].step is not None}
+            raise SimError(
+                f"members wait on different unpublished objects {waits}; only "
+                "programs that invoke their objects in one order can be simulated"
+            )
 
     result = decided[0] if decided else None
     yield Announce("respond", SIM_OBJ, "simulate", ret=result)

@@ -209,7 +209,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_line(raw: str, line_no: int) -> object:
-    """Parse one stripped line, which must hold exactly one JSON value."""
+    """Parse one stripped line, which must hold exactly one JSON value.
+    Its values have exact types (true is a bool, not an int), so callers
+    test for an int with `type(v) is int`."""
     try:
         o, end = _raw_decode(raw)
     except json.JSONDecodeError as exc:
@@ -234,8 +236,6 @@ def _event_from_obj(o: dict, line_no: int) -> Event:
             raise TraceParseError(line_no, f"unknown event kind {kind!r}")
         step, pid, obj, op = o["step"], o.get("pid"), o.get("obj"), o.get("op")
         # The checkers compare steps, hash pids and read object ids as text.
-        # Parsed JSON holds exact types (true is a bool, not an int), so
-        # `type(v) is int` is `_is_int(v)` here, at a fraction of its cost.
         if not (
             type(step) is int
             and (pid is None or type(pid) is int)
@@ -287,10 +287,6 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _outcome_from_json(out: object) -> tuple:
     if isinstance(out, list) and len(out) == 2 and out[0] == RETURNED:
         return (RETURNED, decode_value(out[1]))
@@ -318,9 +314,9 @@ def trace_from_jsonl(text: str) -> Trace:
             if header is not None:
                 raise TraceParseError(line_no, "duplicate config line")
             if not (
-                _is_int(o.get("n"))
-                and _is_int(o.get("t"))
-                and (o.get("k") is None or _is_int(o["k"]))
+                type(o.get("n")) is int
+                and type(o.get("t")) is int
+                and (o.get("k") is None or type(o["k"]) is int)
                 and isinstance(o.get("meta", {}), dict)
             ):
                 raise TraceParseError(line_no, f"malformed config: {raw}")
@@ -383,10 +379,10 @@ def _action_line(enc, action: tuple) -> str:
 
 def action_from_json(raw: str, line_no: int) -> tuple:
     match _parse_line(raw, line_no):
-        case {"a": "step" | "crash" as kind, "pid": pid} if _is_int(pid):
+        case {"a": "step" | "crash" as kind, "pid": pid} if type(pid) is int:
             return (kind, pid)
         case {"a": "commit", "obj": str(obj), "pids": list(pids)} if all(
-            _is_int(p) for p in pids
+            type(p) is int for p in pids
         ):
             return ("commit", obj, tuple(pids))
     raise TraceParseError(line_no, f"malformed action: {raw}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from kisnap import Instance, KisInvokeStep, ScanStep, WaitAnyStep, WriteStep
+from kisnap import Instance, KisInvokeStep, ScanStep, WriteStep
 
 
 def toy_one_write(ctx, value):
@@ -24,15 +24,6 @@ def toy_write_scan(ctx, value):
     """Write own value, then scan: the classic order-sensitive pair."""
     yield WriteStep("a", value)
     cells = yield ScanStep("a")
-    return cells
-
-
-def toy_write_wait(ctx, value):
-    """Write own value, then wait until another process's cell of `a` is
-    written: each write is dependent with the waits that watch its cell."""
-    yield WriteStep("a", value)
-    others = tuple(("a", q) for q in range(1, ctx.n + 1) if q != ctx.pid)
-    cells = yield WaitAnyStep(others)
     return cells
 
 

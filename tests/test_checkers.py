@@ -266,6 +266,23 @@ def test_validator_rejects_scan_of_unwritten_array():
     ]
 
 
+def read_by_unknown_op() -> Trace:
+    """A register read by an op the simulator never emits, whose value
+    would not match the register either."""
+    return mk_trace(
+        [
+            Event(-1, "reg_write", 1, "a", "write", 5),
+            Event(-1, "reg_read", 2, "a", "peek", 1, 99),
+        ]
+    )
+
+
+def test_validator_rejects_read_by_unknown_op():
+    assert validate_trace(read_by_unknown_op()) == [
+        "step 1: read of a by op 'peek', not a scan or read"
+    ]
+
+
 def out_of_range_writer() -> Trace:
     """Writes by pids outside 1..n and reads of those cells: the registers
     are the n cells of pids 1..n, so each is a problem of its own, and
@@ -595,6 +612,7 @@ SPLIT_TRACES = {
             stale_read,
             read_of_unwritten_array,
             scan_of_unwritten_array,
+            read_by_unknown_op,
             out_of_range_writer,
             inner_events,
             crash_budget_overrun,

@@ -3,12 +3,16 @@ exactly when all checks pass."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from kisnap import cli, read_schedule, read_trace, simulation, write_schedule
 from kisnap.cli import main
+from kisnap.reductions import CATALOG
+
+from test_reductions import _alg1_decides_own_input
 
 
 def test_run_writes_trace_and_schedule(tmp_path, capsys):
@@ -166,6 +170,57 @@ def test_check_fails_on_wrong_claim(tmp_path, capsys):
         "--obj", "xsa", "--x", "1",
     ])
     assert rc == 1
+
+
+def test_check_consensus_writes_its_report(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    report_file = tmp_path / "r.json"
+    assert main([
+        "run", "--algo", "cons_oracle", "--n", "3", "--t", "1",
+        "--seed", "2", "--out", str(trace_file),
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "check", "--trace", str(trace_file), "--kind", "consensus",
+        "--obj", "cs", "--out", str(report_file),
+    ])
+    assert rc == 0
+    assert "[consensus] object cs: PASS" in capsys.readouterr().out
+    report = json.loads(report_file.read_text())
+    assert report["passed"] is True
+    assert (report["obj"], report["kind"]) == ("cs", "consensus")
+    assert set(report["verdicts"]) == {"termination", "agreement", "validity"}
+
+
+def test_run_decides_from_the_given_inputs(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    assert main([
+        "run", "--algo", "alg1", "--n", "3", "--t", "1", "--k", "1",
+        "--inputs", "7,8,9", "--seed", "0", "--out", str(trace_file),
+    ]) == 0
+    trace = read_trace(str(trace_file))
+    proposals = {
+        e.pid: e.args for e in trace.events if e.kind == "invoke" and e.obj == "xsa"
+    }
+    assert proposals == {1: 7, 2: 8, 3: 9}
+    assert trace.decisions()
+    assert set(trace.decisions().values()) <= {7, 8, 9}
+
+
+def test_matrix_writes_a_witness_that_check_rejects(tmp_path, capsys, monkeypatch):
+    """Under an alg1 mutant that decides its own input, the exhaustive
+    matrix fails and writes a failing run, which `check` rejects too."""
+    mutant = dataclasses.replace(CATALOG["alg1"], program=_alg1_decides_own_input)
+    monkeypatch.setitem(CATALOG, "alg1", mutant)
+    witness = tmp_path / "w.jsonl"
+    assert main(["matrix", "--n", "3", "--exhaustive", "--witness", str(witness)]) == 1
+    assert f"violation witness written to {witness}" in capsys.readouterr().out
+    rc = main([
+        "check", "--trace", str(witness), "--kind", "xsa",
+        "--obj", "xsa", "--x", "1",
+    ])
+    assert rc == 1
+    assert "agreement: FAIL" in capsys.readouterr().out
 
 
 def test_simulate_seeded(tmp_path, capsys, monkeypatch):

@@ -149,11 +149,13 @@ def test_guard_flags_an_unread_parameter():
 UNREAD_BY_PROTOCOL = {
     # `run` asks every schedule `choose(world)`; a replay reads its list.
     "core.ReplaySchedule.choose(world)",
-    # A program is a generator function of (ctx, value); these three need
-    # neither the pid nor n, t or k.
+    # A program is a generator function of (ctx, value); these four need
+    # neither the pid nor n, t or k. A simulator is told the inner n, t
+    # and k, and it reads no register, so neither needs its own pid.
     "objects.cons_once(ctx)",
     "objects.kis_once(ctx)",
     "reductions.alg1_variant_xsa(ctx)",
+    "simulation.q_simulator(ctx)",
     # `AlgoSpec.check_range` is called with (n, t, k); these ranges read
     # fewer of them.
     "reductions.no_range(k)",

@@ -32,7 +32,7 @@ from kisnap.core import (
     initial_world,
 )
 from kisnap.objects import kis_once
-from kisnap.primitives import Announce, ScanStep, WaitAnyStep, WriteStep
+from kisnap.primitives import Announce, ScanStep, WriteStep
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
 
@@ -42,7 +42,6 @@ from conftest import (
     toy_one_write,
     toy_two_writes,
     toy_write_scan,
-    toy_write_wait,
 )
 
 
@@ -152,16 +151,6 @@ def _assert_walks_agree(inst, runs: tuple[int, int], outcomes: int) -> None:
     assert (literal_runs, reduced_runs) == runs
     assert reduced == literal
     assert len(literal) == outcomes
-
-
-@pytest.mark.parametrize(
-    "t,runs,outcomes", [(0, (72, 10), 10), (1, (366, 31), 28)], ids=["t0", "t1"]
-)
-def test_reduced_exploration_matches_literal_for_write_then_wait(t, runs, outcomes):
-    """A write and a wait that watches its cell do not commute, so the
-    reduced walk keeps both of their orders."""
-    inst = toy_instance(toy_write_wait, n=3, t=t, arrays=("a",))
-    _assert_walks_agree(inst, runs, outcomes)
 
 
 @pytest.mark.slow
@@ -320,6 +309,12 @@ def test_action_on_unknown_pid_is_rejected(action):
         apply_action(world, action)
 
 
+def test_unknown_action_kind_is_rejected():
+    world, _ = initial_world(toy_instance(toy_two_writes, n=3, t=2))
+    with pytest.raises(SimError, match=r"unknown action \('jump', 1\)"):
+        apply_action(world, ("jump", 1))
+
+
 def test_returned_process_cannot_be_crashed():
     inst = toy_instance(toy_one_write, n=2, t=1, arrays=("a",))
     world, _ = initial_world(inst)
@@ -361,26 +356,6 @@ def test_step_on_an_undeclared_array_is_rejected(step):
     with pytest.raises(SimError, match="unknown register array 'nope'"):
         run_random(inst, 0)
     with pytest.raises(SimError, match="unknown register array 'nope'"):
-        sum(1 for _ in enumerate_runs(inst, reduced=True))
-
-
-def _write_then_wait_on(ctx, value, cell):
-    yield WriteStep("a", value)
-    return (yield WaitAnyStep((("a", cell),)))
-
-
-@pytest.mark.parametrize("cell", [0, 3], ids=["zero", "n_plus_1"])
-def test_wait_on_a_cell_outside_the_pids_is_rejected(cell):
-    """Cell 0 would read cell n through a negative index, and cell n+1
-    would raise a bare IndexError."""
-    programs = {
-        pid: partial(_write_then_wait_on, value=pid, cell=cell) for pid in (1, 2)
-    }
-    inst = Instance(2, 0, None, programs, arrays=("a",))
-    message = rf"no cell {cell} of array 'a' among 1\.\.2"
-    with pytest.raises(SimError, match=message):
-        run_random(inst, 0)
-    with pytest.raises(SimError, match=message):
         sum(1 for _ in enumerate_runs(inst, reduced=True))
 
 
@@ -666,7 +641,8 @@ def test_shared_guard_verdicts_match_per_process_guards(algo, step_menus_by_defi
 
 
 def test_shared_guard_verdicts_match_for_the_simulator(step_menus_by_definition):
-    """Two simulators wait on `WaitAnyStep` records over the lifted arrays."""
+    """Two simulators invoke the lifted 1-IS mediators, whose guard refuses
+    a simulator parked in the mediator's pending set."""
     inst = build_simulation(4, 2, 2)
     for seed in range(6):
         run_random(inst, seed)

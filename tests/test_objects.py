@@ -3,6 +3,7 @@ and the register-level wait-free immediate snapshot routine."""
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from itertools import combinations
 
@@ -96,6 +97,8 @@ def test_commit_batch_must_be_pending():
         kis_commit_batch(st, (2, 3), frozenset())
     with pytest.raises(ObjectError):
         kis_commit_batch(st, (), frozenset())
+    with pytest.raises(ObjectError, match="duplicate pids"):
+        kis_commit_batch(st, (1, 2, 1), frozenset())
     st2, _, _ = kis_commit_batch(st, (1, 2), frozenset())
     with pytest.raises(ObjectError):  # already committed
         kis_commit_batch(st2, (1,), frozenset())
@@ -109,6 +112,26 @@ def test_object_parameter_bounds():
             Instance(3, 1, k, programs, kis_objects=(("kis", k),))
     for k in (1, 2):
         Instance(3, 1, k, programs, kis_objects=(("kis", k),))
+
+
+@pytest.mark.parametrize(
+    "n,t,pids,message",
+    [
+        (1, 0, (1,), "need at least 2 processes, got n=1"),
+        (3, -1, (1, 2, 3), "0 <= t < n, got t=-1"),
+        (3, 3, (1, 2, 3), "0 <= t < n, got t=3"),
+        (3, 1, (1, 2), "programs must cover exactly pids 1..n"),
+        (3, 1, (0, 1, 2), "programs must cover exactly pids 1..n"),
+        (3, 1, (1, 2, 3, 4), "programs must cover exactly pids 1..n"),
+    ],
+    ids=["n1", "t_negative", "t_n", "pid_missing", "pid_0", "pid_n_plus_1"],
+)
+def test_instance_parameter_bounds(n, t, pids, message):
+    """An instance has n >= 2 processes, a crash budget in 0..n-1 and one
+    program for each of pids 1..n."""
+    programs = {pid: partial(kis_once, obj="kis", value=pid) for pid in pids}
+    with pytest.raises(SimError, match=re.escape(message)):
+        Instance(n, t, None, programs)
 
 
 @pytest.mark.parametrize(

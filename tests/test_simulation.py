@@ -9,6 +9,7 @@ import pytest
 
 from kisnap import (
     Event,
+    KisInvokeStep,
     SimError,
     Trace,
     build_simulation,
@@ -98,6 +99,26 @@ def test_simulation_runs_the_catalog_entry_and_refuses_register_steps(monkeypatc
     spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_writes_a_register)
     monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
     with pytest.raises(SimError, match="only k-IS invocations can be simulated"):
+        run_random(build_simulation(4, 2, 2), 0)
+
+
+def _crossed_order(ctx, value):
+    """alg1_variant's two invocations, odd pids on kis1 first and even pids
+    on kis2 first."""
+    first, second = ("kis1", "kis2") if ctx.pid % 2 else ("kis2", "kis1")
+    view = yield KisInvokeStep(first, value)
+    yield KisInvokeStep(second, view)
+    return value
+
+
+def test_simulation_refuses_members_waiting_on_different_objects(monkeypatch):
+    """Members of a simulator that wait on different unpublished objects
+    cannot all be buffered on one of them, so no mediator would ever serve
+    them; the simulator raises instead of blocking."""
+    spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_crossed_order)
+    monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
+    message = r"members wait on different unpublished objects \{1: 'kis1', 2: 'kis2'\}"
+    with pytest.raises(SimError, match=message):
         run_random(build_simulation(4, 2, 2), 0)
 
 
