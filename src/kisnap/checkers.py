@@ -165,10 +165,10 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
     The validator's rules: monotone steps, no crashed process acts or
     crashes again, a respond follows its pid's invoke of that object and
     a snapshot respond returns a view, and the registers are n SWMR cells:
-    a write is by a pid in 1..n, a read names a cell in 1..n, and every
-    read or scan returns what the cells hold. A crash counts for its pid
-    whatever object it names; the per-pid and register rules skip the
-    events of inner objects."""
+    a write is a `write` by a pid in 1..n, a read names a cell in 1..n,
+    and every read or scan returns what the cells hold. A crash counts for
+    its pid whatever object it names; the per-pid and register rules skip
+    the events of inner objects."""
     length, objs, crashes, problems, last_step, arrays, fixed = state
     unwritten, inner = fixed
     n = len(unwritten)
@@ -230,6 +230,8 @@ def _feed(state: TraceFold, events: list) -> TraceFold:
         elif skip:
             continue  # an inner register: its writers are inner pids
         elif kind == "reg_write":
+            if e.op != "write":
+                found.append(f"step {step}: write to {obj} by op {e.op!r}, not a write")
             if type(pid) is int and 0 < pid <= n:
                 cells = made.get(obj)
                 if cells is None:
@@ -703,9 +705,10 @@ def validate_trace(trace: Trace) -> list[str]:
     Covers monotone step indices, respond-after-invoke per (pid, obj),
     views as the value of every snapshot respond, the crash budget,
     silence of crashed processes, and SWMR registers of n cells: a write
-    by a pid outside 1..n, a read of a cell outside 1..n and a register
-    read by an op other than scan or read are problems, and every other
-    read and every scan returns exactly the latest writes.
+    by a pid outside 1..n, a register write by an op other than write, a
+    read of a cell outside 1..n and a register read by an op other than
+    scan or read are problems, and every other read and every scan returns
+    exactly the latest writes, whatever op wrote them.
     """
     fold = _attached(trace, whole=True)
     if fold is None:

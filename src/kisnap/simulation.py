@@ -4,28 +4,33 @@ Two simulators Q0, Q1 (outer pids 1, 2; at most one may crash) jointly run
 `INNER_ALGO`, an inner n-process algorithm whose only shared objects are
 k-IS objects.
 The inner processes are split into A0 and A1 with |A0| = |A1| = n-t; when
-2t > n the remaining 2t-n processes are initially crashed. Each simulator
-round-robins over its members and, per inner k-IS object o, maintains a
-proposal buffer and an outer SWMR register REG[i][o] (array "sim.o"):
+2t > n the remaining 2t-n processes are initially crashed. Simulator Qi
+runs its members A_i one stage per inner k-IS object o, with an outer
+SWMR register REG[i][o] (array "sim.o") and a shared one-shot
+1-immediate-snapshot object ("med.o", 2 processes):
 
-* once all its members' invocations on o are buffered and nothing is
-  published yet, the simulator runs the buffered proposal set through a
-  shared one-shot 1-immediate-snapshot object ("med.o", 2 processes), takes
-  the union of the proposal sets in the returned view, and publishes it;
-* once REG[i][o] is published, a member's invocation is answered with
-  REG[i][o] extended by the member's pair (the union is re-published
-  first).
+* a stage starts with every member waiting on o; the simulator announces
+  their invokes in member order, runs their proposal set through med.o,
+  takes the union U of the proposal sets in the returned view and writes
+  it to REG[i][o];
+* then, member by member, it writes U to REG[i][o] again, answers the
+  member with U and advances the member's program.
 
-Information crosses between the simulators only through the mediators:
-a simulator never reads the other's registers. Every member of
-`INNER_ALGO` invokes the same objects in the same order, so a pass over
-the members in which none can be answered from REG[i] ends with all of
-them buffered on one unpublished object, and the mediator runs; a program
-whose members wait on different unpublished objects raises `SimError`.
+U holds every member's pair, since the mediator's view includes the
+simulator's own proposal set. Information crosses between the simulators
+only through the mediators: nothing reads the registers. The writes are
+the protocol's crash points: each member's answer is preceded by its own
+outer step, so a simulator crash can fall between two members' answers,
+leaving some of its members returned and the others crashed. Without
+those steps a crashed simulator's members would all share one fate.
 
-A simulator records the first decision any of its members reaches as its
-own decision and returns it once every member has finished. The crash of a
-simulator silently crashes all its unfinished members; that is sound
+Every member of `INNER_ALGO` invokes the same objects in the same order,
+so every stage finds all members on one object. A stage that finds them
+on different objects, or some finished and others not, raises
+`SimError`; a program that invokes an object twice reaches its mediator
+twice, which raises `ObjectError`. All members finish in the same stage,
+and the simulator decides what the first of them returned. The crash of
+a simulator silently crashes all its unfinished members; that is sound
 because |D| + |A_i| = t, the inner crash budget.
 
 Inner-level invoke/respond events are embedded in the outer trace under
@@ -88,7 +93,7 @@ def make_partition(n: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
-    """One simulator: round-robin member service, publish-or-mediate protocol.
+    """One simulator: one stage per inner k-IS object, all members at once.
 
     All members run `inner_prog`, the inner algorithm's generator function
     of (ctx, value), and propose the simulator's own input `value` (the
@@ -97,74 +102,60 @@ def q_simulator(ctx, members, inner_n, inner_t, inner_k, inner_prog, value):
     step raises. Each member's program state comes from `core.program_root`
     and `ProgramState.after`, the mechanism the core uses for processes,
     with its own graph that lives as long as this generator.
+
+    A stage starts with every member waiting on one object o. It announces
+    their invokes in member order, runs their proposal set through o's
+    mediator and publishes the union U of the returned view; then, member
+    by member, it publishes U again, answers the member with U and
+    advances its program. So all members finish in the same stage, and the
+    simulator decides what the first of them returned.
     """
     yield Announce("invoke", SIM_OBJ, "simulate", args=value)
     inner = partial(inner_prog, value=value)
     nodes: dict[int, ProgramState] = {}
-    decided: list = []  # first inner decision, recorded once
 
     def absorb(p, node):
         """Make `node` member p's program state and emit its announces."""
         nodes[p] = node
-        if node.step is None and not decided:
-            decided.append(node.value)
         for a in node.announces:
             yield Announce(a.kind, INNER_PREFIX + a.obj, a.op, a.args, a.ret, pid=p)
 
     for p in members:
         yield from absorb(p, program_root(inner, Ctx(inner_n, inner_t, inner_k, p)))
 
-    prop: dict[str, dict[int, object]] = {}
-    own: dict[str, frozenset] = {}
-    ptr = 0
-
-    def pending_op(p):
-        step = nodes[p].step
-        if type(step) is not KisInvokeStep:
-            raise SimError(
-                f"inner program of p{p} uses unsupported shared step {step!r}; "
-                "only k-IS invocations can be simulated"
-            )
-        return step.obj, step.value
-
     while any(nodes[p].step is not None for p in members):
-        for off in range(len(members)):
-            p = members[(ptr + off) % len(members)]
-            if nodes[p].step is None:
-                continue
-            o, v = pending_op(p)
-            if (o not in prop) or (p not in prop[o]):
-                prop.setdefault(o, {})[p] = v
-                yield Announce(
-                    "invoke", INNER_PREFIX + o, "write_snapshot_k", v, None, pid=p
+        steps = {p: nodes[p].step for p in members}
+        for p, step in steps.items():
+            if step is not None and type(step) is not KisInvokeStep:
+                raise SimError(
+                    f"inner program of p{p} uses unsupported shared step {step!r}; "
+                    "only k-IS invocations can be simulated"
                 )
-            if o in own:
-                # Publish the value extended by p's pair and answer p with it.
-                view = own[o] = own[o] | {(p, v)}
-                yield WriteStep(sim_array(o), view)
-                yield Announce(
-                    "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
-                )
-                yield from absorb(p, nodes[p].after(view))
-                ptr = (ptr + off + 1) % len(members)
-                break
-            if len(prop[o]) == len(members):
-                # Every member points at o and nothing is published: push the
-                # buffered proposals through the shared 1-IS and publish.
-                propset = frozenset(sorted(prop[o].items()))
-                med_view = yield KisInvokeStep(mediator(o), propset)
-                flat: frozenset = frozenset().union(*(s for _, s in med_view))
-                yield WriteStep(sim_array(o), flat)
-                own[o] = flat
-                break
-        else:
-            waits = {p: nodes[p].step.obj for p in members if nodes[p].step is not None}
+        waits = {p: None if step is None else step.obj for p, step in steps.items()}
+        if len(set(waits.values())) > 1:
             raise SimError(
                 f"members wait on different unpublished objects {waits}; only "
                 "programs that invoke their objects in one order can be simulated"
             )
+        o = waits[members[0]]
+        for p, step in steps.items():
+            yield Announce(
+                "invoke", INNER_PREFIX + o, "write_snapshot_k", step.value, None, pid=p
+            )
+        propset = frozenset((p, step.value) for p, step in steps.items())
+        med_view = yield KisInvokeStep(mediator(o), propset)
+        view: frozenset = frozenset().union(*(s for _, s in med_view))
+        yield WriteStep(sim_array(o), view)
+        for p in members:
+            # Each answer is preceded by its own outer step, so a crash of
+            # this simulator can fall between two members' answers.
+            yield WriteStep(sim_array(o), view)
+            yield Announce(
+                "respond", INNER_PREFIX + o, "write_snapshot_k", None, view, pid=p
+            )
+            yield from absorb(p, nodes[p].after(view))
 
-    result = decided[0] if decided else None
+    result = nodes[members[0]].value
     yield Announce("respond", SIM_OBJ, "simulate", ret=result)
     return result
 

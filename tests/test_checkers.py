@@ -283,6 +283,23 @@ def test_validator_rejects_read_by_unknown_op():
     ]
 
 
+def write_by_unknown_op() -> Trace:
+    """A register write by an op the simulator never emits; the cell still
+    takes the value, so the read that follows is consistent."""
+    return mk_trace(
+        [
+            Event(-1, "reg_write", 1, "a", "poke", 5),
+            Event(-1, "reg_read", 2, "a", "read", 1, 5),
+        ]
+    )
+
+
+def test_validator_rejects_write_by_unknown_op():
+    assert validate_trace(write_by_unknown_op()) == [
+        "step 0: write to a by op 'poke', not a write"
+    ]
+
+
 def out_of_range_writer() -> Trace:
     """Writes by pids outside 1..n and reads of those cells: the registers
     are the n cells of pids 1..n, so each is a problem of its own, and
@@ -613,6 +630,7 @@ SPLIT_TRACES = {
             read_of_unwritten_array,
             scan_of_unwritten_array,
             read_by_unknown_op,
+            write_by_unknown_op,
             out_of_range_writer,
             inner_events,
             crash_budget_overrun,

@@ -10,6 +10,7 @@ import pytest
 from kisnap import (
     Event,
     KisInvokeStep,
+    ObjectError,
     SimError,
     Trace,
     build_simulation,
@@ -112,12 +113,46 @@ def _crossed_order(ctx, value):
 
 
 def test_simulation_refuses_members_waiting_on_different_objects(monkeypatch):
-    """Members of a simulator that wait on different unpublished objects
-    cannot all be buffered on one of them, so no mediator would ever serve
-    them; the simulator raises instead of blocking."""
+    """Members of a simulator that wait on different objects cannot share a
+    stage, so no mediator would serve them all; the simulator raises
+    instead of blocking."""
     spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_crossed_order)
     monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
     message = r"members wait on different unpublished objects \{1: 'kis1', 2: 'kis2'\}"
+    with pytest.raises(SimError, match=message):
+        run_random(build_simulation(4, 2, 2), 0)
+
+
+def _invokes_kis1_twice(ctx, value):
+    view = yield KisInvokeStep("kis1", value)
+    yield KisInvokeStep("kis1", view)
+    return value
+
+
+def test_simulation_refuses_a_second_invoke_of_one_object(monkeypatch):
+    """A member that invokes an object twice sends its simulator to that
+    object's one-shot mediator twice, which raises."""
+    spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_invokes_kis1_twice)
+    monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
+    with pytest.raises(ObjectError, match="invoked k-IS object twice"):
+        run_random(build_simulation(4, 2, 2), 0)
+
+
+def _p1_returns_early(ctx, value):
+    """alg1_variant's two invocations, except that p1 returns after kis1."""
+    view = yield KisInvokeStep("kis1", value)
+    if ctx.pid == 1:
+        return value
+    yield KisInvokeStep("kis2", view)
+    return value
+
+
+def test_simulation_refuses_members_finishing_in_different_stages(monkeypatch):
+    """A member that returns while the others wait on an object is reported
+    as waiting on None: the simulator serves all its members in each stage."""
+    spec = dataclasses.replace(CATALOG[INNER_ALGO], program=_p1_returns_early)
+    monkeypatch.setitem(CATALOG, INNER_ALGO, spec)
+    message = r"members wait on different unpublished objects \{1: None, 2: 'kis2'\}"
     with pytest.raises(SimError, match=message):
         run_random(build_simulation(4, 2, 2), 0)
 
@@ -259,3 +294,51 @@ def test_exhaustive_outer_exploration_covers_crashes_and_passes():
                     if e.kind == "crash" and e.pid == pid
                 )
     assert total > 0 and 0 < crashed < total
+
+
+def test_simulator_crash_can_fall_between_two_members_answers():
+    """Each member's answer follows its own write of the published union,
+    an outer step, so in some reduced leaves a simulator crashed after one
+    of its members returned and before the other did."""
+    split = 0
+    for tr in enumerate_runs(build_simulation(4, 2, 2), reduced=True):
+        inner = extract_inner_trace(tr)
+        for q in tr.crashed_pids():
+            fates = {inner.outcomes[p][0] for p in tr.meta["partition"][q - 1]}
+            split += fates == {"returned", "crashed"}
+    assert split == 18
+
+
+# Reduced outer leaves of every zone cell with n = 3..6, n/2 <= t <= k <= n-1.
+ZONE_LEAVES = {
+    (3, 2, 2): 89,
+    (4, 2, 2): 113,
+    (4, 2, 3): 113,
+    (4, 3, 3): 89,
+    (5, 3, 3): 113,
+    (5, 3, 4): 113,
+    (5, 4, 4): 89,
+    (6, 3, 3): 137,
+    (6, 3, 4): 137,
+    (6, 3, 5): 137,
+    (6, 4, 4): 113,
+    (6, 4, 5): 113,
+    (6, 5, 5): 89,
+}
+
+
+def test_exhaustive_simulation_of_every_zone_cell_passes():
+    """Every reduced outer leaf of every cell, the ones with an initially
+    crashed group included, passes the simulation check, and both its outer
+    and its inner trace are well formed."""
+    leaves = {}
+    for n, t, k in ZONE_LEAVES:
+        leaves[n, t, k] = 0
+        for tr in enumerate_runs(build_simulation(n, t, k), reduced=True):
+            leaves[n, t, k] += 1
+            reports = check_simulation_trace(tr)
+            assert passed(reports), ((n, t, k), [r.failures() for r in reports])
+            assert validate_trace(tr) == [], (n, t, k)
+            assert validate_trace(extract_inner_trace(tr)) == [], (n, t, k)
+    assert leaves == ZONE_LEAVES
+    assert sum(leaves.values()) == 1445
