@@ -393,6 +393,23 @@ def _view_pids(value: object) -> set | None:
         return None
 
 
+def _pair_key(pair: tuple) -> tuple:
+    """A sort key that orders any two pairs of views: by pid, then by the
+    value's type name and `repr`. A view names each pid once, so views
+    sort by pid as `sorted(view)` would; a malformed one that names a pid
+    twice, with values that do not order, or that names a pid that is not
+    an int (sorted after the int pids) still gets a witness."""
+    pid, value = pair
+    if type(pid) is int:
+        return 0, pid, type(value).__name__, repr(value)
+    return 1, type(pid).__name__, repr(pid), type(value).__name__, repr(value)
+
+
+def _pairs(view: frozenset) -> list:
+    """The pairs of `view` in witness order (`_pair_key`)."""
+    return sorted(view, key=_pair_key)
+
+
 def _rows(h: ObjHistory) -> Rows:
     """(pid, view, pids named in the view) of every responder, in pid order;
     built once per `check_is` call and shared by its verdicts. A respond
@@ -420,7 +437,7 @@ def _check_self_inclusion(h: ObjHistory, rows: Rows) -> Verdict:
         if (pid, value) not in view:
             return _fail(
                 f"view of process {pid} misses its own pair ({pid}, {value!r}): "
-                f"{sorted(view)}"
+                f"{_pairs(view)}"
             )
     return PASS
 
@@ -437,7 +454,7 @@ def _check_validity(h: ObjHistory, rows: Rows) -> Verdict:
                 break
         else:
             continue
-        for j, v in sorted(view):  # the witness: the first bad pair in order
+        for j, v in _pairs(view):  # the witness: the first bad pair in order
             inv = invokes.get(j)
             if inv is None:
                 return _fail(
@@ -464,7 +481,7 @@ def _check_containment(rows: Rows) -> Verdict:
     for a, b in zip(views, views[1:]):
         if not a <= b:
             return _fail(
-                f"incomparable views {sorted(a)} and {sorted(b)}"
+                f"incomparable views {_pairs(a)} and {_pairs(b)}"
             )
     return PASS
 
@@ -475,7 +492,7 @@ def _check_immediacy_primal(rows: Rows) -> Verdict:
             if i in members and not view_i <= view_j:
                 return _fail(
                     f"({i},-) in view of {j} but view of {i} not contained: "
-                    f"{sorted(view_i)} vs {sorted(view_j)}"
+                    f"{_pairs(view_i)} vs {_pairs(view_j)}"
                 )
     return PASS
 
@@ -486,7 +503,7 @@ def _check_immediacy_symmetric(rows: Rows) -> Verdict:
             if i in mj and j in mi and vi != vj:
                 return _fail(
                     f"processes {i} and {j} see each other but views differ: "
-                    f"{sorted(vi)} vs {sorted(vj)}"
+                    f"{_pairs(vi)} vs {_pairs(vj)}"
                 )
     return PASS
 
@@ -496,7 +513,7 @@ def _check_output_size(rows: Rows, n: int, k: int) -> Verdict:
         if len(view) < n - k:
             return _fail(
                 f"view of process {pid} has {len(view)} < n-k = {n - k} pairs: "
-                f"{sorted(view)}"
+                f"{_pairs(view)}"
             )
     return PASS
 
@@ -582,16 +599,16 @@ def check_theorem1(trace: Trace, obj: str, k: int) -> CheckReport:
     if len(min_view) < trace.n - k:
         report.verdicts["min_view_size"] = _fail(
             f"smallest view has {len(min_view)} < n-k = {trace.n - k} members: "
-            f"{sorted(min_view)}"
+            f"{_pairs(min_view)}"
         )
     else:
         report.verdicts["min_view_size"] = PASS
     bad = []
-    for pid, _v in sorted(min_view):
+    for pid, _v in _pairs(min_view):
         if pid in h.responds:
             if h.view_of(pid) != min_view:
                 bad.append(
-                    f"{pid} returned {sorted(h.view_of(pid))} != smallest view"
+                    f"{pid} returned {_pairs(h.view_of(pid))} != smallest view"
                 )
         elif pid in h.invokes:
             if pid not in crashes:

@@ -9,10 +9,12 @@ The scheduler-visible unit is an action:
     ("commit", obj, batch)   commit a pending k-IS batch as a concurrency class
     ("crash", pid)           crash a live, unreturned process (budget t)
 
-`apply_action` is a pure transition on immutable `World` values and returns
-the emitted events, so the same core drives single seeded/replayed runs and
-exhaustive enumeration. Identical (instance, schedule state) always yields a
-bit-identical trace.
+`apply_action` is a pure transition on `World` values: it builds a new world
+and returns it with the emitted events, so the same core drives single
+seeded/replayed runs and exhaustive enumeration. A world is never changed
+once built, apart from one write-once memo of its step menu
+(`World.steps`), which equality ignores. Identical (instance, schedule
+state) always yields a bit-identical trace.
 """
 
 from __future__ import annotations
@@ -184,13 +186,19 @@ def program_root(program: Program, ctx: Ctx) -> ProgramState:
     return _resume(program, ctx, (), program(ctx), None)
 
 
-class World(NamedTuple):
+@dataclass(slots=True)
+class World:
     """The system state: only what a transition changes, plus the crash
     budget `t`. `procs[pid - 1]` is `pid`'s program state, so n is
     `len(procs)`: its step is None once the program returned, and an invoke
     step stays in place while the process is parked in its k-IS object's
     `pending` map. A crash leaves the program state as it was and is
-    recorded in `crashed`."""
+    recorded in `crashed`. No transition changes a world it is given.
+
+    `steps` is a memo, not state, and not a constructor argument: the
+    world's step menu, which `enabled_step_actions` fills on its first call
+    (a crash child gets it from `_apply_crash`) and copies on every call.
+    Equality and `repr` read the six fields alone."""
 
     t: int
     procs: tuple[ProgramState, ...]
@@ -198,6 +206,9 @@ class World(NamedTuple):
     kis: dict  # obj -> KisState, keyed in sorted order
     cons: dict  # obj -> decided value, BOTTOM until the first propose
     crashed: frozenset[int]
+    steps: list[tuple] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
@@ -269,7 +280,14 @@ def enabled_step_actions(world: World) -> list[tuple]:
     a scan has its registers filled, and an invoke is not already
     parked in its k-IS object. A process whose record has the class of the
     previous guarded process's and agrees with it on the fields the guard
-    reads takes that process's refused pids."""
+    reads takes that process's refused pids.
+
+    The menu is computed once per world and kept in `world.steps`, which a
+    crash child inherits less the crashed pid (`_apply_crash`); every call
+    returns a fresh copy, which the caller may extend."""
+    steps = world.steps
+    if steps is not None:
+        return steps[:]
     crashed = world.crashed
     guards = _GUARDS
     out = []
@@ -290,7 +308,8 @@ def enabled_step_actions(world: World) -> list[tuple]:
             refused = guard(world, step)
         if pid not in refused:
             out.append(("step", pid))
-    return out
+    world.steps = out
+    return out[:]
 
 
 def commit_candidates(world: World) -> list[tuple[str, tuple[int, ...], int]]:
@@ -350,7 +369,8 @@ def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
 
 
 def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
-    t, procs, regs, kis, cons, crashed = world
+    procs, crashed = world.procs, world.crashed
+    regs, kis, cons = world.regs, world.kis, world.cons
     if not 1 <= pid <= len(procs):
         raise SimError(f"no process {pid!r} among pids 1..{len(procs)}")
     step = None if pid in crashed else procs[pid - 1].step
@@ -386,7 +406,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)
         ]
         # The process parks: its program state stays as it is.
-        return World(t, procs, regs, kis, cons, crashed), events
+        return World(world.t, procs, regs, kis, cons, crashed), events
 
     elif cls is ConsProposeStep:
         try:
@@ -405,7 +425,7 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
 
     slots = list(procs)
     _advance(slots, pid, result, events)
-    return World(t, tuple(slots), regs, kis, cons, crashed), events
+    return World(world.t, tuple(slots), regs, kis, cons, crashed), events
 
 
 def _apply_commit(
@@ -431,17 +451,21 @@ def _apply_commit(
 
 
 def _apply_crash(world: World, pid: int) -> tuple[World, list[Event]]:
-    t, procs, regs, kis, cons, crashed = world
+    procs, crashed = world.procs, world.crashed
     if not 1 <= pid <= len(procs):
         raise SimError(f"no process {pid!r} among pids 1..{len(procs)}")
-    if len(crashed) >= t:
+    if len(crashed) >= world.t:
         raise SimError("crash budget exhausted")
     if pid in crashed:
         raise SimError(f"process {pid} already crashed")
     if procs[pid - 1].step is None:
         raise SimError(f"process {pid} already returned; crash is a no-op")
-    world = World(t, procs, regs, kis, cons, crashed | {pid})
-    return world, [Event(-1, "crash", pid)]
+    # A crash changes no program state, register or k-IS object, so no
+    # guard verdict moves: the child's step menu is the parent's less `pid`.
+    child = World(world.t, procs, world.regs, world.kis, world.cons, crashed | {pid})
+    if world.steps is not None:
+        child.steps = [a for a in world.steps if a[1] != pid]
+    return child, [Event(-1, "crash", pid)]
 
 
 # ── Schedules ────────────────────────────────────────────────────────────────

@@ -105,13 +105,15 @@ def independent(a: tuple, fa, b: tuple, fb) -> bool:
 # once per interior node, `action_footprint` once per live action,
 # `apply_action` once per transition and `finalize_trace` once per leaf,
 # each through this module's globals: the benchmark counts nodes and times
-# layers by rebinding them (`test_reduced_alg1_explore_call_pattern`), so a
-# crash child recomputes its step menu rather than reusing its parent's.
-# The commit menu depends on `world.kis` alone and every transition that
-# leaves the k-IS state alone passes the same dict on, so the walk calls
-# `enabled_commit_actions` only when `world.kis` is a different object:
-# crash children and register steps reuse it. The reused list is never
-# mutated (`menu` is the fresh list of `enabled_step_actions`).
+# layers by rebinding them (`test_reduced_alg1_explore_call_pattern`). A
+# crash child still gets its step menu from that call, which copies the
+# memo `apply_action` derived from its parent's (`World.steps`) instead of
+# running the guards again. The commit menu depends on `world.kis` alone
+# and every transition that leaves the k-IS state alone passes the same
+# dict on, so the walk calls `enabled_commit_actions` only when `world.kis`
+# is a different object: crash children and register steps reuse it. The
+# reused list is never mutated (`menu` is the fresh list of
+# `enabled_step_actions`).
 
 
 def enumerate_runs(

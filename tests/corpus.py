@@ -238,6 +238,34 @@ def bad_consensus_linearization() -> Trace:
     return mk_trace([inv(1, "x"), resp(1, "y"), inv(2, "y"), resp(2, "y")])
 
 
+def repeated_pid_unordered() -> Trace:
+    """p1's view names p1 twice, with an int and a string, which do not
+    order: only validity fails, and the witnesses still get an order."""
+    return mk_trace([inv(1, 0), resp(1, view((1, 0), (1, "a")))])
+
+
+def repeated_pid_nested_view() -> Trace:
+    """p1's view names p1 twice, with an int and a view, as a program that
+    invokes one object twice can make a one-shot object answer. At n=4 the
+    view is also too small for the minimum-view theorem at k=1."""
+    return mk_trace([inv(1, 0), resp(1, view((1, 0), (1, view((1, 0)))))], n=4)
+
+
+def string_pid() -> Trace:
+    """p1's view names a pid that is a string, which a decoded view may
+    hold, beside int pids, which it does not order with."""
+    return mk_trace([inv(1, 0), resp(1, view((1, 0), ("x", "a")))])
+
+
+# Views whose pairs do not order by themselves, so the checkers order them
+# by `checkers._pair_key`: (name, trace builder).
+UNORDERED_VIEW_CORPUS = [
+    ("repeated_pid_unordered", repeated_pid_unordered),
+    ("repeated_pid_nested_view", repeated_pid_nested_view),
+    ("string_pid", string_pid),
+]
+
+
 # One entry per checked immediate-snapshot/k-IS property:
 # (property name, trace builder, checker, verdict that must fail).
 IS_PROPERTY_CORPUS = [

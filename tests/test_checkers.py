@@ -4,6 +4,7 @@ witness and nothing else, plus trace well-formedness validation."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import partial
 
 import pytest
@@ -21,11 +22,13 @@ from kisnap import (
     validate_trace,
 )
 from kisnap.checkers import (
+    CheckReport,
     TraceFold,
     Verdict,
     _record,
     _scan,
     check_is,
+    check_theorem1,
     check_xsa,
     object_history,
     trace_report,
@@ -185,6 +188,62 @@ def test_report_serializes():
     assert d["passed"] is False
     assert d["verdicts"]["termination"]["ok"] is False
     assert "FAIL" in str(report)
+
+
+# ── Views that name a pid twice ──────────────────────────────────────────────
+#
+# A decoded trace may hold any view, including one that names a pid twice
+# with values that do not order. The checkers must judge it, not raise.
+
+
+def _repeated_pid_mutants(trace: Trace):
+    """(object, mutant) per respond of `trace` that returns a view: a copy
+    whose view gains a pair of the responder with a value of another type
+    than the responder's own, a string or else an int."""
+    for i, e in enumerate(trace.events):
+        if e.kind != "respond" or type(e.ret) is not frozenset:
+            continue
+        own = [v for q, v in e.ret if q == e.pid]
+        extra = 0 if own and type(own[0]) is str else "x"
+        mutated = dataclasses.replace(e, ret=e.ret | {(e.pid, extra)})
+        events = [*trace.events[:i], mutated, *trace.events[i + 1 :]]
+        yield e.obj, dataclasses.replace(trace, events=events)
+
+
+# The ValueErrors the checkers document: a checked respond that is not a
+# view, and an object the trace does not have.
+DOCUMENTED = "which is not a view|unknown object id"
+
+
+def _report_or_documented_error(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        assert re.search(DOCUMENTED, str(err)), err
+        return None
+
+
+def test_checkers_judge_views_that_name_a_pid_twice():
+    """Seeded runs of every catalog algorithm, each view mutated in turn:
+    `standard_reports`, `check_theorem1` and `validate_trace` answer, and
+    validity rejects the foreign pair."""
+    mutants = 0
+    for algo in sorted(CATALOG):
+        inst = make_instance(algo, 4, 2, 3)
+        for seed in range(10):
+            trace = run_random(inst, seed).trace
+            for obj, mutant in _repeated_pid_mutants(trace):
+                mutants += 1
+                reports = _report_or_documented_error(standard_reports, mutant)
+                assert reports is None or all(
+                    isinstance(r, CheckReport) for r in reports
+                )
+                k = mutant.k or 1
+                report = _report_or_documented_error(check_theorem1, mutant, obj, k)
+                assert report is None or isinstance(report, CheckReport)
+                assert all(isinstance(p, str) for p in validate_trace(mutant))
+                assert not check_is(mutant, obj).verdicts["validity"].ok
+    assert mutants == 353
 
 
 # ── Trace well-formedness validation ─────────────────────────────────────────

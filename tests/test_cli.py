@@ -429,6 +429,31 @@ def test_malformed_files_exit_2(tmp_path, capsys):
             assert "respond of process 1 on kis at step 1" in capsys.readouterr().err
 
 
+def test_check_gives_a_verdict_on_a_view_that_names_a_pid_twice(tmp_path, capsys):
+    """A decodable view whose pairs do not order, (1, 0) and (1, 'a'): the
+    `is` check fails validity and exits 1, `theorem1` passes, and neither
+    raises."""
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["o"]}}\n'
+        '{"step":0,"kind":"invoke","pid":1,"obj":"o","op":"snap","args":0,"ret":null}\n'
+        '{"step":1,"kind":"respond","pid":1,"obj":"o","op":"snap","args":null,'
+        '"ret":{"view":[[1,0],[1,"a"]]}}\n'
+        '{"kind":"end","outcomes":{"1":["returned",0]}}\n'
+    )
+    check = ["check", "--trace", str(trace_file), "--obj", "o", "--k", "1"]
+    assert main([*check, "--kind", "is"]) == 1
+    out, err = capsys.readouterr()
+    assert "[1-is] object o: FAIL" in out
+    assert (
+        "validity: FAIL -- view of process 1 contains (1, 'a') but 1 invoked with 0"
+        in out
+    )
+    assert err == ""
+    assert main([*check, "--kind", "theorem1"]) == 0
+    assert "[theorem1] object o: PASS" in capsys.readouterr().out
+
+
 def test_run_step_bound_truncates(tmp_path, capsys):
     trace_file = tmp_path / "t.jsonl"
     sched_file = tmp_path / "s.jsonl"

@@ -26,10 +26,16 @@ from kisnap import (
     trace_to_jsonl,
     validate_trace,
 )
+from kisnap.checkers import check_is, check_theorem1
 from kisnap.cli import main
 from kisnap.trace import schedule_to_jsonl
 
-from corpus import AGREEMENT_CORPUS, IS_PROPERTY_CORPUS, OBJ
+from corpus import (
+    AGREEMENT_CORPUS,
+    IS_PROPERTY_CORPUS,
+    OBJ,
+    UNORDERED_VIEW_CORPUS,
+)
 
 SEEDS = range(12)
 
@@ -275,18 +281,66 @@ CORPUS_REPORTS = {
     ids=[row[0] for row in IS_PROPERTY_CORPUS + AGREEMENT_CORPUS],
 )
 def test_negative_corpus_reports_match_golden(name, builder, checker):
-    kind, names, failing = CORPUS_REPORTS[name]
-    got = checker(builder()).to_dict()
+    _assert_report(checker(builder()), *CORPUS_REPORTS[name])
+
+
+def _assert_report(report, kind: str, names: tuple, failing: dict) -> None:
+    """`report` is of `kind` with `names` in order, fails exactly `failing`
+    (verdict -> witness) and has no notes."""
+    got = report.to_dict()
     assert list(got["verdicts"]) == list(names)
     assert got == {
         "obj": OBJ,
         "kind": kind,
-        "passed": False,
+        "passed": not failing,
         "verdicts": {
             v: {"ok": v not in failing, "witness": failing.get(v)} for v in names
         },
         "notes": [],
     }
+
+
+# unordered-view entry -> failing verdicts (verdict -> witness) of
+# `check_is` at k=2, then of `check_theorem1` at k=1
+UNORDERED_VIEW_REPORTS = {
+    "repeated_pid_unordered": (
+        {"validity": "view of process 1 contains (1, 'a') but 1 invoked with 0"},
+        {},
+    ),
+    "repeated_pid_nested_view": (
+        {
+            "validity": "view of process 1 contains (1, frozenset({(1, 0)})) "
+            "but 1 invoked with 0",
+        },
+        {
+            "min_view_size": "smallest view has 2 < n-k = 3 members: "
+            "[(1, frozenset({(1, 0)})), (1, 0)]",
+        },
+    ),
+    "string_pid": (
+        {"validity": "view of process 1 contains (x, 'a') but x never invoked"},
+        {"min_view_members": "x is in the smallest view but never invoked"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,builder",
+    UNORDERED_VIEW_CORPUS,
+    ids=[row[0] for row in UNORDERED_VIEW_CORPUS],
+)
+def test_unordered_view_reports_match_golden(name, builder):
+    """Views whose pairs do not order get reports, ordered by pid, then by
+    the value's type name and `repr`."""
+    is_failing, theorem1_failing = UNORDERED_VIEW_REPORTS[name]
+    _assert_report(check_is(builder(), OBJ, k=2), "2-is", IS_VERDICTS, is_failing)
+    _assert_report(
+        check_theorem1(builder(), OBJ, k=1),
+        "theorem1",
+        THEOREM1_VERDICTS,
+        theorem1_failing,
+    )
+    assert validate_trace(builder()) == []
 
 
 # ── Sweep front-ends: the CLI outputs of explore, matrix, equivalence,

@@ -3,6 +3,7 @@ quiescence, trace and schedule round-trips, exploration soundness."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -410,6 +411,17 @@ def test_worlds_reached_in_either_order_are_equal():
     assert w12 == w21
     assert all(a is b for a, b in zip(w12.procs, w21.procs))
     assert w1 != w2
+    # The step menu memo is private: a world whose memo is filled equals
+    # and prints as one whose memo is not, and the caller's list is a copy.
+    menu = enabled_step_actions(w12)
+    assert w12.steps is not None and w21.steps is None
+    assert w12 == w21
+    assert repr(w12) == repr(w21)
+    menu += [("crash", 1)]
+    assert enabled_step_actions(w12) == enabled_step_actions(w21) == [
+        ("step", 1),
+        ("step", 2),
+    ]
 
 
 # ── Quiescence vs truncation ─────────────────────────────────────────────────
@@ -617,19 +629,21 @@ def _toy_two_scans(ctx, value):
 
 @pytest.fixture
 def step_menus_by_definition(monkeypatch):
-    """Compare every `enabled_step_actions` result the schedule asks for
-    with the per-process reference; gives the number of worlds compared."""
-    compared = [0]
+    """Compare every `enabled_step_actions` result the schedule or the walk
+    asks for with the per-process reference; gives the number of worlds
+    compared, by their number of crashed processes."""
+    compared = Counter()
     shared = core.enabled_step_actions
 
     def both(world):
         got = shared(world)
         assert got == _step_actions_by_definition(world)
-        compared[0] += 1
+        compared[len(world.crashed)] += 1
         return got
 
-    monkeypatch.setattr(core, "enabled_step_actions", both)
-    return lambda: compared[0]
+    for module in (core, explore):
+        monkeypatch.setattr(module, "enabled_step_actions", both)
+    return compared
 
 
 @pytest.mark.parametrize("algo", sorted(SEEDED_CELLS))
@@ -637,7 +651,7 @@ def test_shared_guard_verdicts_match_per_process_guards(algo, step_menus_by_defi
     inst = make_instance(algo, *SEEDED_CELLS[algo])
     for seed in range(12):
         run_random(inst, seed)
-    assert step_menus_by_definition() > 12
+    assert step_menus_by_definition.total() > 12
 
 
 def test_shared_guard_verdicts_match_for_the_simulator(step_menus_by_definition):
@@ -646,7 +660,7 @@ def test_shared_guard_verdicts_match_for_the_simulator(step_menus_by_definition)
     inst = build_simulation(4, 2, 2)
     for seed in range(6):
         run_random(inst, seed)
-    assert step_menus_by_definition() > 6
+    assert step_menus_by_definition.total() > 6
 
 
 def test_shared_guard_verdicts_tell_scans_of_one_array_apart(step_menus_by_definition):
@@ -655,10 +669,29 @@ def test_shared_guard_verdicts_tell_scans_of_one_array_apart(step_menus_by_defin
     for seed in range(40):
         trace = run_random(inst, seed).trace
         outcomes.add(tuple(o[0] for o in trace.outcomes.values()))
-    assert step_menus_by_definition() > 40
+    assert step_menus_by_definition.total() > 40
     # Runs where a victim crashed before its write end with the even pids
     # blocked: their scans were refused while their odd neighbours' were not.
     assert any("blocked" in o for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "algo,ntk,nodes",
+    [
+        ("alg1", (3, 2, 2), 7805),
+        ("alg1_variant", (3, 2, 2), 11465),
+        ("kis_oracle", (4, 2, 2), 1615),
+    ],
+)
+def test_walk_step_menus_match_per_process_guards(
+    algo, ntk, nodes, step_menus_by_definition
+):
+    """Every node of a reduced walk, where a crash child takes its parent's
+    menu less the crashed pid. With t = 2, crash children of crash children
+    are compared too."""
+    sum(1 for _ in enumerate_runs(make_instance(algo, *ntk), reduced=True))
+    assert step_menus_by_definition.total() == nodes
+    assert step_menus_by_definition[2] > 0
 
 
 class _CommitsEveryCall(RandomSchedule):
