@@ -227,7 +227,8 @@ def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
 
 
 def initial_world(instance: Instance) -> tuple[World, list[Event]]:
-    """Build the start state; returns it with the programs' initial events."""
+    """Build the start state; returns it with the programs' initial events,
+    stamped from step 0, as the list a run appends its later events to."""
     n, t, k = instance.n, instance.t, instance.k
     regs = {arr: (BOTTOM,) * n for arr in instance.arrays}
     kis = {o: KisState(n - k_obj) for o, k_obj in sorted(instance.kis_objects)}
@@ -236,7 +237,7 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     events: list[Event] = []
     for pid in range(1, n + 1):
         node = program_root(instance.programs[pid], Ctx(n, t, k, pid))
-        events.extend(_announce_events(node.announces, pid))
+        _stamp(events, _announce_events(node.announces, pid))
         procs.append(node)
     world = World(t, tuple(procs), regs, kis, cons, frozenset())
     return world, events
@@ -517,18 +518,14 @@ class RandomSchedule:
 
 
 class ReplaySchedule:
-    """Plays back a recorded action list; raises on illegal actions."""
+    """Plays back a recorded action list, copied when the schedule is made,
+    then offers None; `run` raises on an illegal action."""
 
     def __init__(self, actions: list[tuple]):
-        self.actions = list(actions)
-        self.pos = 0
+        self.actions = iter(list(actions))
 
     def choose(self, world: World) -> tuple | None:
-        if self.pos >= len(self.actions):
-            return None
-        action = self.actions[self.pos]
-        self.pos += 1
-        return action
+        return next(self.actions, None)
 
 
 # ── Run loop ─────────────────────────────────────────────────────────────────
@@ -541,10 +538,13 @@ class RunResult:
 
 
 def _stamp(events: list[Event], new_events: list[Event]) -> None:
-    base = len(events)
-    for i, e in enumerate(new_events):
-        e.step = base + i
-    events.extend(new_events)
+    """Number `new_events` on from the end of `events` and append them: the
+    one place a run or a walk gives its events their `step`."""
+    step = len(events)
+    for e in new_events:
+        e.step = step
+        step += 1
+    events += new_events
 
 
 _CRASHED = (CRASHED,)
@@ -607,9 +607,7 @@ def run(
     crashes included) have been applied and the schedule still offers
     another, or when the schedule stops while a step or commit is still
     enabled (a replayed prefix)."""
-    world, init_events = initial_world(instance)
-    events: list[Event] = []
-    _stamp(events, init_events)
+    world, events = initial_world(instance)
     actions: list[tuple] = []
     for pid in initial_crashes:
         world, evs = apply_action(world, ("crash", pid))
@@ -627,11 +625,7 @@ def run(
             truncated = True
             break
         world, evs = apply_action(world, action)
-        step = len(events)
-        for e in evs:
-            e.step = step
-            step += 1
-        events += evs
+        _stamp(events, evs)
         actions.append(action)
     trace = finalize_trace(instance, world, events, truncated=truncated)
     return RunResult(trace=trace, actions=actions)

@@ -128,9 +128,7 @@ def enumerate_runs(
     trace-equivalence class. `depth_bound` caps the number of scheduler
     actions per run and yields the runs it cuts off as truncated traces.
     """
-    world, init_events = initial_world(instance)
-    events: list[Event] = []
-    _stamp(events, init_events)
+    world, events = initial_world(instance)
     root = TraceFold.empty(instance.n)
     leaf = None  # the last leaf's LeafFold
     stack: list[list] = []

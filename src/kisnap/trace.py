@@ -235,17 +235,19 @@ def _event_from_obj(o: dict, line_no: int) -> Event:
         if kind not in EVENT_KINDS:
             raise TraceParseError(line_no, f"unknown event kind {kind!r}")
         step, pid, obj, op = o["step"], o.get("pid"), o.get("obj"), o.get("op")
-        # The checkers compare steps, hash pids and read object ids as text.
+        # The checkers compare steps, sort pids and read object ids as text.
+        # Only a commit is made by no process.
         if not (
             type(step) is int
-            and (pid is None or type(pid) is int)
+            and (type(pid) is int or pid is None and kind == "commit_batch")
             and (obj is None or type(obj) is str)
             and (op is None or type(op) is str)
         ):
             raise TraceParseError(
                 line_no,
                 f"bad event: step {step!r} must be an int, pid {pid!r} an int "
-                f"or null, obj {obj!r} and op {op!r} strings or null",
+                f"or null (null only on a commit_batch), obj {obj!r} and op "
+                f"{op!r} strings or null",
             )
         return Event(  # positional: cheaper than keywords, once per event
             step,

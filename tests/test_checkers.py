@@ -4,6 +4,8 @@ witness and nothing else, plus trace well-formedness validation."""
 from __future__ import annotations
 
 import dataclasses
+import json
+import random
 import re
 from functools import partial
 
@@ -12,6 +14,7 @@ import pytest
 from kisnap import (
     Event,
     Trace,
+    TraceParseError,
     build_simulation,
     enumerate_runs,
     make_instance,
@@ -19,6 +22,7 @@ from kisnap import (
     run_random,
     standard_reports,
     trace_from_jsonl,
+    trace_to_jsonl,
     validate_trace,
 )
 from kisnap.checkers import (
@@ -27,6 +31,7 @@ from kisnap.checkers import (
     Verdict,
     _record,
     _scan,
+    check_consensus_linearizable,
     check_is,
     check_theorem1,
     check_xsa,
@@ -171,6 +176,29 @@ def test_empty_history_passes_vacuously():
     assert any("vacuous" in note for note in report.notes)
 
 
+@pytest.mark.parametrize(
+    "checker",
+    [
+        partial(check_theorem1, obj=OBJ, k=1),
+        partial(check_consensus_linearizable, obj=OBJ),
+    ],
+    ids=["theorem1", "consensus"],
+)
+def test_unanswered_object_passes_vacuously(checker):
+    """An object invoked but never answered, its invoker crashed, gives the
+    response checks nothing to judge."""
+    report = checker(mk_trace([inv(1, "a"), crash(1)]))
+    assert report.passed
+    assert "no responses" in report.notes[0] and "vacuously" in report.notes[0]
+
+
+def test_respond_without_invoke_fails_self_inclusion():
+    report = check_is(mk_trace([resp(1, view((1, "a")))]), OBJ)
+    assert report.verdicts["self_inclusion"] == Verdict(
+        False, "process 1 responded on o without invoking"
+    )
+
+
 def test_double_invoke_flagged():
     report = check_is(mk_trace([inv(1, "a"), inv(1, "a2")]), OBJ, k=2)
     assert not report.verdicts["one_shot"].ok
@@ -244,6 +272,77 @@ def test_checkers_judge_views_that_name_a_pid_twice():
                 assert all(isinstance(p, str) for p in validate_trace(mutant))
                 assert not check_is(mutant, obj).verdicts["validity"].ok
     assert mutants == 353
+
+
+# ── Edited trace files ───────────────────────────────────────────────────────
+#
+# A trace file from outside may hold any edit of a real run. Each edit
+# either fails to decode or is judged: no checker raises past its
+# documented errors.
+
+# What an edit writes into an args or ret: scalars, arrays, an empty view,
+# views that repeat a pid, carry a string pid or nest a view.
+EDIT_VALUES = (
+    0, 7, "x", None, True, 1.5, [1, 2], [[1, 0]], {"view": []},
+    {"view": [[1, 0], [1, "x"]]}, {"view": [["1", 0]]},
+    {"view": [[2, {"view": [[1, 0]]}]]},
+)
+
+
+def _edit(rng: random.Random, events: list[dict], n: int) -> None:
+    """One random edit of a run's parsed event lines, in place: an args or
+    ret replaced by another JSON value (one of `EDIT_VALUES` or one the run
+    holds), a pid changed (null included), an event dropped, or two events
+    swapped."""
+    i = rng.randrange(len(events))
+    op = rng.randrange(4)
+    if op == 0:
+        donor = rng.choice(events)
+        value = rng.choice([*EDIT_VALUES, donor["args"], donor["ret"]])
+        events[i] = {**events[i], rng.choice(("args", "ret")): value}
+    elif op == 1:
+        events[i] = {**events[i], "pid": rng.choice([None, *range(n + 2)])}
+    elif op == 2 and len(events) > 1:
+        del events[i]
+    else:
+        j = rng.randrange(len(events))
+        events[i], events[j] = events[j], events[i]
+
+
+def test_checkers_judge_every_decodable_edit_of_a_run():
+    """Seeded runs of every catalog algorithm, written and parsed back, each
+    get one to three edits, 15 times: the edited file fails to decode with
+    a `TraceParseError`, or `standard_reports`, `check_theorem1` on every
+    object and `validate_trace` answer it."""
+    rng = random.Random(0)
+    undecodable = judged = 0
+    for algo in sorted(CATALOG):
+        inst = make_instance(algo, 4, 2, 3)
+        for seed in range(20):
+            text = trace_to_jsonl(run_random(inst, seed).trace)
+            config, *events, end = [json.loads(line) for line in text.splitlines()]
+            for _ in range(15):
+                edited = list(events)
+                for _ in range(rng.randint(1, 3)):
+                    _edit(rng, edited, inst.n)
+                lines = [json.dumps(o) for o in (config, *edited, end)]
+                try:
+                    mutant = trace_from_jsonl("\n".join(lines))
+                except TraceParseError:
+                    undecodable += 1
+                    continue
+                judged += 1
+                reports = _report_or_documented_error(standard_reports, mutant)
+                assert reports is None or all(
+                    isinstance(r, CheckReport) for r in reports
+                )
+                for obj in mutant.meta["objects"]:
+                    report = _report_or_documented_error(
+                        check_theorem1, mutant, obj, mutant.k or 1
+                    )
+                    assert report is None or isinstance(report, CheckReport)
+                assert all(isinstance(p, str) for p in validate_trace(mutant))
+    assert (undecodable, judged) == (164, 2236)
 
 
 # ── Trace well-formedness validation ─────────────────────────────────────────

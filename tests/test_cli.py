@@ -8,7 +8,16 @@ import json
 
 import pytest
 
-from kisnap import cli, read_schedule, read_trace, simulation, write_schedule
+from kisnap import (
+    Event,
+    Trace,
+    cli,
+    read_schedule,
+    read_trace,
+    simulation,
+    write_schedule,
+    write_trace,
+)
 from kisnap.cli import main
 from kisnap.reductions import CATALOG
 
@@ -76,6 +85,18 @@ def test_truncated_run_prints_unscheduled_processes_as_unfinished(tmp_path, caps
     assert trace.outcomes == {1: ("blocked",), 2: ("blocked",), 3: ("blocked",)}
 
 
+def test_blocked_run_prints_quiescent(capsys):
+    """At seed 30 the strawman's two crashes leave its survivors waiting for
+    n-k values forever: the run ends quiescent, which is not a failure."""
+    assert main([
+        "run", "--algo", "naive", "--n", "4", "--t", "2", "--k", "1",
+        "--seed", "30",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "p1: blocked" in out and "p3: crashed" in out
+    assert "flags: quiescent" in out
+
+
 def test_explore_reports_counts_and_summary(tmp_path, capsys):
     out_file = tmp_path / "summary.json"
     rc = main([
@@ -133,6 +154,12 @@ def test_matrix_exhaustive(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     report = json.loads(out_file.read_text())
     assert report["passed"] is True
+
+
+def test_matrix_progress_prints_each_cell(capsys):
+    assert main(["matrix", "--n", "3", "--exhaustive", "--progress"]) == 0
+    out = capsys.readouterr().out
+    assert "  cell t=2 k=2: bound=3 observed=3 trials=2140 violations=0" in out
 
 
 def test_check_subcommand_on_stored_trace(tmp_path, capsys):
@@ -273,6 +300,20 @@ def test_equivalence(capsys):
     rc = main(["equivalence", "--trials", "5"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_equivalence_lists_failing_trials(capsys, monkeypatch):
+    """Under an alg1 mutant that decides its own input, direction B's runs
+    disagree: the report lists each failing trial and the command exits 1."""
+    mutant = dataclasses.replace(CATALOG["alg1"], program=_alg1_decides_own_input)
+    monkeypatch.setitem(CATALOG, "alg1", mutant)
+    assert main(["equivalence", "--trials", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["failures"]
+    assert all(
+        line.startswith("alg1_single_decision trial ") for line in report["failures"]
+    )
 
 
 def test_bad_parameters_exit_2(capsys):
@@ -611,6 +652,32 @@ def test_run_check_applies_the_validator(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[well-formed] object trace: FAIL" in out
     assert "well_formed: FAIL -- stub problem" in out
+
+
+def test_check_rejects_an_invoke_without_a_pid(tmp_path, capsys):
+    """Only a commit is made by no process: a trace where p1 and a null pid
+    both invoke `o` and get {(1, 0)} writes, but reading it back fails at
+    the null pid's invoke, and `check` exits 2 naming that line."""
+    view = frozenset({(1, 0)})
+    trace = Trace(
+        n=3, t=1, k=1,
+        events=[
+            Event(0, "invoke", 1, "o", "write_snapshot_k", 0),
+            Event(1, "invoke", None, "o", "write_snapshot_k", 0),
+            Event(2, "respond", 1, "o", "write_snapshot_k", None, view),
+            Event(3, "respond", None, "o", "write_snapshot_k", None, view),
+        ],
+        outcomes={},
+        meta={"objects": ["o"]},
+    )
+    trace_file = tmp_path / "t.jsonl"
+    write_trace(trace_file, trace)
+    for kind in ("is", "theorem1"):
+        argv = ["check", "--trace", str(trace_file), "--kind", kind, "--obj", "o"]
+        assert main([*argv, "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 3: bad event" in err
+        assert "pid None an int or null (null only on a commit_batch)" in err
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,13 @@ from kisnap.core import (
     initial_world,
 )
 from kisnap.objects import kis_once
-from kisnap.primitives import Announce, ScanStep, WriteStep
+from kisnap.primitives import (
+    Announce,
+    ConsProposeStep,
+    KisInvokeStep,
+    ScanStep,
+    WriteStep,
+)
 from kisnap.reductions import CATALOG
 from kisnap.simulation import build_simulation
 
@@ -214,6 +220,8 @@ def test_trace_jsonl_roundtrip_is_byte_identical():
     trace = run_random(inst, 7).trace
     text = trace_to_jsonl(trace)
     assert trace_to_jsonl(trace_from_jsonl(text)) == text
+    # Blank lines, between events or anywhere else, are skipped.
+    assert trace_from_jsonl(text.replace("\n", "\n\n  \n")) == trace
 
 
 def test_roundtrip_preserves_views_and_outcomes():
@@ -349,15 +357,29 @@ def _yields(ctx, step):
 
 
 @pytest.mark.parametrize(
-    "step", [WriteStep("nope", 1), ScanStep("nope")], ids=["write", "scan"]
+    "step, message",
+    [
+        (WriteStep("nope", 1), "unknown register array 'nope'"),
+        (ScanStep("nope"), "unknown register array 'nope'"),
+        (KisInvokeStep("nope", 1), "unknown k-IS object 'nope'"),
+        (ConsProposeStep("nope", 1), "unknown consensus object 'nope'"),
+    ],
+    ids=["write", "scan", "invoke", "propose"],
 )
-def test_step_on_an_undeclared_array_is_rejected(step):
+def test_step_on_an_undeclared_array_is_rejected(step, message):
+    """A step on an array or object the instance does not declare."""
     programs = {pid: partial(_yields, step=step) for pid in (1, 2)}
     inst = Instance(2, 0, None, programs, arrays=("a",))
-    with pytest.raises(SimError, match="unknown register array 'nope'"):
+    with pytest.raises(SimError, match=message):
         run_random(inst, 0)
-    with pytest.raises(SimError, match="unknown register array 'nope'"):
+    with pytest.raises(SimError, match=message):
         sum(1 for _ in enumerate_runs(inst, reduced=True))
+
+
+def test_commit_on_an_undeclared_object_is_rejected():
+    world, _ = initial_world(toy_instance(toy_one_write))
+    with pytest.raises(SimError, match="unknown k-IS object 'nope'"):
+        apply_action(world, ("commit", "nope", (1,)))
 
 
 # ── Parked processes and world equality ─────────────────────────────────────

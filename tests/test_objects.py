@@ -23,10 +23,11 @@ from kisnap import (
     make_instance,
     run,
 )
+from kisnap import core
 from kisnap.checkers import check_is, object_history
 from kisnap.core import initial_world
 from kisnap.objects import consensus_propose, kis_commit_batch, kis_invoke, kis_once
-from kisnap.reductions import default_inputs
+from kisnap.reductions import default_inputs, standard_reports
 from kisnap.trace import RETURNED
 
 
@@ -300,6 +301,30 @@ def test_kis_oracle_spec_test_catches_gate_mutants(monkeypatch, shift):
         lambda st: max(1, st.floor + shift - len(st.view)),
     )
     assert _oracle_mismatches() != []
+
+
+def _forgetful_commit(st, batch, crashed):
+    """A k-IS mutant: a class that alone reaches the floor n-k is released
+    without the earlier classes, so views are no longer cumulative."""
+    new_st, view, releases = kis_commit_batch(st, batch, crashed)
+    own = frozenset((p, st.pending[p]) for p in batch)
+    if len(own) >= st.floor:
+        return new_st, own, [(p, own) for p, _ in releases]
+    return new_st, view, releases
+
+
+def test_containment_mutant_reaches_the_checkers(monkeypatch):
+    """alg1 does not judge view containment itself: under an object that
+    breaks it, the reduced walk still yields every leaf, and `check_is`
+    reports the broken containment."""
+    monkeypatch.setattr(core, "kis_commit_batch", _forgetful_commit)
+    leaves = failing = 0
+    for trace in enumerate_runs(make_instance("alg1", 3, 2, 2), reduced=True):
+        leaves += 1
+        if not check_is(trace, "kis", k=2).verdicts["containment"].ok:
+            failing += 1
+            assert not all(r.passed for r in standard_reports(trace))
+    assert (leaves, failing) == (2140, 1764)
 
 
 # ── Consensus oracle ─────────────────────────────────────────────────────────

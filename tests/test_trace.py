@@ -85,6 +85,12 @@ def test_malformed_schedule_line_raises_parse_error(line):
         ([CONFIG, END, END], 3),
         ([CONFIG, END, EVENT % "1"], 3),
         ([END, CONFIG, END], 1),
+        ([CONFIG, EVENT.replace('"pid":1', '"pid":null') % "1", END], 2),
+        ([CONFIG, '{"step":0,"kind":"respond","obj":"o","op":"snap","ret":1}', END], 2),
+        ([CONFIG, EVENT % "1", '{"step":1,"kind":"crash","pid":null}', END], 3),
+        ([CONFIG, '{"step":0,"kind":"blocked"}', END], 2),
+        ([CONFIG, '{"step":0,"kind":"reg_write","obj":"a","op":"write","args":1}', END], 2),
+        ([EVENT % "1", CONFIG, END], 1),
     ],
 )
 def test_malformed_trace_raises_parse_error(lines, line_no):
