@@ -150,17 +150,15 @@ def _resume(
     program: Program, ctx: Ctx, history: tuple, gen, result
 ) -> ProgramState:
     """Send `result` to `gen` and run it to its next step or its return."""
-    announces: list[Announce] = []
+    announces: tuple[Announce, ...] = ()
     try:
         item = gen.send(result)
         while type(item) is Announce:
-            announces.append(item)
+            announces += (item,)
             item = gen.send(None)
     except StopIteration as stop:
-        return ProgramState(
-            program, ctx, history, tuple(announces), None, stop.value, None
-        )
-    return ProgramState(program, ctx, history, tuple(announces), item, None, gen)
+        return ProgramState(program, ctx, history, announces, None, stop.value, None)
+    return ProgramState(program, ctx, history, announces, item, None, gen)
 
 
 def _replay(program: Program, ctx: Ctx, history: tuple):
@@ -212,17 +210,11 @@ class World:
 
 
 def _announce_events(announces: tuple[Announce, ...], pid: int) -> list[Event]:
+    """The events of `pid`'s announces, unstamped; an announce with no pid
+    of its own is the acting process's."""
     return [
-        Event(
-            step=-1,
-            kind=a.kind,
-            pid=a.pid if a.pid is not None else pid,
-            obj=a.obj,
-            op=a.op,
-            args=a.args,
-            ret=a.ret,
-        )
-        for a in announces
+        Event(-1, kind, pid if by is None else by, obj, op, args, ret)
+        for kind, obj, op, args, ret, by in announces
     ]
 
 
@@ -265,23 +257,26 @@ def _invoke_refused(world: World, step: KisInvokeStep):
     return _NO_PID if st is None else st.pending
 
 
-# The guard of each guarded step class, keyed by exact type, with the number
-# of leading record fields it reads: (array, min_filled) of a scan, the
-# object of an invoke. A write, a propose and an unknown step have no
+# The guard of each guarded step class, keyed by exact type, with the key
+# its verdict is shared under: None when the guard reads every field, so
+# the record is its own key, as a scan's (array, min_filled) is; else the
+# index of the one field it reads, an invoke's object, a string that never
+# equals a scan record. A write, a propose and an unknown step have no
 # guard: they are always ready, so stepping an unknown one reaches
 # `_apply_step`, which raises.
 _GUARDS = {
-    ScanStep: (_scan_refused, 2),
-    KisInvokeStep: (_invoke_refused, 1),
+    ScanStep: (_scan_refused, None),
+    KisInvokeStep: (_invoke_refused, 0),
 }
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid:
     a scan has its registers filled, and an invoke is not already
-    parked in its k-IS object. A process whose record has the class of the
-    previous guarded process's and agrees with it on the fields the guard
-    reads takes that process's refused pids.
+    parked in its k-IS object. Each guard runs once per distinct key
+    (`_GUARDS`) in one call, and every process waiting on that key takes
+    its refused pids; nothing is kept from one world to the next but the
+    menu itself.
 
     The menu is computed once per world and kept in `world.steps`, which a
     crash child inherits less the crashed pid (`_apply_crash`); every call
@@ -291,24 +286,22 @@ def enabled_step_actions(world: World) -> list[tuple]:
         return steps[:]
     crashed = world.crashed
     guards = _GUARDS
+    refusals: dict = {}  # guard key -> the pids its guard refuses
     out = []
-    cls = key = None
-    width = 0
     for pid, p in enumerate(world.procs, 1):
         step = p.step
         if step is None or pid in crashed:
             continue
-        if type(step) is not cls or step[:width] != key:
-            entry = guards.get(type(step))
-            if entry is None:
-                out.append(("step", pid))
+        entry = guards.get(type(step))
+        if entry is not None:
+            guard, field = entry
+            key = step if field is None else step[field]
+            refused = refusals.get(key)
+            if refused is None:
+                refused = refusals[key] = guard(world, step)
+            if pid in refused:
                 continue
-            guard, width = entry
-            cls = type(step)
-            key = step[:width]
-            refused = guard(world, step)
-        if pid not in refused:
-            out.append(("step", pid))
+        out.append(("step", pid))
     world.steps = out
     return out[:]
 
@@ -363,7 +356,7 @@ def apply_action(world: World, action: tuple) -> tuple[World, list[Event]]:
     if kind == "step":
         return _apply_step(world, action[1])
     if kind == "commit":
-        return _apply_commit(world, action[1], tuple(action[2]))
+        return _apply_commit(world, action[1], action[2])
     if kind == "crash":
         return _apply_crash(world, action[1])
     raise SimError(f"unknown action {action!r}")
@@ -429,18 +422,17 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     return World(world.t, tuple(slots), regs, kis, cons, crashed), events
 
 
-def _apply_commit(
-    world: World, obj: str, batch: tuple[int, ...]
-) -> tuple[World, list[Event]]:
+def _apply_commit(world: World, obj: str, batch) -> tuple[World, list[Event]]:
+    """Commit `batch`, in any order, as the next class of `obj`: it is
+    sorted once, so its event and its releases follow pid order."""
     try:
         st = world.kis[obj]
     except KeyError:
         raise SimError(f"unknown k-IS object {obj!r}") from None
+    batch = tuple(sorted(batch))
     new_st, view, releases = kis_commit_batch(st, batch, world.crashed)
     kis = {**world.kis, obj: new_st}
-    events = [
-        Event(-1, "commit_batch", None, obj, "commit", tuple(sorted(batch)), view)
-    ]
+    events = [Event(-1, "commit_batch", None, obj, "commit", batch, view)]
     procs = list(world.procs)
     for pid, delivered in releases:
         events.append(

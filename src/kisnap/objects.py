@@ -65,27 +65,30 @@ def kis_commit_batch(
     """Commit `batch` as the next concurrency class.
 
     Returns (new state, cumulative view, releases), where releases lists the
-    (pid, view) deliveries for non-crashed batch members in pid order. Every
+    (pid, view) deliveries for non-crashed batch members in batch order,
+    which is pid order for the sorted batches the simulator commits. Every
     released process sees the same cumulative view: the union of all classes
     committed so far, which is what makes the class sequence a valid
     set-linearization.
     """
-    pids = tuple(sorted(batch))
     pending = st.pending
-    if not pids:
+    if not batch:
         raise ObjectError("empty commit batch")
-    if len(set(pids)) != len(pids):
-        raise ObjectError(f"duplicate pids in batch {pids}")
-    if not all(p in pending for p in pids):
-        raise ObjectError(f"batch {pids} not a subset of pending {sorted(pending)}")
-    if len(pids) < st.min_batch_size():
+    members = set(batch)
+    if len(members) != len(batch):
+        raise ObjectError(f"duplicate pids in batch {tuple(sorted(batch))}")
+    if not pending.keys() >= members:
         raise ObjectError(
-            f"batch of {len(pids)} violates output-size gate "
+            f"batch {tuple(sorted(batch))} not a subset of pending {sorted(pending)}"
+        )
+    if len(batch) < st.min_batch_size():
+        raise ObjectError(
+            f"batch of {len(batch)} violates output-size gate "
             f"(need cumulative >= {st.floor})"
         )
-    view = st.view | frozenset((p, pending[p]) for p in pids)
-    releases = [(p, view) for p in pids if p not in crashed]
-    rest = {p: v for p, v in pending.items() if p not in pids}
+    view = st.view | frozenset([(p, pending[p]) for p in batch])
+    releases = [(p, view) for p in batch if p not in crashed]
+    rest = {p: v for p, v in pending.items() if p not in members}
     return KisState(st.floor, rest, view), view, releases
 
 

@@ -28,6 +28,7 @@ from kisnap import (
 )
 from kisnap.checkers import check_is, check_theorem1
 from kisnap.cli import main
+from kisnap.experiments import trial_seed
 from kisnap.trace import schedule_to_jsonl
 
 from corpus import (
@@ -87,6 +88,12 @@ DEPTH_BOUNDED_ALG1_3_2_2 = (
     "71f32c3236b1ba3103e31a5a780758147420505f5973d868ead1ea054041118d"
 )
 
+# Trials 0 and 1 of all 55 cells of the seeded n=11 alg1 sweep, by the
+# trial seeds of `run_matrix` at seed 0, cell after cell.
+MATRIX_N11_TRIALS = (
+    "3148245f6baf7c3455ae716dc5a0ef6aaf5d2047f0c57744e7937e08e8b9ca4e"
+)
+
 # Two-simulator runs of alg1_variant: the seeded runs of every (n, t, k)
 # below, case after case, and the reduced exhaustive leaves at (4, 2, 2).
 SIMULATION_CASES = ((4, 2, 2), (4, 3, 3), (5, 3, 3))
@@ -117,6 +124,21 @@ def _seeded_chunks(algo, n, t, k, initial_crashes):
 def test_seeded_runs_match_golden_digest(case):
     *spec, want = SEEDED[case]
     assert _sha(_seeded_chunks(*spec)) == want
+
+
+def _matrix_n11_chunks():
+    n = 11
+    for t in range(1, n):
+        for k in range(t, n):
+            inst = make_instance("alg1", n, t, k)
+            for i in range(2):
+                res = run_random(inst, trial_seed(0, n, t, k, i))
+                yield trace_to_jsonl(res.trace)
+                yield schedule_to_jsonl(res.actions)
+
+
+def test_seeded_matrix_n11_trials_match_golden_digest():
+    assert _sha(_matrix_n11_chunks()) == MATRIX_N11_TRIALS
 
 
 def test_reduced_exhaustive_leaves_match_golden_digest():

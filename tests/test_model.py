@@ -668,9 +668,28 @@ def step_menus_by_definition(monkeypatch):
     return compared
 
 
-@pytest.mark.parametrize("algo", sorted(SEEDED_CELLS))
-def test_shared_guard_verdicts_match_per_process_guards(algo, step_menus_by_definition):
-    inst = make_instance(algo, *SEEDED_CELLS[algo])
+# The seeded benchmark's cells: alg1 across the n=11 sweep, and the
+# replayed composition.
+BENCHMARK_CELLS = [
+    ("alg1", (11, 1, 1)),
+    ("alg1", (11, 5, 7)),
+    ("alg1", (11, 10, 10)),
+    ("alg1_over_alg2", (7, 3, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "algo,ntk",
+    [pytest.param(algo, SEEDED_CELLS[algo], id=algo) for algo in sorted(SEEDED_CELLS)]
+    + [
+        pytest.param(algo, ntk, id="{}_{}_{}_{}".format(algo, *ntk))
+        for algo, ntk in BENCHMARK_CELLS
+    ],
+)
+def test_shared_guard_verdicts_match_per_process_guards(
+    algo, ntk, step_menus_by_definition
+):
+    inst = make_instance(algo, *ntk)
     for seed in range(12):
         run_random(inst, seed)
     assert step_menus_by_definition.total() > 12
@@ -695,6 +714,26 @@ def test_shared_guard_verdicts_tell_scans_of_one_array_apart(step_menus_by_defin
     # Runs where a victim crashed before its write end with the even pids
     # blocked: their scans were refused while their odd neighbours' were not.
     assert any("blocked" in o for o in outcomes)
+
+
+def test_apply_action_rechecks_a_scan_guard():
+    """A scan refused by its guard is refused when it is applied, whether
+    or not the world's step menu was asked for, and when a replay plays it."""
+    inst = toy_instance(_toy_two_scans, n=5, t=1, arrays=("a",))
+    schedule = [("step", 1), ("step", 2), ("step", 2)]
+    world, _ = initial_world(inst)
+    for action in schedule[:2]:
+        world, _ = apply_action(world, action)
+    # p2 has written and scans with min_filled=5; two cells are filled.
+    assert world.procs[1].step == ScanStep("a", 5)
+    message = "step guard not satisfied for process 2"
+    with pytest.raises(SimError, match=message):
+        apply_action(world, ("step", 2))
+    assert ("step", 2) not in enabled_step_actions(world)
+    with pytest.raises(SimError, match=message):
+        apply_action(world, ("step", 2))
+    with pytest.raises(SimError, match=message):
+        run(inst, ReplaySchedule(schedule))
 
 
 @pytest.mark.parametrize(

@@ -93,16 +93,39 @@ def test_double_invoke_raises():
 
 
 def test_commit_batch_must_be_pending():
+    """Each refusal by its message, and a crashed member that is committed
+    but not released."""
     st = invoked(KisState(2), (1, "a"), (2, "b"))
-    with pytest.raises(ObjectError):
+    with pytest.raises(ObjectError, match=r"batch \(2, 3\) not a subset of pending"):
         kis_commit_batch(st, (2, 3), frozenset())
-    with pytest.raises(ObjectError):
+    with pytest.raises(ObjectError, match="empty commit batch"):
         kis_commit_batch(st, (), frozenset())
     with pytest.raises(ObjectError, match="duplicate pids"):
         kis_commit_batch(st, (1, 2, 1), frozenset())
-    st2, _, _ = kis_commit_batch(st, (1, 2), frozenset())
-    with pytest.raises(ObjectError):  # already committed
-        kis_commit_batch(st2, (1,), frozenset())
+    with pytest.raises(ObjectError, match="batch of 1 violates output-size gate"):
+        kis_commit_batch(st, (2,), frozenset())
+    st2, view, releases = kis_commit_batch(st, (1, 2), frozenset({2}))
+    assert view == frozenset({(1, "a"), (2, "b")})
+    assert releases == [(1, view)]
+    assert st2.pending == {}
+    with pytest.raises(ObjectError, match=r"batch \(1,\) not a subset of pending"):
+        kis_commit_batch(st2, (1,), frozenset())  # already committed
+
+
+def test_simulator_commits_a_batch_in_pid_order():
+    """A replayed batch in any order gives the trace of the sorted one: one
+    commit event naming the batch sorted, then the releases by pid."""
+    programs = {pid: partial(kis_once, obj="kis", value=pid) for pid in (1, 2, 3)}
+    inst = Instance(3, 1, 1, programs, kis_objects=(("kis", 1),))
+    steps = [("step", 1), ("step", 2), ("step", 3)]
+    traces = [
+        run(inst, ReplaySchedule([*steps, ("commit", "kis", batch)])).trace
+        for batch in ((3, 1, 2), (1, 2, 3))
+    ]
+    assert traces[0].events == traces[1].events
+    commit, *responds = traces[0].events[3:]
+    assert commit.args == (1, 2, 3)
+    assert [e.pid for e in responds] == [1, 2, 3]
 
 
 def test_object_parameter_bounds():
