@@ -39,12 +39,13 @@ from .explore import enumerate_runs
 from .reductions import CATALOG, make_instance, standard_reports
 from .simulation import (
     INNER_ALGO,
-    _check_inner_trace,
     build_simulation,
     check_simulation_trace,
     extract_inner_trace,
 )
 from .trace import (
+    BLOCKED,
+    RETURNED,
     read_schedule,
     read_trace,
     value_to_json,
@@ -66,9 +67,9 @@ def _parse_inputs(text: str | None, n: int):
 def _print_outcomes(trace) -> None:
     for pid in sorted(trace.outcomes):
         out = trace.outcomes[pid]
-        if out[0] == "returned":
+        if out[0] == RETURNED:
             print(f"  p{pid}: returned {out[1]!r}")
-        elif out[0] == "blocked" and trace.truncated:
+        elif out[0] == BLOCKED and trace.truncated:
             print(f"  p{pid}: unfinished (run truncated)")
         else:
             print(f"  p{pid}: {out[0]}")
@@ -220,8 +221,8 @@ def _cmd_simulate(args) -> int:
         )
         return 0 if found.failed == 0 else 1
     outer = run_random(inst, args.seed).trace
+    reports = check_simulation_trace(outer)
     inner = extract_inner_trace(outer)
-    reports = _check_inner_trace(outer, inner)
     print(f"simulators decided: {outer.decisions()}")
     print(f"inner decisions:    {inner.decisions()}")
     for rep in reports:

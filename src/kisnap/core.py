@@ -20,7 +20,6 @@ state) always yields a bit-identical trace.
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -238,45 +237,20 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
 # ── Enabled actions ──────────────────────────────────────────────────────────
 
 
-# A guard gives the pids its step record is refused to: every pid while a
-# scan's registers are not filled, the parked pids for an invoke.
-_EVERY_PID = range(1, sys.maxsize)
-_NO_PID = frozenset()
-
-
-def _scan_refused(world: World, step: ScanStep):
+def _scan_ready(world: World, step: ScanStep) -> bool:
+    """A scan's guard: at least `min_filled` cells of its array are filled."""
     cells = world.regs.get(step.array)
     if cells is None:
         raise SimError(f"unknown register array {step.array!r}")
-    full = len(cells) - cells.count(BOTTOM) >= step.min_filled
-    return _NO_PID if full else _EVERY_PID
-
-
-def _invoke_refused(world: World, step: KisInvokeStep):
-    st = world.kis.get(step.obj)
-    return _NO_PID if st is None else st.pending
-
-
-# The guard of each guarded step class, keyed by exact type, with the key
-# its verdict is shared under: None when the guard reads every field, so
-# the record is its own key, as a scan's (array, min_filled) is; else the
-# index of the one field it reads, an invoke's object, a string that never
-# equals a scan record. A write, a propose and an unknown step have no
-# guard: they are always ready, so stepping an unknown one reaches
-# `_apply_step`, which raises.
-_GUARDS = {
-    ScanStep: (_scan_refused, None),
-    KisInvokeStep: (_invoke_refused, 0),
-}
+    return len(cells) - cells.count(BOTTOM) >= step.min_filled
 
 
 def enabled_step_actions(world: World) -> list[tuple]:
     """("step", pid) for every process with a guard-enabled step, by pid:
-    a scan has its registers filled, and an invoke is not already
-    parked in its k-IS object. Each guard runs once per distinct key
-    (`_GUARDS`) in one call, and every process waiting on that key takes
-    its refused pids; nothing is kept from one world to the next but the
-    menu itself.
+    a scan has its registers filled, and an invoke is not already parked
+    in its k-IS object. Scans of one record share one verdict per call. A
+    write, a propose and an unknown step have no guard, so stepping an
+    unknown one reaches `_apply_step`, which raises.
 
     The menu is computed once per world and kept in `world.steps`, which a
     crash child inherits less the crashed pid (`_apply_crash`); every call
@@ -284,22 +258,23 @@ def enabled_step_actions(world: World) -> list[tuple]:
     steps = world.steps
     if steps is not None:
         return steps[:]
-    crashed = world.crashed
-    guards = _GUARDS
-    refusals: dict = {}  # guard key -> the pids its guard refuses
+    crashed, kis = world.crashed, world.kis
+    scans: dict = {}  # scan record -> its guard's verdict in this world
     out = []
     for pid, p in enumerate(world.procs, 1):
         step = p.step
         if step is None or pid in crashed:
             continue
-        entry = guards.get(type(step))
-        if entry is not None:
-            guard, field = entry
-            key = step if field is None else step[field]
-            refused = refusals.get(key)
-            if refused is None:
-                refused = refusals[key] = guard(world, step)
-            if pid in refused:
+        cls = type(step)
+        if cls is ScanStep:
+            ready = scans.get(step)
+            if ready is None:
+                ready = scans[step] = _scan_ready(world, step)
+            if not ready:
+                continue
+        elif cls is KisInvokeStep:
+            st = kis.get(step.obj)
+            if st is not None and pid in st.pending:
                 continue
         out.append(("step", pid))
     world.steps = out
@@ -371,10 +346,6 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
     if step is None:
         raise SimError(f"process {pid} has no enabled step")
     cls = type(step)
-    # A parked process keeps its invoke step; its guard refuses it.
-    entry = _GUARDS.get(cls)
-    if entry is not None and pid in entry[0](world, step):
-        raise SimError(f"step guard not satisfied for process {pid}: {step}")
     events: list[Event]
 
     if cls is WriteStep:
@@ -387,6 +358,8 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
         result = None
 
     elif cls is ScanStep:
+        if not _scan_ready(world, step):
+            raise SimError(f"step guard not satisfied for process {pid}: {step}")
         result = regs[step.array]
         events = [Event(-1, "reg_read", pid, step.array, "scan", None, result)]
 
@@ -395,6 +368,9 @@ def _apply_step(world: World, pid: int) -> tuple[World, list[Event]]:
             st = kis[step.obj]
         except KeyError:
             raise SimError(f"unknown k-IS object {step.obj!r}") from None
+        # A parked process keeps its invoke step until its batch commits.
+        if pid in st.pending:
+            raise SimError(f"step guard not satisfied for process {pid}: {step}")
         kis = {**kis, step.obj: kis_invoke(st, pid, step.value)}
         events = [
             Event(-1, "invoke", pid, step.obj, "write_snapshot_k", step.value)

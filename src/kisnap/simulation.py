@@ -310,12 +310,7 @@ def check_simulation_trace(outer: Trace) -> list[CheckReport]:
     instant had at least n-k processes inside an operation on it. The
     verdict's text gives the peak and the step where it is first reached,
     whether it passes or fails."""
-    return _check_inner_trace(outer, extract_inner_trace(outer))
-
-
-def _check_inner_trace(outer: Trace, inner: Trace) -> list[CheckReport]:
-    """`check_simulation_trace` on `inner`, the trace already extracted
-    from `outer`."""
+    inner = extract_inner_trace(outer)
     n, k = inner.n, inner.k
     reports = []
     for obj in outer.meta.get("inner_objects", ()):

@@ -297,6 +297,14 @@ def _outcome_from_json(out: object) -> tuple:
     raise ValueError(f"bad outcome {out!r}")
 
 
+def _pid_key(key: str) -> int:
+    """The pid an outcome key names, written as `str(pid)` writes it."""
+    pid = int(key)
+    if key != str(pid):
+        raise ValueError(f"pid key {key!r} is not written as {str(pid)!r}")
+    return pid
+
+
 def trace_from_jsonl(text: str) -> Trace:
     header = None
     footer = None
@@ -324,9 +332,12 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise TraceParseError(line_no, f"malformed config: {raw}")
             header = o
         elif o["kind"] == "end":
+            for flag in ("truncated", "quiescent"):
+                if type(o.get(flag, False)) is not bool:
+                    raise TraceParseError(line_no, f"{flag} is not a boolean: {raw}")
             try:
                 outcomes = {
-                    int(p): _outcome_from_json(out)
+                    _pid_key(p): _outcome_from_json(out)
                     for p, out in o.get("outcomes", {}).items()
                 }
             except (AttributeError, TypeError, ValueError) as exc:

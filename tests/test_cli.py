@@ -251,8 +251,9 @@ def test_matrix_writes_a_witness_that_check_rejects(tmp_path, capsys, monkeypatc
 
 
 def test_simulate_seeded(tmp_path, capsys, monkeypatch):
-    """The seeded run extracts its inner trace once, to check, print and
-    write it."""
+    """The seeded run checks the inner trace it prints and writes:
+    `check_simulation_trace` extracts one copy and the command another,
+    and the two are equal."""
     extracted = []
     extract = simulation.extract_inner_trace
 
@@ -270,8 +271,8 @@ def test_simulate_seeded(tmp_path, capsys, monkeypatch):
     assert rc == 0
     out = capsys.readouterr().out
     assert "simulators decided" in out
-    assert len(extracted) == 1
-    assert read_trace(f"{prefix}.inner.jsonl") == extracted[0]
+    assert len(extracted) == 2
+    assert extracted[0] == extracted[1] == read_trace(f"{prefix}.inner.jsonl")
 
 
 def test_simulate_prints_decisions_in_pid_order(capsys):

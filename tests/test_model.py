@@ -34,6 +34,7 @@ from kisnap.core import (
 )
 from kisnap.objects import kis_once
 from kisnap.primitives import (
+    BOTTOM,
     Announce,
     ConsProposeStep,
     KisInvokeStep,
@@ -393,13 +394,14 @@ def test_parked_process_is_enabled_again_only_after_its_commit():
     world, _ = initial_world(inst)
     world, _ = apply_action(world, ("step", 1))
     assert enabled_step_actions(world) == [("step", 2)]
-    with pytest.raises(SimError):
+    refused = "step guard not satisfied for process 1"
+    with pytest.raises(SimError, match=refused):
         apply_action(world, ("step", 1))
     world, _ = apply_action(world, ("step", 2))
     assert enabled_step_actions(world) == []
     world, _ = apply_action(world, ("commit", "kis", (2,)))
     assert enabled_step_actions(world) == [("step", 2)]
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match=refused):
         apply_action(world, ("step", 1))
     world, _ = apply_action(world, ("commit", "kis", (1,)))
     assert enabled_step_actions(world) == [("step", 1), ("step", 2)]
@@ -628,15 +630,22 @@ def test_replay_of_a_program_that_ends_early_names_the_process():
 
 
 def _step_actions_by_definition(world):
-    """`enabled_step_actions` with every process's guard run on its own."""
+    """`enabled_step_actions` by the model, each process on its own: a scan
+    waits until `min_filled` cells of its array are filled, and an invoke
+    waits while its process is pending in the k-IS object."""
     out = []
     for pid, p in enumerate(world.procs, 1):
         step = p.step
         if step is None or pid in world.crashed:
             continue
-        entry = core._GUARDS.get(type(step))
-        if entry is None or pid not in entry[0](world, step):
-            out.append(("step", pid))
+        if type(step) is ScanStep:
+            filled = sum(cell is not BOTTOM for cell in world.regs[step.array])
+            if filled < step.min_filled:
+                continue
+        elif type(step) is KisInvokeStep:
+            if pid in world.kis[step.obj].pending:
+                continue
+        out.append(("step", pid))
     return out
 
 

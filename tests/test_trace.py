@@ -91,6 +91,13 @@ def test_malformed_schedule_line_raises_parse_error(line):
         ([CONFIG, '{"step":0,"kind":"blocked"}', END], 2),
         ([CONFIG, '{"step":0,"kind":"reg_write","obj":"a","op":"write","args":1}', END], 2),
         ([EVENT % "1", CONFIG, END], 1),
+        ([CONFIG, '{"kind":"end","outcomes":{},"truncated":"no"}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{},"truncated":null}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{},"quiescent":1}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"1_0":["crashed"]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"01":["crashed"]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{" 1":["crashed"]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"+1":["crashed"]}}'], 2),
     ],
 )
 def test_malformed_trace_raises_parse_error(lines, line_no):
