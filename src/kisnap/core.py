@@ -161,21 +161,16 @@ def _resume(
 
 
 def _replay(program: Program, ctx: Ctx, history: tuple):
-    """A fresh generator fed `history`, paused at the step that follows it."""
-    gen = program(ctx)
-    try:
-        item = next(gen)
-        for h in history:
-            while type(item) is Announce:
-                item = gen.send(None)
-            item = gen.send(h)
-        while type(item) is Announce:
-            item = gen.send(None)
-    except StopIteration:
-        raise SimError(
-            f"program of p{ctx.pid} ended before consuming its history"
-        ) from None
-    return gen
+    """A fresh generator fed `history`, paused at the step that follows it:
+    a new root walked along `history`, so `_resume` alone steps programs."""
+    node = program_root(program, ctx)
+    for result in history:
+        if node.step is None:
+            break
+        node = node.after(result)
+    if node.step is None:
+        raise SimError(f"program of p{ctx.pid} ended before consuming its history")
+    return node.gen
 
 
 def program_root(program: Program, ctx: Ctx) -> ProgramState:
@@ -487,13 +482,18 @@ class RandomSchedule:
 
 class ReplaySchedule:
     """Plays back a recorded action list, copied when the schedule is made,
-    then offers None; `run` raises on an illegal action."""
+    then passes each decision to `then`, or offers None without one; `run`
+    raises on an illegal action."""
 
-    def __init__(self, actions: list[tuple]):
+    def __init__(self, actions: list[tuple], then=None):
         self.actions = iter(list(actions))
+        self.then = then
 
     def choose(self, world: World) -> tuple | None:
-        return next(self.actions, None)
+        action = next(self.actions, None)
+        if action is None and self.then is not None:
+            return self.then.choose(world)
+        return action
 
 
 # ── Run loop ─────────────────────────────────────────────────────────────────
@@ -540,15 +540,13 @@ def finalize_trace(
     quiescence.
 
     A truncated run (cut off with actions still enabled) also marks
-    unfinished processes as blocked in the outcomes but is flagged
-    `truncated`, not `quiescent`.
+    unfinished processes as blocked in the outcomes but writes no blocked
+    events, so it is `truncated`, not `quiescent`.
     """
     outcomes = outcomes_of(world)
-    quiescent = False
     if not truncated:
         blocked = [p for p, o in outcomes.items() if o[0] == BLOCKED]
         if blocked:
-            quiescent = True
             _stamp(events, [Event(-1, "blocked", pid) for pid in blocked])
     return Trace(
         n=instance.n,
@@ -557,31 +555,21 @@ def finalize_trace(
         events=events,
         outcomes=outcomes,
         truncated=truncated,
-        quiescent=quiescent,
         meta=dict(instance.meta),
     )
 
 
 def run(
-    instance: Instance,
-    schedule,
-    *,
-    initial_crashes: tuple[int, ...] = (),
-    step_bound: int = DEFAULT_STEP_BOUND,
+    instance: Instance, schedule, *, step_bound: int = DEFAULT_STEP_BOUND
 ) -> RunResult:
-    """Run one schedule to quiescence/completion.
+    """Run one schedule to quiescence/completion; every action, crashes
+    included, comes from `schedule.choose`.
 
-    The run ends truncated when `step_bound` scheduler actions (initial
-    crashes included) have been applied and the schedule still offers
-    another, or when the schedule stops while a step or commit is still
-    enabled (a replayed prefix)."""
+    The run ends truncated when `step_bound` scheduler actions have been
+    applied and the schedule still offers another, or when the schedule
+    stops while a step or commit is still enabled (a replayed prefix)."""
     world, events = initial_world(instance)
     actions: list[tuple] = []
-    for pid in initial_crashes:
-        world, evs = apply_action(world, ("crash", pid))
-        _stamp(events, evs)
-        actions.append(("crash", pid))
-    truncated = False
     while True:
         action = schedule.choose(world)
         if action is None:
@@ -600,23 +588,11 @@ def run(
 
 
 def run_random(
-    instance: Instance,
-    seed: int,
-    *,
-    initial_crashes: tuple[int, ...] = (),
-    step_bound: int = DEFAULT_STEP_BOUND,
+    instance: Instance, seed: int, *, step_bound: int = DEFAULT_STEP_BOUND
 ) -> RunResult:
     """Seeded random run. The seed first samples how many processes may
-    crash, up to the budget `initial_crashes` leave, and which of the
-    others; then it drives `RandomSchedule`."""
+    crash, up to the budget t, and which; then it drives `RandomSchedule`."""
     rng = random.Random(seed)
-    budget = instance.t - len(initial_crashes)
-    count = rng.randint(0, budget) if budget > 0 else 0
-    pool = [p for p in range(1, instance.n + 1) if p not in initial_crashes]
-    victims = tuple(sorted(rng.sample(pool, count))) if count else ()
-    return run(
-        instance,
-        RandomSchedule(rng, victims),
-        initial_crashes=initial_crashes,
-        step_bound=step_bound,
-    )
+    count = rng.randint(0, instance.t) if instance.t else 0
+    victims = tuple(sorted(rng.sample(range(1, instance.n + 1), count)))
+    return run(instance, RandomSchedule(rng, victims), step_bound=step_bound)

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .checkers import PASS, CheckReport, Verdict, check_xsa
-from .core import run_random
+from .core import RandomSchedule, ReplaySchedule, run, run_random
 from .explore import enumerate_runs
 from .reductions import make_instance, standard_reports, xsa_bound
 from .trace import BLOCKED, CRASHED, RETURNED, Trace
@@ -228,18 +228,19 @@ def render_matrix(report: MatrixReport) -> str:
 
 
 def blocking_traces(n: int, t: int, k: int, seeds: int) -> Iterator[Trace]:
-    """The blocking demo's runs of the naive k-IS attempt, one per seed: t
-    seeded victims crash initially, which uses up the crash budget, and the
-    survivors run under a seeded schedule."""
+    """The blocking demo's runs of the naive k-IS attempt, one per seed: the
+    schedule first crashes t seeded victims, which uses up the crash budget,
+    then runs the survivors under a seeded random schedule."""
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
     inst = make_instance("naive", n, t, k)
     for s in range(seeds):
         rng = random.Random(trial_seed(0, "blocking", n, t, k, s))
-        victims = tuple(sorted(rng.sample(range(1, n + 1), t)))
-        yield run_random(
-            inst, trial_seed(0, "blocking-run", n, t, k, s), initial_crashes=victims
-        ).trace
+        crashes = [("crash", p) for p in sorted(rng.sample(range(1, n + 1), t))]
+        survivors = RandomSchedule(
+            random.Random(trial_seed(0, "blocking-run", n, t, k, s)), ()
+        )
+        yield run(inst, ReplaySchedule(crashes, survivors)).trace
 
 
 def _nothing_decided(tr: Trace) -> list[CheckReport]:
@@ -257,9 +258,9 @@ def run_blocking_demo(n: int = 4, t: int = 2, k: int = 1, seeds: int = 100) -> S
 
     Over `blocking_traces`, the survivors wait for n-k published values
     while only n-t < n-k can ever appear. A run fails when any process
-    returns; since `sweep` rejects truncated runs and the initial crashes
-    use up the budget, a run that passes ends quiescent with every survivor
-    blocked.
+    returns; since `sweep` rejects truncated runs and the crashes that open
+    each run use up the budget, a run that passes ends quiescent with every
+    survivor blocked.
     """
     return sweep(blocking_traces(n, t, k, seeds), _nothing_decided)
 

@@ -224,9 +224,8 @@ def extract_inner_trace(outer: Trace) -> Trace:
     prefix), synthesizes crash events for the initially crashed group and,
     at the point a simulator crashes, for its members that had not finished
     their whole program. Outcomes: returned if the member's top-level
-    respond is present, crashed as above, blocked otherwise. As in
-    `core.finalize_trace`, the trace is quiescent when some member is
-    blocked and the outer run was not truncated.
+    respond is present, crashed as above, blocked otherwise. The trace is
+    truncated when the outer run was.
     """
     meta = outer.meta
     a0, a1, d = meta["partition"]
@@ -270,7 +269,6 @@ def extract_inner_trace(outer: Trace) -> Trace:
         events=events,
         outcomes=outcomes,
         truncated=outer.truncated,
-        quiescent=(BLOCKED,) in outcomes.values() and not outer.truncated,
         meta={
             "algo": meta.get("inner_algo"),
             "extracted_from": "simulation",

@@ -61,7 +61,6 @@ class Trace:
     events: list[Event]
     outcomes: dict[int, tuple]  # pid -> (RETURNED, v) | (CRASHED,) | (BLOCKED,)
     truncated: bool = False
-    quiescent: bool = False
     meta: dict = field(default_factory=dict)
     # The checkers' state of the events (`checkers.LeafFold`), set by the
     # walk that made the trace. It serves while `events` is the list it was
@@ -69,6 +68,12 @@ class Trace:
     # events change otherwise a new list. Not part of the record: equality,
     # repr, JSONL and `dataclasses.replace` leave it out.
     fold: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def quiescent(self) -> bool:
+        """The run ended with no action enabled and some process blocked:
+        it is not truncated and some outcome is (BLOCKED,)."""
+        return not self.truncated and (BLOCKED,) in self.outcomes.values()
 
     def decisions(self) -> dict[int, object]:
         """Values of processes that returned."""
@@ -323,11 +328,17 @@ def trace_from_jsonl(text: str) -> Trace:
         if o["kind"] == "config":
             if header is not None:
                 raise TraceParseError(line_no, "duplicate config line")
+            meta = o.get("meta", {})
+            # The checkers look object ids up in the meta's `objects` list
+            # and pick their catalog entry by its `algo` name.
             if not (
                 type(o.get("n")) is int
                 and type(o.get("t")) is int
                 and (o.get("k") is None or type(o["k"]) is int)
-                and isinstance(o.get("meta", {}), dict)
+                and isinstance(meta, dict)
+                and type(objects := meta.get("objects", [])) is list
+                and all(type(x) is str for x in objects)
+                and type(meta.get("algo", "")) is str
             ):
                 raise TraceParseError(line_no, f"malformed config: {raw}")
             header = o
@@ -351,16 +362,24 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceParseError(0, "missing config line")
     if footer is None:
         raise TraceParseError(0, "missing end line")
-    return Trace(
-        n=header["n"],
+    n = header["n"]
+    outside = sorted(p for p in outcomes if not 1 <= p <= n)
+    if outside:
+        raise TraceParseError(footer_line, f"outcome pids {outside} outside 1..{n}")
+    trace = Trace(
+        n=n,
         t=header["t"],
         k=header.get("k"),
         events=events,
         outcomes=outcomes,
         truncated=footer.get("truncated", False),
-        quiescent=footer.get("quiescent", False),
         meta=header.get("meta", {}),
     )
+    if footer.get("quiescent", trace.quiescent) is not trace.quiescent:
+        raise TraceParseError(
+            footer_line, "quiescent flag disagrees with truncated and outcomes"
+        )
+    return trace
 
 
 def write_trace(path, trace: Trace) -> None:

@@ -71,7 +71,6 @@ def mk_trace(events, n=3, t=1, k=1) -> Trace:
         k=k,
         events=stamped,
         outcomes={},
-        quiescent=True,
         meta={"objects": [OBJ]},
     )
 

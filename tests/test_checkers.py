@@ -67,7 +67,7 @@ def test_is_property_rejected_with_witness(name, builder, checker, verdict):
     report = checker(builder())
     assert not report.passed
     bad = report.verdicts[verdict]
-    assert not bad.ok
+    assert not bad.ok and bool(bad) is False
     assert bad.witness  # concrete, human-readable counterexample
 
 

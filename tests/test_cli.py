@@ -655,6 +655,19 @@ def test_run_check_applies_the_validator(capsys, monkeypatch):
     assert "well_formed: FAIL -- stub problem" in out
 
 
+def test_check_rejects_a_config_meta_of_the_wrong_shape(tmp_path, capsys):
+    """`objects` must be a list of object ids: read as a string, "kisxsa"
+    would declare `sx` by substring and the check would pass vacuously."""
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(
+        '{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":"kisxsa"}}\n'
+        '{"kind":"end","outcomes":{}}\n'
+    )
+    argv = ["check", "--trace", str(trace_file), "--kind", "is", "--obj", "sx"]
+    assert main(argv) == 2
+    assert "error: line 1: malformed config" in capsys.readouterr().err
+
+
 def test_check_rejects_an_invoke_without_a_pid(tmp_path, capsys):
     """Only a commit is made by no process: a trace where p1 and a null pid
     both invoke `o` and get {(1, 0)} writes, but reading it back fails at

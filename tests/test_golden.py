@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from kisnap import (
+    RandomSchedule,
+    ReplaySchedule,
     build_simulation,
     enumerate_runs,
     make_instance,
+    run,
     run_random,
     standard_reports,
     trace_to_jsonl,
@@ -40,7 +44,9 @@ from corpus import (
 
 SEEDS = range(12)
 
-# case -> (algo, n, t, k, initial crashes, sha256)
+# case -> (algo, n, t, k, crash-first pids, sha256). A case with pids to
+# crash first runs `_seeded_run`'s crash-first route, every other case
+# `run_random`.
 SEEDED = {
     "alg1_11_5_10": (
         "alg1", 11, 5, 10, (),
@@ -60,7 +66,7 @@ SEEDED = {
     ),
     "naive_4_2_1_crash_2": (
         "naive", 4, 2, 1, (2,),
-        "c5961e4421966246cf1186fd6ab26898ec47417d6a368b0fc9c90a9eab5fd819",
+        "85e62a9987f2e61ef9edb2f0fe20870996111bb1ddad7bbd84b2b43dc0f18623",
     ),
     "kis_oracle_4_1_2": (
         "kis_oracle", 4, 1, 2, (),
@@ -112,10 +118,19 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def _seeded_chunks(algo, n, t, k, initial_crashes):
+def _seeded_run(inst, seed, crash_first):
+    """`run_random`, or with pids to crash first, a schedule that crashes
+    them and then draws every action from the seed, crashing no more."""
+    if not crash_first:
+        return run_random(inst, seed)
+    crashes = [("crash", p) for p in crash_first]
+    return run(inst, ReplaySchedule(crashes, RandomSchedule(random.Random(seed), ())))
+
+
+def _seeded_chunks(algo, n, t, k, crash_first):
     inst = make_instance(algo, n, t, k)
     for seed in SEEDS:
-        res = run_random(inst, seed, initial_crashes=initial_crashes)
+        res = _seeded_run(inst, seed, crash_first)
         yield trace_to_jsonl(res.trace)
         yield schedule_to_jsonl(res.actions)
 
@@ -191,7 +206,7 @@ SEEDED_REPORTS = {
     "alg1_over_alg2_7_3_3": "ee6b2f125a6a5b75fff9af03101938edba000b17baa5cc8ea0f06b00e1c32883",
     "alg2_5_2_2": "0933829d3288f4c32eab77fda401d9588202686d2a20c2384711a1096ac56bb7",
     "alg1_variant_5_2_3": "a1174f941111ca03942005424d1ea3ecdd666788b4e2db5e8f4f3193549517cb",
-    "naive_4_2_1_crash_2": "07a995cbf0310ad70d99d29a7fccd47feaad18891a0774401383d23d2d3c4e49",
+    "naive_4_2_1_crash_2": "9bfe704e0a573f9179406f947cc1ac777957ca2ce0e5cd30c9eb5ca5ef3dee2a",
     "kis_oracle_4_1_2": "afef67f79cfaaba0a8608ef8f755bc51704f7a3425cf239cdc449d8d393d1142",
     "cons_oracle_4_1_2": "1d2011cb8f63fe09c6b3a648beeef57109950eb8d4811c068934e3cf4e78a009",
     "is_impl_3_1_none": "d5f42c058adf2cd3229c25bcfbf09f92661a2711311560604b431f7743f9b087",
@@ -209,11 +224,10 @@ def _report_chunk(trace) -> str:
 
 @pytest.mark.parametrize("case", sorted(SEEDED))
 def test_seeded_reports_match_golden_digest(case):
-    algo, n, t, k, initial_crashes, _ = SEEDED[case]
+    algo, n, t, k, crash_first, _ = SEEDED[case]
     inst = make_instance(algo, n, t, k)
     chunks = (
-        _report_chunk(run_random(inst, seed, initial_crashes=initial_crashes).trace)
-        for seed in SEEDS
+        _report_chunk(_seeded_run(inst, seed, crash_first).trace) for seed in SEEDS
     )
     assert _sha(chunks) == SEEDED_REPORTS[case]
 

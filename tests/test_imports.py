@@ -147,8 +147,6 @@ def test_guard_flags_an_unread_parameter():
 # Parameters that a calling convention fixes, though these functions need
 # none of them.
 UNREAD_BY_PROTOCOL = {
-    # `run` asks every schedule `choose(world)`; a replay reads its list.
-    "core.ReplaySchedule.choose(world)",
     # A program is a generator function of (ctx, value); these four need
     # neither the pid nor n, t or k. A simulator is told the inner n, t
     # and k, and it reads no register, so neither needs its own pid.

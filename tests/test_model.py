@@ -3,6 +3,7 @@ quiescence, trace and schedule round-trips, exploration soundness."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import partial
 
@@ -238,10 +239,14 @@ def test_roundtrip_preserves_views_and_outcomes():
 
 
 def test_recorded_actions_replay_to_identical_trace():
+    """A run's actions are its whole schedule, crashes made before the
+    seed takes over included: a plain replay of them gives the bytes."""
     inst = make_instance("alg1", 4, 2, 3)
-    res = run_random(inst, 11)
-    replayed = run(inst, ReplaySchedule(res.actions))
-    assert trace_to_jsonl(replayed.trace) == trace_to_jsonl(res.trace)
+    crash_first = ReplaySchedule([("crash", 2)], RandomSchedule(random.Random(3), ()))
+    for res in (run_random(inst, 11), run(inst, crash_first)):
+        replayed = run(inst, ReplaySchedule(res.actions))
+        assert trace_to_jsonl(replayed.trace) == trace_to_jsonl(res.trace)
+    assert res.actions[0] == ("crash", 2) and len(res.actions) > 1
 
 
 def test_replayed_prefix_is_truncated_not_blocked():
@@ -455,7 +460,8 @@ def test_blocked_run_is_quiescent_with_blocked_events():
     """k < t naive attempt: crash t processes first, survivors block forever;
     the run must end quiescent with explicit blocked events, not truncated."""
     inst = make_instance("naive", 4, 2, 1)
-    res = run_random(inst, 0, initial_crashes=(1, 2))
+    crashes = [("crash", 1), ("crash", 2)]
+    res = run(inst, ReplaySchedule(crashes, RandomSchedule(random.Random(0), ())))
     trace = res.trace
     assert trace.quiescent and not trace.truncated
     assert trace.outcomes == {

@@ -236,6 +236,8 @@ def test_instance_validation():
         make_instance("unknown", 3, 1, 1)
     with pytest.raises(ValueError):
         make_instance("alg1", 3, 1, 1, inputs=(1, 2))  # wrong arity
+    with pytest.raises(ValueError, match="need n >= 3"):
+        make_instance("naive", 2, 1, 1)  # the strawman's own n < 3
     make_instance("naive", 4, 2, 1)  # k < t is the strawman's whole point
     for algo in ("alg1", "alg1_variant", "alg2", "alg1_over_alg2", "kis_oracle", "naive"):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ crash tolerance, and the concurrent-inside witness."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from kisnap import (
     Event,
     KisInvokeStep,
     ObjectError,
+    RandomSchedule,
+    ReplaySchedule,
     SimError,
     Trace,
     build_simulation,
@@ -19,6 +22,7 @@ from kisnap import (
     extract_inner_trace,
     make_partition,
     max_concurrent_inside,
+    run,
     run_random,
     validate_trace,
     WriteStep,
@@ -181,7 +185,8 @@ def test_simulator_crash_still_lets_other_side_finish():
     """Q2 crashes immediately: Q1 must finish alone via the mediator, and
     the extracted inner trace crashes exactly A1's unreturned members."""
     inst = build_simulation(4, 2, 2)
-    res = run_random(inst, 0, initial_crashes=(2,))
+    survivor = RandomSchedule(random.Random(0), ())
+    res = run(inst, ReplaySchedule([("crash", 2)], survivor))
     trace = res.trace
     assert trace.outcomes[1][0] == "returned"
     assert trace.outcomes[2] == ("crashed",)

@@ -98,12 +98,46 @@ def test_malformed_schedule_line_raises_parse_error(line):
         ([CONFIG, '{"kind":"end","outcomes":{"01":["crashed"]}}'], 2),
         ([CONFIG, '{"kind":"end","outcomes":{" 1":["crashed"]}}'], 2),
         ([CONFIG, '{"kind":"end","outcomes":{"+1":["crashed"]}}'], 2),
+        (['{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":5}}', END], 1),
+        (['{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":"kisxsa"}}', END], 1),
+        (['{"kind":"config","n":3,"t":1,"k":1,"meta":{"objects":["o",1]}}', END], 1),
+        (['{"kind":"config","n":3,"t":1,"k":1,"meta":{"algo":["alg1"]}}', END], 1),
+        (['{"kind":"config","n":3,"t":1,"k":1,"meta":{"algo":null}}', END], 1),
+        ([CONFIG, '{"kind":"end","outcomes":{"9":["returned",1]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"0":["crashed"]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"-1":["crashed"]}}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{},"quiescent":true}'], 2),
+        ([CONFIG, '{"kind":"end","outcomes":{"1":["blocked"]},"quiescent":false}'], 2),
+        (
+            [
+                CONFIG,
+                '{"kind":"end","outcomes":{"1":["blocked"]},'
+                '"truncated":true,"quiescent":true}',
+            ],
+            2,
+        ),
     ],
 )
 def test_malformed_trace_raises_parse_error(lines, line_no):
     with pytest.raises(TraceParseError) as exc:
         trace_from_jsonl("\n".join(lines) + "\n")
     assert exc.value.line_no == line_no
+
+
+def test_quiescent_flag_is_derived_from_the_outcomes():
+    """A run is quiescent exactly when it is not truncated and some process
+    is blocked; an end line without the flag decodes to that value."""
+    blocked = '{"kind":"end","outcomes":{"1":["blocked"],"2":["crashed"]}'
+    for tail, quiescent in [
+        ("}", True),
+        (',"quiescent":true}', True),
+        (',"truncated":true}', False),
+        (',"truncated":true,"quiescent":false}', False),
+    ]:
+        trace = trace_from_jsonl(f"{CONFIG}\n{blocked}{tail}\n")
+        assert trace.quiescent is quiescent, tail
+    done = trace_from_jsonl(CONFIG + '\n{"kind":"end","outcomes":{"1":["crashed"]}}\n')
+    assert done.quiescent is False
 
 
 # ── Value codec ──────────────────────────────────────────────────────────────
