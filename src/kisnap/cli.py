@@ -29,6 +29,7 @@ from .checkers import (
 )
 from .core import DEFAULT_STEP_BOUND, ReplaySchedule, run, run_random
 from .experiments import (
+    KEPT_FAILURES,
     render_matrix,
     run_blocking_demo,
     run_equivalence_suite,
@@ -271,7 +272,7 @@ def _cmd_equivalence(args) -> int:
         "trials": args.trials,
         "passed": not failures,
         "checked": {key: found.runs for key, found in sweeps.items()},
-        "failures": failures[:20],
+        "failures": failures[:KEPT_FAILURES],
     }
     print(json.dumps(report, indent=2))
     return 1 if failures else 0

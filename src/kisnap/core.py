@@ -63,15 +63,16 @@ class Instance:
     """A complete system description the simulator can run. `programs`
     maps each pid to its program: a generator function of the process's
     `Ctx`, its parameters bound (`functools.partial`). Each k-IS object is
-    declared by its name and its k, 1 <= k <= n-1: it is shared by all n
-    processes, so its views must hold at least n-k pairs."""
+    declared by its name and has the instance's k, which must then satisfy
+    1 <= k <= n-1: it is shared by all n processes, so its views must hold
+    at least n-k pairs."""
 
     n: int
     t: int
     k: int | None
     programs: dict[int, Program]
     arrays: tuple[str, ...] = ()
-    kis_objects: tuple[tuple[str, int], ...] = ()  # (obj, k)
+    kis_objects: tuple[str, ...] = ()
     cons_objects: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
 
@@ -82,16 +83,16 @@ class Instance:
             raise SimError(f"crash budget must satisfy 0 <= t < n, got t={self.t}")
         if set(self.programs) != set(range(1, self.n + 1)):
             raise SimError("programs must cover exactly pids 1..n")
-        ids = [*self.arrays, *(o for o, _ in self.kis_objects), *self.cons_objects]
+        ids = [*self.arrays, *self.kis_objects, *self.cons_objects]
         twice = sorted({o for o in ids if ids.count(o) > 1})
         if twice:
             raise SimError(f"object ids declared twice: {twice}")
-        for obj, k in self.kis_objects:
-            if not 1 <= k <= self.n - 1:
-                raise SimError(
-                    f"k-IS object {obj!r} requires 1 <= k <= n-1, "
-                    f"got n={self.n} k={k}"
-                )
+        k = self.k
+        if self.kis_objects and (k is None or not 1 <= k <= self.n - 1):
+            raise SimError(
+                f"declaring k-IS objects requires 1 <= k <= n-1, "
+                f"got n={self.n} k={k}"
+            )
 
 
 # ── Program states ───────────────────────────────────────────────────────────
@@ -217,7 +218,7 @@ def initial_world(instance: Instance) -> tuple[World, list[Event]]:
     stamped from step 0, as the list a run appends its later events to."""
     n, t, k = instance.n, instance.t, instance.k
     regs = {arr: (BOTTOM,) * n for arr in instance.arrays}
-    kis = {o: KisState(n - k_obj) for o, k_obj in sorted(instance.kis_objects)}
+    kis = {o: KisState(n - k) for o in sorted(instance.kis_objects)}
     cons = dict.fromkeys(instance.cons_objects, BOTTOM)
     procs = []
     events: list[Event] = []
@@ -519,35 +520,22 @@ _CRASHED = (CRASHED,)
 _BLOCKED = (BLOCKED,)
 
 
-def outcomes_of(world: World) -> dict[int, tuple]:
-    """Each pid's outcome, in pid order."""
-    crashed = world.crashed
-    out: dict[int, tuple] = {}
-    for pid, p in enumerate(world.procs, 1):
-        if pid in crashed:
-            out[pid] = _CRASHED
-        elif p.step is None:
-            out[pid] = (RETURNED, p.value)
-        else:
-            out[pid] = _BLOCKED
-    return out
-
-
 def finalize_trace(
     instance: Instance, world: World, events: list[Event], *, truncated: bool
 ) -> Trace:
-    """Close a run of `instance`: compute outcomes, emit blocked events on
-    quiescence.
-
-    A truncated run (cut off with actions still enabled) also marks
-    unfinished processes as blocked in the outcomes but writes no blocked
-    events, so it is `truncated`, not `quiescent`.
-    """
-    outcomes = outcomes_of(world)
-    if not truncated:
-        blocked = [p for p, o in outcomes.items() if o[0] == BLOCKED]
-        if blocked:
-            _stamp(events, [Event(-1, "blocked", pid) for pid in blocked])
+    """Close a run of `instance` with each pid's outcome, in pid order: a
+    process that neither crashed nor returned is blocked, in a truncated
+    run too, where only the `truncated` flag tells it from one that can
+    never move."""
+    crashed = world.crashed
+    outcomes: dict[int, tuple] = {}
+    for pid, p in enumerate(world.procs, 1):
+        if pid in crashed:
+            outcomes[pid] = _CRASHED
+        elif p.step is None:
+            outcomes[pid] = (RETURNED, p.value)
+        else:
+            outcomes[pid] = _BLOCKED
     return Trace(
         n=instance.n,
         t=instance.t,

@@ -142,8 +142,8 @@ def enumerate_runs(
             commits = enabled_commit_actions(world)
         menu += commits
         if not menu or (depth_bound is not None and len(stack) >= depth_bound):
-            # finalize_trace appends blocked events to the list it gets, so
-            # it gets a copy of the shared prefix.
+            # The walk cuts its shared event buffer back when it backtracks,
+            # so each leaf's trace gets a copy.
             trace = finalize_trace(instance, world, events[:], truncated=bool(menu))
             # Frames keep states only while the leaves are being checked,
             # that is while the last leaf's state covers all its events.

@@ -298,7 +298,7 @@ def make_instance(
     return Instance(
         n, t, k, programs,
         arrays=spec.arrays,
-        kis_objects=tuple((obj, k) for obj in spec.kis),
+        kis_objects=spec.kis,
         cons_objects=spec.cons,
         meta={"algo": algo, "inputs": list(inputs), "objects": list(spec.objects)},
     )

@@ -7,7 +7,8 @@ The inner processes are split into A0 and A1 with |A0| = |A1| = n-t; when
 2t > n the remaining 2t-n processes are initially crashed. Simulator Qi
 runs its members A_i one stage per inner k-IS object o, with an outer
 SWMR register REG[i][o] (array "sim.o") and a shared one-shot
-1-immediate-snapshot object ("med.o", 2 processes):
+1-immediate-snapshot object ("med.o", 2 processes), so the outer
+instance has k = 1:
 
 * a stage starts with every member waiting on o; the simulator announces
   their invokes in member order, runs their proposal set through med.o,
@@ -169,8 +170,8 @@ def build_simulation(n: int, t: int, k: int, q_inputs: tuple = (0, 1)) -> Instan
 
     The program is read from the catalog at each call. Its k-IS objects are
     lifted into one outer register array and one 2-process 1-IS mediator
-    per inner object, and its decisions are the responses of its XSA_OBJ
-    object.
+    per inner object, so the outer k is 1, and its decisions are the
+    responses of its XSA_OBJ object.
     """
     if len(q_inputs) != 2:
         raise SimError(f"two simulators need two inputs, got {len(q_inputs)}")
@@ -197,7 +198,6 @@ def build_simulation(n: int, t: int, k: int, q_inputs: tuple = (0, 1)) -> Instan
         "inner_t": t,
         "inner_k": k,
         "inner_objects": list(inner_objs),
-        "inner_top": XSA_OBJ,
         "partition": [list(group) for group in groups],
         "q_inputs": list(q_inputs),
         "objects": [SIM_OBJ]
@@ -209,10 +209,10 @@ def build_simulation(n: int, t: int, k: int, q_inputs: tuple = (0, 1)) -> Instan
     return Instance(
         n=2,
         t=1,
-        k=None,
+        k=1,
         programs=programs,
         arrays=tuple(sim_array(o) for o in inner_objs),
-        kis_objects=tuple((mediator(o), 1) for o in inner_objs),
+        kis_objects=tuple(mediator(o) for o in inner_objs),
         meta=meta,
     )
 
@@ -223,14 +223,13 @@ def extract_inner_trace(outer: Trace) -> Trace:
     Copies the embedded inner invoke/respond events (dropping the "inner."
     prefix), synthesizes crash events for the initially crashed group and,
     at the point a simulator crashes, for its members that had not finished
-    their whole program. Outcomes: returned if the member's top-level
+    their whole program. Outcomes: returned if the member's XSA_OBJ
     respond is present, crashed as above, blocked otherwise. The trace is
     truncated when the outer run was.
     """
     meta = outer.meta
     a0, a1, d = meta["partition"]
     inner_n = meta["inner_n"]
-    top = meta.get("inner_top", XSA_OBJ)
     events: list[Event] = []
     returned: dict[int, object] = {}
     crashed: set[int] = set()
@@ -252,7 +251,7 @@ def extract_inner_trace(outer: Trace) -> Trace:
             continue
         obj = e.obj[len(INNER_PREFIX) :]
         emit(e.kind, e.pid, obj, e.op, e.args, e.ret)
-        if e.kind == "respond" and obj == top:
+        if e.kind == "respond" and obj == XSA_OBJ:
             returned[e.pid] = e.ret
     outcomes: dict[int, tuple] = {}
     for p in range(1, inner_n + 1):
@@ -272,7 +271,7 @@ def extract_inner_trace(outer: Trace) -> Trace:
         meta={
             "algo": meta.get("inner_algo"),
             "extracted_from": "simulation",
-            "objects": list(meta.get("inner_objects", ())) + [top],
+            "objects": [*meta["inner_objects"], XSA_OBJ],
         },
     )
 
@@ -311,7 +310,7 @@ def check_simulation_trace(outer: Trace) -> list[CheckReport]:
     inner = extract_inner_trace(outer)
     n, k = inner.n, inner.k
     reports = []
-    for obj in outer.meta.get("inner_objects", ()):
+    for obj in outer.meta["inner_objects"]:
         rep = check_is(inner, obj, k=k)
         reports.append(rep)
         if object_history(inner, obj).responds:

@@ -3,9 +3,10 @@
 A trace is the full record of one run: a config header, a sequence of
 events, and per-process outcomes. Events carry the fields
 (step, kind, pid, obj, op, args, ret); kinds are invoke, respond,
-reg_write, reg_read, commit_batch, crash, and blocked. Serialization is
-canonical: fixed field order, views as pid-sorted pair lists, bottom as
-null, so identical runs produce byte-identical files.
+reg_write, reg_read, commit_batch and crash. A blocked process is stated by
+its outcome alone. Serialization is canonical: fixed field order, views as
+pid-sorted pair lists, bottom as null, so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ EVENT_KINDS = (
     "reg_read",
     "commit_batch",
     "crash",
-    "blocked",
 )
 
 RETURNED = "returned"

@@ -48,6 +48,8 @@ def test_exhaustive_matrix_attains_every_bound_at_n3():
         assert cell.bound == expect
         assert cell.observed_max == expect  # attained, not just respected
         assert cell.violations == 0
+    with pytest.raises(KeyError):
+        report.cell(2, 1)  # outside t <= k: no such cell
 
 
 def test_random_matrix_respects_bounds():

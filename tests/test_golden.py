@@ -104,10 +104,10 @@ MATRIX_N11_TRIALS = (
 # below, case after case, and the reduced exhaustive leaves at (4, 2, 2).
 SIMULATION_CASES = ((4, 2, 2), (4, 3, 3), (5, 3, 3))
 SEEDED_SIMULATION = (
-    "ef957de2cc6e08580ed52cbc64e75cd333cead74e9645b9fb33961214427b36a"
+    "ca836c6782938c559f3ec632fc7670224abe4581d717af7f7db74fca53f7aa2a"
 )
 EXHAUSTIVE_SIMULATION_4_2_2 = (
-    "3ae9a314807ee33fbe9da1f65207025f0e097831631bc08b5635aa04ce1bb98d"
+    "51e6cb8551eb25bb47c9f9ec7417157a6f30d124caced005672904fd7a3248f0"
 )
 
 

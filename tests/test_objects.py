@@ -116,7 +116,7 @@ def test_simulator_commits_a_batch_in_pid_order():
     """A replayed batch in any order gives the trace of the sorted one: one
     commit event naming the batch sorted, then the releases by pid."""
     programs = {pid: partial(kis_once, obj="kis", value=pid) for pid in (1, 2, 3)}
-    inst = Instance(3, 1, 1, programs, kis_objects=(("kis", 1),))
+    inst = Instance(3, 1, 1, programs, kis_objects=("kis",))
     steps = [("step", 1), ("step", 2), ("step", 3)]
     traces = [
         run(inst, ReplaySchedule([*steps, ("commit", "kis", batch)])).trace
@@ -129,13 +129,13 @@ def test_simulator_commits_a_batch_in_pid_order():
 
 
 def test_object_parameter_bounds():
-    """An instance declares each k-IS object with a k in 1..n-1."""
+    """An instance with k-IS objects has a k in 1..n-1."""
     programs = {pid: partial(kis_once, obj="kis", value=pid) for pid in (1, 2, 3)}
-    for k in (0, 3):
+    for k in (0, 3, None):
         with pytest.raises(SimError, match="requires 1 <= k <= n-1"):
-            Instance(3, 1, k, programs, kis_objects=(("kis", k),))
+            Instance(3, 1, k, programs, kis_objects=("kis",))
     for k in (1, 2):
-        Instance(3, 1, k, programs, kis_objects=(("kis", k),))
+        Instance(3, 1, k, programs, kis_objects=("kis",))
 
 
 @pytest.mark.parametrize(
@@ -162,11 +162,11 @@ def test_instance_parameter_bounds(n, t, pids, message):
     "objects",
     [
         {"arrays": ("a", "a")},
-        {"kis_objects": (("a", 1), ("a", 2))},
+        {"kis_objects": ("a", "a")},
         {"cons_objects": ("a", "a")},
         {"arrays": ("a",), "cons_objects": ("a",)},
-        {"arrays": ("a",), "kis_objects": (("a", 1),)},
-        {"kis_objects": (("a", 1),), "cons_objects": ("a",)},
+        {"arrays": ("a",), "kis_objects": ("a",)},
+        {"kis_objects": ("a",), "cons_objects": ("a",)},
     ],
     ids=["arrays", "kis", "cons", "array_and_cons", "array_and_kis", "kis_and_cons"],
 )
@@ -184,9 +184,9 @@ def test_object_id_declared_twice_is_rejected(objects):
             Instance(
                 3, 1, 1,
                 {pid: partial(kis_once, obj="a", value=pid) for pid in (1, 2, 3)},
-                kis_objects=(("a", 1), ("b", 2)),
+                kis_objects=("a", "b"),
             ),
-            {"a": 2, "b": 1},
+            {"a": 2, "b": 2},
         ),
         (build_simulation(4, 2, 2), {"med.kis1": 1, "med.kis2": 1}),
     ],

@@ -79,9 +79,9 @@ def test_partition_rejects_minority_budget():
 
 def test_simulation_instance_shape():
     inst = build_simulation(4, 2, 2)
-    assert inst.n == 2 and inst.t == 1
+    assert inst.n == 2 and inst.t == 1 and inst.k == 1
     assert set(inst.arrays) == {"sim.kis1", "sim.kis2"}
-    assert dict(inst.kis_objects) == {"med.kis1": 1, "med.kis2": 1}
+    assert inst.kis_objects == ("med.kis1", "med.kis2")
     assert inst.meta["inner_objects"] == ["kis1", "kis2"]
     assert inst.meta["inner_n"] == 4
 
@@ -279,6 +279,15 @@ def test_solo_inner_operation_fails_concurrent_inside_witness():
         False, "max 1 < n-k = 2 processes inside at once, at step 0"
     )
     assert not rep.passed
+
+
+def test_outer_meta_without_inner_objects_is_refused():
+    """The check reads the simulated objects from the meta: without them it
+    raises instead of passing with nothing checked."""
+    outer = run_random(build_simulation(4, 2, 2), 0).trace
+    del outer.meta["inner_objects"]
+    with pytest.raises(KeyError, match="inner_objects"):
+        check_simulation_trace(outer)
 
 
 def test_exhaustive_outer_exploration_covers_crashes_and_passes():

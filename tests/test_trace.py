@@ -116,6 +116,8 @@ def test_malformed_schedule_line_raises_parse_error(line):
             ],
             2,
         ),
+        # A blocked process is stated by its outcome; no event kind says it.
+        ([CONFIG, '{"step":0,"kind":"blocked","pid":1}', END], 2),
     ],
 )
 def test_malformed_trace_raises_parse_error(lines, line_no):
@@ -360,3 +362,5 @@ def test_action_lines_match_json_dumps():
     assert schedule_from_jsonl(schedule_to_jsonl(fresh)) == [
         ("commit", "kis", (i, i + 1)) for i in range(50)
     ]
+    with pytest.raises(ValueError, match=r"unknown action \('jump', 1\)"):
+        schedule_to_jsonl([("jump", 1)])
